@@ -1,7 +1,8 @@
 """Command-line surface: dataset synthesis, splitting, training, evaluation,
 verification suites, and the hyper-parameter grid.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 verification failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 verification failure,
+5 training diverged.
 The seed falls back to the VOXFORMER_SEED environment variable.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import data as D
 from . import models as M
 from . import train as TR
-from .optim import GridSpec, TrainConfig, grid_enumerate
+from .optim import GridSpec, OptimizerError, TrainConfig, grid_enumerate
 from .tensor import ShapeError
 from .verify import SUITES, run_suites
 
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
+EXIT_DIVERGED = 5
 
 
 class ConfigError(ValueError):
@@ -170,7 +172,10 @@ def cmd_train(args) -> int:
         got = tuple(D.load_record_volume(data_dir, records[0]).shape)
         if got != want:
             raise ConfigError(f"--extents {want} but data volumes are {got}")
-    rows = TR.run_training(run, data_dir, args.out)
+    # a diverging run overflows long before AdamW's finite-gradient check
+    # stops it; that check names the parameter, numpy's per-op warnings do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = TR.run_training(run, data_dir, args.out)
     last = [r for r in rows if r.get("event") == "epoch"]
     best = max((r["test_acc"] for r in last), default=rows[1]["test_acc"])
     print(f"epochs={len(last)} best_test_acc={best:.4f} metrics={Path(args.out) / TR.METRICS_NAME}")
@@ -286,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except OptimizerError as e:
+        print(f"training diverged: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -96,8 +96,22 @@ def grid_enumerate(spec: GridSpec = GridSpec(), **schema) -> list[TrainConfig]:
                                                    spec.step_sizes, spec.gammas)]
 
 
+# Elements per update block: big enough to amortize the per-call overhead of
+# a ufunc, small enough that a block of data, grad, m, v and the two scratch
+# buffers stays in cache.  On a 2-vCPU Xeon VM 2**14 to 2**16 measured
+# fastest for a 24M-element float32 parameter; 2**17 was about 13% slower.
+_BLOCK = 1 << 16
+
+
 class AdamW:
-    """Decoupled weight decay Adam: theta -= lr * (mhat/(sqrt(vhat)+eps) + wd * theta)."""
+    """Decoupled weight decay Adam: theta -= lr * (mhat/(sqrt(vhat)+eps) + wd * theta).
+
+    ``step`` checks every gradient before it changes any state, so a bad
+    gradient leaves parameters, ``m``, ``v`` and ``t`` as they were.  It then
+    updates each parameter and its moments in place, one block of ``_BLOCK``
+    elements at a time, through two block-sized scratch buffers per dtype:
+    a step allocates nothing the size of a parameter.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
@@ -110,16 +124,13 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
-    def step(self) -> None:
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+    def _check_gradients(self) -> None:
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -127,15 +138,49 @@ class AdamW:
             if g.shape != p.data.shape:
                 raise OptimizerError(f"parameter {name!r}: gradient shape {g.shape} "
                                      f"!= parameter shape {p.data.shape}")
-            if not np.all(np.isfinite(g)):
+            # NaN propagates through min and max, and an infinity is an extreme
+            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
                 raise OptimizerError(f"non-finite gradient for parameter {name!r}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= (self.lr * update).astype(p.dtype)
+
+    def step(self) -> None:
+        self._check_gradients()
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        lr, wd, eps = self.lr, self.weight_decay, self.eps
+        for name, p in self.params.items():
+            if p.dtype not in self._scratch:
+                self._scratch[p.dtype] = (np.empty(_BLOCK, p.dtype), np.empty(_BLOCK, p.dtype))
+            a, u = self._scratch[p.dtype]
+            theta = p.data.reshape(-1)
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+            g = p.grad
+            # a non-contiguous gradient is read through flat, a block-sized copy
+            g = g.reshape(-1) if g.flags.c_contiguous else g.flat
+            for s in range(0, theta.size, _BLOCK):
+                e = min(s + _BLOCK, theta.size)
+                tb, mb, vb, gb = theta[s:e], m[s:e], v[s:e], g[s:e]
+                ab, ub = a[:e - s], u[:e - s]
+                # the operation order of the unblocked update, kept so that
+                # results are bit-identical to it:
+                # m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*(g*g)
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1.0 - b1, out=ab)
+                np.add(mb, ab, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, gb, out=ab)
+                np.multiply(ab, 1.0 - b2, out=ab)
+                np.add(vb, ab, out=vb)
+                # u = (m/bc1) / (sqrt(v/bc2) + eps) [+ wd*theta] ; theta -= lr*u
+                np.divide(vb, bc2, out=ab)
+                np.sqrt(ab, out=ab)
+                np.add(ab, eps, out=ab)
+                np.divide(mb, bc1, out=ub)
+                np.divide(ub, ab, out=ub)
+                if wd:
+                    np.multiply(tb, wd, out=ab)
+                    np.add(ub, ab, out=ub)
+                np.multiply(ub, lr, out=ub)
+                np.subtract(tb, ub, out=tb)

@@ -56,7 +56,10 @@ class Tensor:
     """N-D array (<= 5 axes) with optional gradient tracking.
 
     ``data`` is always a contiguous numpy array.  ``grad`` is populated by
-    ``backward()`` and has the same shape and dtype as ``data``.
+    ``backward()`` and has the same shape and dtype as ``data``.  It may
+    share memory with other gradients of the same graph and need not be
+    contiguous or writeable: treat it as read-only, and copy it before
+    changing it in place.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
@@ -163,10 +166,13 @@ class Tensor:
         return order
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # The first contribution is stored as is: it may be a view of another
+        # node's gradient (pass-through ops such as add or reshape), so later
+        # contributions rebind to a fresh sum instead of writing in place.
         if self.grad is None:
-            self.grad = g.astype(self.dtype, copy=True)
+            self.grad = g.astype(self.dtype, copy=False)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.dtype, copy=False)
 
     # -- operator sugar --------------------------------------------------------
 

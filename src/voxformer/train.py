@@ -117,7 +117,9 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
     """Train per the run config; writes metrics.jsonl and the best checkpoint.
 
     Returns the metric rows.  A zero-epoch run emits the initial evaluation
-    only and writes no checkpoint.
+    only and writes no checkpoint.  An error during an epoch (such as the
+    ``OptimizerError`` of a diverging run) appends a ``failed`` row naming
+    the epoch and the error, then propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,34 +159,40 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
 
     best_acc = -1.0
     n_train = len(ds.train_volumes)
-    for epoch in range(tc.total_epochs):
-        lr = lr_at(epoch, sched)
-        opt.lr = lr
-        model.train()
-        order = shuffle_rng.permutation(n_train)
-        losses = []
-        correct = 0
-        for i in range(0, n_train, tc.batch_size):
-            idx = order[i:i + tc.batch_size]
-            x = Tensor(ds.train_volumes[idx][:, None])
-            y = ds.train_labels[idx]
-            logits = model(x)
-            loss = cross_entropy(logits, y)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
-            correct += int((logits.data.argmax(axis=-1) == y).sum())
-        test_acc, confusion = evaluate(model, ds.test_volumes, ds.test_labels, tc.batch_size)
-        emit({"event": "epoch", "epoch": epoch, "lr": lr,
-              "train_loss": float(np.mean(losses)),
-              "train_acc": correct / n_train,
-              "test_acc": test_acc})
-        if test_acc > best_acc:
-            best_acc = test_acc
-            M.save_checkpoint(out / CHECKPOINT_NAME, model, ckpt_config)
-        if run.target_accuracy is not None and test_acc >= run.target_accuracy:
-            break
+    epoch = None
+    try:
+        for epoch in range(tc.total_epochs):
+            lr = lr_at(epoch, sched)
+            opt.lr = lr
+            model.train()
+            order = shuffle_rng.permutation(n_train)
+            losses = []
+            correct = 0
+            for i in range(0, n_train, tc.batch_size):
+                idx = order[i:i + tc.batch_size]
+                x = Tensor(ds.train_volumes[idx][:, None])
+                y = ds.train_labels[idx]
+                logits = model(x)
+                loss = cross_entropy(logits, y)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                losses.append(loss.item())
+                correct += int((logits.data.argmax(axis=-1) == y).sum())
+            test_acc, confusion = evaluate(model, ds.test_volumes, ds.test_labels, tc.batch_size)
+            emit({"event": "epoch", "epoch": epoch, "lr": lr,
+                  "train_loss": float(np.mean(losses)),
+                  "train_acc": correct / n_train,
+                  "test_acc": test_acc})
+            if test_acc > best_acc:
+                best_acc = test_acc
+                M.save_checkpoint(out / CHECKPOINT_NAME, model, ckpt_config)
+            if run.target_accuracy is not None and test_acc >= run.target_accuracy:
+                break
+    except Exception as e:
+        # the log ends on a terminal event even when training does not
+        emit({"event": "failed", "epoch": epoch, "error": f"{type(e).__name__}: {e}"})
+        raise
     emit({"event": "done", "best_test_acc": best_acc if best_acc >= 0 else None,
           "epochs_run": sum(1 for r in rows if r.get("event") == "epoch")})
     return rows

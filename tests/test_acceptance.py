@@ -206,6 +206,7 @@ def best_acc(rows):
     return max((r["test_acc"] for r in rows if r.get("event") == "epoch"), default=0.0)
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_learning(synth_task, tmp_path):
     conv_rows = TR.run_training(CONVNET_RUN, synth_task, tmp_path / "conv")
     conv_best = best_acc(conv_rows)
@@ -221,6 +222,7 @@ def test_criterion_09_end_to_end_learning(synth_task, tmp_path):
            f"CVVT-tiny acc={cvvt_best:.3f} in {cvvt_epochs} epochs (>=0.80/60)")
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(synth_task, tmp_path):
     import dataclasses
     short = dataclasses.replace(

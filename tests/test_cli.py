@@ -92,6 +92,21 @@ def test_zero_epoch_run_emits_initial_eval_only(dataset, tmp_path):
     assert not (out / TR.CHECKPOINT_NAME).exists()
 
 
+def test_diverging_run_exits_5_and_logs_failed_event(dataset, tmp_path, capsys, recwarn):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--model", "cvvt", "--data", str(dataset), "--out", str(out),
+                   "--epochs", "2", "--lr", "1e30", "--seed", "0"])
+    assert rc == cli.EXIT_DIVERGED == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("training diverged: non-finite gradient for parameter '")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    rows = read_jsonl(out / TR.METRICS_NAME)
+    assert [r["event"] for r in rows] == ["config", "init", "failed"]
+    assert rows[-1]["epoch"] == 0
+    assert rows[-1]["error"].startswith("OptimizerError: non-finite gradient for parameter '")
+
+
 def test_train_determinism_byte_identical(dataset, tmp_path):
     outs = []
     for name in ("r1", "r2"):
@@ -208,6 +223,7 @@ def test_grid_rows_are_reconstructible_and_ranked(dataset, tmp_path):
         TrainConfig(**run["train"])     # reconstructs without error
 
 
+@pytest.mark.slow
 def test_grid_parallel_matches_sequential(dataset, tmp_path):
     seq, par = tmp_path / "seq", tmp_path / "par"
     for out, threads in ((seq, "1"), (par, "2")):

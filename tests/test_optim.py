@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxformer.optim import (AdamW, GridSpec, OptimizerError, ScheduleConfig,
+from voxformer.optim import (_BLOCK, AdamW, GridSpec, OptimizerError, ScheduleConfig,
                              TrainConfig, WarmupConfig, grid_enumerate, lr_at)
 from voxformer.tensor import Tensor
 
@@ -192,6 +194,107 @@ def test_adamw_shape_mismatch_rejected():
     opt = AdamW({"p": p}, lr=0.01)
     with pytest.raises(OptimizerError):
         opt.step()
+
+
+def reference_step(opt: AdamW) -> None:
+    """The unblocked AdamW update with full-size temporaries: the oracle that
+    the blocked in-place step must match bit for bit."""
+    opt.t += 1
+    b1, b2 = opt.beta1, opt.beta2
+    bc1 = 1.0 - b1 ** opt.t
+    bc2 = 1.0 - b2 ** opt.t
+    for name, p in opt.params.items():
+        g = p.grad
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        if opt.weight_decay:
+            update = update + opt.weight_decay * p.data
+        p.data -= (opt.lr * update).astype(p.dtype)
+
+
+ORACLE_SIZES = (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+
+
+def _oracle_params(dtype, rng):
+    params = {f"p{n}": Tensor(rng.standard_normal(n).astype(dtype), requires_grad=True)
+              for n in ORACLE_SIZES}
+    params["wT"] = Tensor(rng.standard_normal((300, 250)).astype(dtype), requires_grad=True)
+    return params
+
+
+def _set_oracle_grads(params, rng):
+    for name, p in params.items():
+        if name == "wT":   # a non-contiguous view, as a transpose backward yields
+            p.grad = rng.standard_normal(p.shape[::-1]).astype(p.dtype).T
+            assert not p.grad.flags.c_contiguous
+        else:
+            p.grad = (rng.standard_normal(p.shape) * 3.0).astype(p.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adamw_blocked_step_bit_identical_to_unblocked_oracle(dtype, wd):
+    rng = np.random.default_rng(5)
+    params = _oracle_params(dtype, rng)
+    twins = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+    opt = AdamW(params, lr=0.003, weight_decay=wd)
+    ref = AdamW(twins, lr=0.003, weight_decay=wd)
+    for _ in range(6):
+        _set_oracle_grads(params, rng)
+        for k, p in twins.items():
+            p.grad = params[k].grad
+        opt.step()
+        reference_step(ref)
+    assert opt.t == ref.t == 6
+    for k in params:
+        assert params[k].dtype == dtype
+        np.testing.assert_array_equal(params[k].data, twins[k].data)
+        np.testing.assert_array_equal(opt.m[k], ref.m[k])
+        np.testing.assert_array_equal(opt.v[k], ref.v[k])
+
+
+def test_adamw_bad_gradient_leaves_all_state_untouched():
+    rng = np.random.default_rng(2)
+    params = {name: Tensor(rng.standard_normal(n).astype(np.float32), requires_grad=True)
+              for name, n in (("a", 5), ("b", _BLOCK + 3), ("head.bias", 4))}
+    opt = AdamW(params, lr=0.01, weight_decay=0.001)
+    for _ in range(2):
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        opt.step()
+    before = {k: (p.data.copy(), opt.m[k].copy(), opt.v[k].copy()) for k, p in params.items()}
+    for bad in (np.nan, np.inf, -np.inf):
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        params["head.bias"].grad[2] = bad
+        with pytest.raises(OptimizerError, match="head.bias"):
+            opt.step()
+        assert opt.t == 2
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, before[k][0])
+            np.testing.assert_array_equal(opt.m[k], before[k][1])
+            np.testing.assert_array_equal(opt.v[k], before[k][2])
+
+
+def test_adamw_step_allocates_no_parameter_sized_temporaries():
+    rng = np.random.default_rng(3)
+    p = Tensor(rng.standard_normal(1 << 20).astype(np.float32), requires_grad=True)
+    opt = AdamW({"w": p}, lr=0.001, weight_decay=0.001)
+    p.grad = rng.standard_normal(p.shape).astype(np.float32)
+    opt.step()                      # the first step allocates the scratch buffers
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes / 4, f"step peak {peak} B for a {p.data.nbytes} B parameter"
 
 
 def test_train_config_schedule_round_trip():

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from voxformer.tensor import (AutodiffError, ShapeError, Tensor, add, concat,
                               elementwise, flatten, getitem, leaky_relu, matmul,
                               mul, no_grad, pad3d, reshape, softmax, sub,
-                              transpose, tsum)
+                              tmean, transpose, tsum)
 from voxformer.gradcheck import gradcheck
 
 
@@ -223,6 +223,75 @@ def test_grad_accumulates_across_reuse():
     x = Tensor([2.0], requires_grad=True)
     add(mul(x, x), mul(x, 3.0)).sum().backward()   # d/dx (x^2 + 3x) = 2x + 3
     assert x.grad[0] == pytest.approx(7.0)
+
+
+def backward_snapshotting_grads(root):
+    """Run ``root.backward()``; return (node, gradient as its backward saw it)
+    for every interior node, so a later in-place write is detectable."""
+    seen = []
+    for node in root._toposort():
+        fn = node._backward_fn
+        if fn is None:
+            continue
+
+        def snap(g, node=node, fn=fn):
+            seen.append((node, np.array(g, copy=True)))
+            fn(g)
+
+        node._backward_fn = snap
+    root.backward()
+    return seen
+
+
+def assert_upstream_grads_unchanged(seen):
+    assert seen
+    for node, g in seen:
+        np.testing.assert_array_equal(node.grad, g, err_msg=f"{node.op} gradient was overwritten")
+
+
+def test_pass_through_gradient_consumed_twice_is_not_overwritten():
+    x = randt((3, 4), seed=20, requires_grad=True)
+    y = add(x, x)
+    seen = backward_snapshotting_grads(tsum(y))
+    assert_upstream_grads_unchanged(seen)
+    np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+
+
+def test_shared_input_of_sum_and_product_gets_hand_derived_grads():
+    x = randt((2, 5), seed=21, requires_grad=True)
+    w = randt((2, 5), seed=22, requires_grad=True)
+    s = add(x, w)
+    seen = backward_snapshotting_grads(tmean(mul(s, x)))  # mean((x + w) * x)
+    assert_upstream_grads_unchanged(seen)
+    np.testing.assert_allclose(s.grad, x.data / 10, rtol=1e-15)
+    np.testing.assert_allclose(w.grad, x.data / 10, rtol=1e-15)
+    np.testing.assert_allclose(x.grad, (2 * x.data + w.data) / 10, rtol=1e-15)
+
+
+def test_leaf_whose_first_gradient_is_a_writable_alias():
+    # mean's gradient is a fresh writable array; both adds pass it through, so
+    # x's first gradient is the very buffer that r and q hold
+    x = randt((2, 5), seed=25, requires_grad=True)
+    w = randt((2, 5), seed=26, requires_grad=True)
+    q = add(x, w)
+    r = add(q, x)
+    seen = backward_snapshotting_grads(tmean(r))
+    assert_upstream_grads_unchanged(seen)
+    for t in (r, q, w):
+        np.testing.assert_array_equal(t.grad, np.full((2, 5), 0.1))
+    np.testing.assert_array_equal(x.grad, np.full((2, 5), 0.2))
+
+
+def test_sum_mean_chain_with_reused_leaf_keeps_upstream_grads():
+    x = randt((3, 4), seed=23, requires_grad=True)
+    w = randt((3, 4), seed=24, requires_grad=True)
+    b = add(tsum(add(x, w), axis=0), tsum(x, axis=0))    # [4]
+    seen = backward_snapshotting_grads(tmean(add(b, b)))
+    assert_upstream_grads_unchanged(seen)
+    np.testing.assert_array_equal(b.grad, np.full(4, 0.5))
+    np.testing.assert_array_equal(w.grad, np.full((3, 4), 0.5))
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 1.0))
 
 
 def test_getitem_scatters_gradient():
