@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
-from . import models as M
 from . import train as TR
 from .optim import GridSpec, OptimizerError, TrainConfig, grid_enumerate
 from .tensor import ShapeError
@@ -221,11 +220,7 @@ def cmd_verify(args) -> int:
 
 
 def _grid_worker(payload) -> dict:
-    index, run_dict, data_dir, out_dir = payload
-    run = TR.RunConfig(model=run_dict["model"], size=run_dict["size"], norm=run_dict["norm"],
-                       train=TrainConfig(**run_dict["train"]), seed=run_dict["seed"],
-                       pool_stride=run_dict["pool_stride"],
-                       target_accuracy=run_dict["target_accuracy"])
+    index, run, data_dir, out_dir = payload
     row = {"index": index, "config": run.to_dict()}
     try:
         rows = TR.run_training(run, data_dir, Path(out_dir) / f"run_{index:03d}")
@@ -255,7 +250,7 @@ def cmd_grid(args) -> int:
     for i, tc in enumerate(configs):
         run = TR.RunConfig(model=args.model, size=args.size, norm=args.norm, train=tc,
                            seed=run_seeds[i], pool_stride=args.pool_stride)
-        payloads.append((i, run.to_dict(), str(data_dir), str(out_dir)))
+        payloads.append((i, run, str(data_dir), str(out_dir)))
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_grid_worker, payloads))

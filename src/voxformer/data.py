@@ -158,11 +158,7 @@ class SplitSpec:
     audit: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({"train_subjects": list(self.train_subjects),
-                           "test_subjects": list(self.test_subjects),
-                           "val_subjects": list(self.val_subjects),
-                           "seed": self.seed, "audit": self.audit},
-                          sort_keys=True, indent=1)
+        return json.dumps(asdict(self), sort_keys=True, indent=1)
 
     @staticmethod
     def from_json(text: str) -> "SplitSpec":
@@ -231,11 +227,6 @@ class SynthConfig:
     signal_amplitude: float = 0.5   # bump height for CN; AD keeps 20% of it
     noise_sigma: float = 0.05
     atrophy_factor: float = 0.2
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["extents"] = list(self.extents)
-        return d
 
 
 def _coords(extents: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,7 +304,7 @@ def synth_generate(out_dir, cfg: SynthConfig) -> Path:
             records.append(VolumeRecord(subject_id=subject, session_id=f"ses-{s + 1:02d}",
                                         label=label, path=name, visit_order=s + 1))
     write_manifest(out / MANIFEST_NAME, records)
-    (out / "synth_config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=1))
+    (out / "synth_config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=1))
     return out / MANIFEST_NAME
 
 

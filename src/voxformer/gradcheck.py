@@ -6,7 +6,7 @@ be a trustworthy oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ class GradcheckReport:
     max_abs_err: float
     checked: int
     worst: tuple[str, int] | None = None
-    per_input: dict[str, float] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -44,65 +43,59 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return diff / denom
 
 
+def _check(f: Callable[[], Tensor], tensors: Sequence[Tensor],
+           visits: Sequence[tuple[str, int, int]], eps: float, tol: float,
+           who: str) -> GradcheckReport:
+    """Analytic gradients of the scalar ``f()`` with respect to ``tensors``,
+    compared against a central difference at each ``(label, tensor index,
+    flat coordinate)`` visit; ``worst`` is ``(label, coordinate)``."""
+    for t in tensors:
+        t.zero_grad()
+    out = f()
+    if not np.all(np.isfinite(out.data)):
+        raise FloatingPointError(f"{who}: function produced non-finite output")
+    out.backward()
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+
+    max_rel = 0.0
+    max_abs = 0.0
+    worst = None
+    for label, i, j in visits:
+        flat = tensors[i].data.reshape(-1)
+        orig = flat[j]
+        flat[j] = orig + eps
+        hi = f().item()
+        flat[j] = orig - eps
+        lo = f().item()
+        flat[j] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise FloatingPointError(f"{who}: non-finite output during perturbation")
+        numeric = (hi - lo) / (2.0 * eps)
+        a = float(analytic[i].reshape(-1)[j])
+        rel = _rel_err(a, numeric)
+        max_abs = max(max_abs, abs(a - numeric))
+        if rel > max_rel:
+            max_rel = rel
+            worst = (label, j)
+    return GradcheckReport(passed=max_rel < tol, tol=tol, eps=eps,
+                           max_rel_err=max_rel, max_abs_err=max_abs,
+                           checked=len(visits), worst=worst)
+
+
 def gradcheck(f: Callable[..., Tensor], xs: Tensor | Sequence[Tensor],
-              eps: float = 1e-6, tol: float = 1e-4,
-              sample: int | None = None, rng: np.random.Generator | None = None,
-              ) -> GradcheckReport:
-    """Compare analytic gradients of scalar ``f(*xs)`` against central differences.
+              eps: float = 1e-6, tol: float = 1e-4) -> GradcheckReport:
+    """Compare analytic gradients of scalar ``f(*xs)`` against central differences
+    at every coordinate of every input.
 
     ``xs`` are the differentiation points; each must be a float64 Tensor.
-    With ``sample`` set, only that many randomly chosen coordinates per input
-    are perturbed (for large models where the full sweep is prohibitive).
     """
     inputs = [xs] if isinstance(xs, Tensor) else list(xs)
     for i, x in enumerate(inputs):
         if x.dtype != np.float64:
             raise TypeError(f"gradcheck input {i} must be float64, got {x.dtype.name}")
         x.requires_grad = True
-        x.zero_grad()
-
-    out = f(*inputs)
-    if not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("gradcheck: function produced non-finite output")
-    out.backward()
-    analytic = [np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-                for x in inputs]
-
-    max_rel = 0.0
-    max_abs = 0.0
-    checked = 0
-    worst = None
-    per_input: dict[str, float] = {}
-    for i, x in enumerate(inputs):
-        flat = x.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if sample is not None and sample < flat.size:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            coords = gen.choice(flat.size, size=sample, replace=False)
-        worst_i = 0.0
-        for j in coords:
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = f(*inputs).item()
-            flat[j] = orig - eps
-            lo = f(*inputs).item()
-            flat[j] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise FloatingPointError("gradcheck: non-finite output during perturbation")
-            numeric = (hi - lo) / (2.0 * eps)
-            a = float(analytic[i].reshape(-1)[j])
-            rel = _rel_err(a, numeric)
-            max_abs = max(max_abs, abs(a - numeric))
-            worst_i = max(worst_i, rel)
-            if rel > max_rel:
-                max_rel = rel
-                worst = (f"input{i}", int(j))
-            checked += 1
-        per_input[f"input{i}"] = worst_i
-
-    return GradcheckReport(passed=max_rel < tol, tol=tol, eps=eps,
-                           max_rel_err=max_rel, max_abs_err=max_abs,
-                           checked=checked, worst=worst, per_input=per_input)
+    visits = [(f"input{i}", i, j) for i, x in enumerate(inputs) for j in range(x.size)]
+    return _check(lambda: f(*inputs), inputs, visits, eps, tol, "gradcheck")
 
 
 def sampled_gradcheck(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],
@@ -120,39 +113,12 @@ def sampled_gradcheck(f: Callable[[], Tensor], params: Sequence[tuple[str, Tenso
     for name, p in params:
         if p.dtype != np.float64:
             raise TypeError(f"sampled_gradcheck parameter {name} must be float64")
-        p.zero_grad()
-    out = f()
-    if not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("sampled_gradcheck: non-finite output")
-    out.backward()
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-                for name, p in params}
-
     sizes = np.array([p.size for _, p in params])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     picks = gen.choice(int(offsets[-1]), size=min(n_samples, int(offsets[-1])),
                        replace=False)
-    max_rel = 0.0
-    max_abs = 0.0
-    worst = None
+    visits = []
     for flat in sorted(int(c) for c in picks):
         i = int(np.searchsorted(offsets, flat, side="right") - 1)
-        j = flat - int(offsets[i])
-        name, p = params[i]
-        buf = p.data.reshape(-1)
-        orig = buf[j]
-        buf[j] = orig + eps
-        hi = f().item()
-        buf[j] = orig - eps
-        lo = f().item()
-        buf[j] = orig
-        numeric = (hi - lo) / (2.0 * eps)
-        a = float(analytic[name].reshape(-1)[j])
-        rel = _rel_err(a, numeric)
-        max_abs = max(max_abs, abs(a - numeric))
-        if rel > max_rel:
-            max_rel = rel
-            worst = (name, j)
-    return GradcheckReport(passed=max_rel < tol, tol=tol, eps=eps,
-                           max_rel_err=max_rel, max_abs_err=max_abs,
-                           checked=len(picks), worst=worst)
+        visits.append((params[i][0], i, flat - int(offsets[i])))
+    return _check(f, [p for _, p in params], visits, eps, tol, "sampled_gradcheck")

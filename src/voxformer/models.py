@@ -15,6 +15,8 @@ full-size compute), grouped parameter counting, and checkpoint I/O.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .tensor import Tensor, ShapeError, concat, leaky_relu, _node
+from .data import DataError
+from .tensor import MAX_NDIM, Tensor, ShapeError, concat, leaky_relu, _node
 
 FULL_EXTENTS = (169, 208, 179)
 
@@ -475,11 +478,23 @@ def param_count(model: nn.Module) -> dict[str, int]:
 # checkpoints
 
 _CKPT_MAGIC = b"VOXMDL1\n"
+_CKPT_HEADER = len(_CKPT_MAGIC) + 8
+_CKPT_DTYPES = ("float32", "float64")
+
+
+class CheckpointFormatError(DataError):
+    """Malformed checkpoint: bad magic, truncation, or a manifest that does not
+    fit the file; names the file and the byte offset of the fault."""
 
 
 def save_checkpoint(path, model: nn.Module, config: dict) -> None:
     """Container file: magic, u64 manifest length, JSON manifest, raw
-    little-endian tensor payloads.  Round-trips byte-exactly."""
+    little-endian tensor payloads.  Round-trips byte-exactly.
+
+    The file is written next to ``path`` under a temporary name and renamed
+    over it, so ``path`` holds either the previous checkpoint or the new
+    one, never a partial write.
+    """
     entries = []
     payload = bytearray()
     for name, t in model.named_tensors():
@@ -490,25 +505,70 @@ def save_checkpoint(path, model: nn.Module, config: dict) -> None:
         payload.extend(raw)
     manifest = json.dumps({"config": config, "tensors": entries},
                           sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(manifest)))
-        f.write(manifest)
-        f.write(payload)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            f.write(struct.pack("<Q", len(manifest)))
+            f.write(manifest)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint, checking every length and offset against the file
+    before using it; any fault raises ``CheckpointFormatError``."""
     blob = Path(path).read_bytes()
     if blob[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic in {path}")
-    n = struct.unpack("<Q", blob[8:16])[0]
-    manifest = json.loads(blob[16:16 + n])
-    base = 16 + n
+        raise CheckpointFormatError(f"{path}: not a checkpoint file (bad magic at offset 0)")
+    if len(blob) < _CKPT_HEADER:
+        raise CheckpointFormatError(f"{path}: truncated header at offset {len(blob)} "
+                                    f"(the header is {_CKPT_HEADER} bytes)")
+    n = struct.unpack("<Q", blob[len(_CKPT_MAGIC):_CKPT_HEADER])[0]
+    base = _CKPT_HEADER + n
+    if base > len(blob):
+        raise CheckpointFormatError(f"{path}: manifest at offset {_CKPT_HEADER} declares "
+                                    f"{n} bytes, the file has {len(blob)}")
+    try:
+        manifest = json.loads(blob[_CKPT_HEADER:base])
+    except ValueError as e:     # JSON syntax and UTF-8 decoding errors alike
+        raise CheckpointFormatError(f"{path}: manifest at offset {_CKPT_HEADER} "
+                                    f"is not JSON ({e})") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("tensors"), list)):
+        raise CheckpointFormatError(f"{path}: manifest at offset {_CKPT_HEADER} needs a "
+                                    f"'config' object and a 'tensors' list")
     arrays = {}
-    for e in manifest["tensors"]:
-        raw = blob[base + e["offset"]: base + e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.dtype(e["dtype"]).newbyteorder("<"))
-        arrays[e["name"]] = arr.reshape(e["shape"]).astype(e["dtype"])
+    for i, e in enumerate(manifest["tensors"]):
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and e.get("dtype") in _CKPT_DTYPES
+                and isinstance(e.get("shape"), list) and len(e["shape"]) <= MAX_NDIM
+                and all(_is_count(x) for x in e["shape"])
+                and _is_count(e.get("offset")) and _is_count(e.get("nbytes"))):
+            raise CheckpointFormatError(
+                f"{path}: tensor entry {i} of the manifest at offset {_CKPT_HEADER} needs a "
+                f"name, a dtype in {_CKPT_DTYPES}, a shape of at most {MAX_NDIM} "
+                f"extents, and an offset and nbytes")
+        dtype = np.dtype(e["dtype"])
+        count = math.prod(e["shape"])
+        start = base + e["offset"]
+        if e["nbytes"] != count * dtype.itemsize:
+            raise CheckpointFormatError(f"{path}: tensor {e['name']!r} at offset {start} "
+                                        f"declares {e['nbytes']} bytes, its shape "
+                                        f"{e['shape']} needs {count * dtype.itemsize}")
+        if start + e["nbytes"] > len(blob):
+            raise CheckpointFormatError(f"{path}: tensor {e['name']!r} at offset {start} "
+                                        f"runs past the end of the file ({len(blob)} bytes)")
+        arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=start)
+        arrays[e["name"]] = arr.reshape(e["shape"]).astype(dtype)
     return manifest["config"], arrays
 
 
@@ -562,17 +622,10 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    kind = d["model"]
-    extents = tuple(d["extents"])
-    if kind == "vvit":
-        return VViTConfig(size=VIT_SIZES[d["size"]], extents=extents,
-                          num_classes=d["num_classes"])
-    if kind == "cvvt":
-        return CVVTConfig(size=VIT_SIZES[d["size"]], extents=extents,
-                          embed_stack=tuple(tuple(s) for s in d["embed_stack"]),
-                          num_classes=d["num_classes"])
-    return build_config("convnet3d4", norm=d["norm"], extents=extents,
-                        pool_stride=d["pool_stride"], num_classes=d["num_classes"])
+    """Inverse of ``config_to_dict``.  Only the ``build_config`` arguments are
+    read: ``patch_edge`` and ``embed_stack`` follow from the extents."""
+    keys = ("model", "size", "norm", "extents", "pool_stride", "num_classes")
+    return build_config(**{k: d[k] for k in keys if k in d})
 
 
 def _size_name(size: ViTSizeConfig) -> str:

@@ -458,10 +458,6 @@ class LayerNorm(Module):
         return _affine(_normalize(x, (x.ndim - 1,), self.eps), self.gamma, self.beta, x.ndim - 1)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    return _affine(_normalize(x, (x.ndim - 1,), eps), gamma, beta, x.ndim - 1)
-
-
 # ---------------------------------------------------------------------------
 # dropout
 

@@ -4,7 +4,7 @@ the hyper-parameter grid."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,24 +16,16 @@ class OptimizerError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WarmupConfig:
-    multiplier: float = 1.0
-    total_epochs: int = 10
-
-
-@dataclass(frozen=True)
 class ScheduleConfig:
     base_lr: float
     step_size: int
     gamma: float
-    warmup: WarmupConfig = field(default_factory=WarmupConfig)
+    warmup_epochs: int = 10
     total_epochs: int = 100
 
     def __post_init__(self):
-        if self.warmup.total_epochs > self.total_epochs:
+        if self.warmup_epochs > self.total_epochs:
             raise ValueError("warmup longer than the training run")
-        if self.warmup.multiplier != 1.0:
-            raise ValueError("only warmup multiplier 1 is defined")
         if self.step_size < 1:
             raise ValueError("step_size must be >= 1")
 
@@ -44,7 +36,7 @@ def lr_at(epoch: int, cfg: ScheduleConfig) -> float:
     decay whose clock starts when warmup ends."""
     if not 0 <= epoch < cfg.total_epochs:
         raise ValueError(f"epoch {epoch} outside [0, {cfg.total_epochs})")
-    w = cfg.warmup.total_epochs
+    w = cfg.warmup_epochs
     if epoch < w:
         return cfg.base_lr * (epoch + 1) / w
     return cfg.base_lr * cfg.gamma ** ((epoch - w) // cfg.step_size)
@@ -61,22 +53,16 @@ class TrainConfig:
     total_epochs: int = 100
     warmup_epochs: int = 10
     batch_size: int = 1
-    embed_dim: int = 512
 
     def schedule(self) -> ScheduleConfig:
         # runs shorter than the 10-epoch warmup compress the ramp to fit
         warmup = min(self.warmup_epochs, self.total_epochs)
         return ScheduleConfig(base_lr=self.lr, step_size=self.step_size,
-                              gamma=self.gamma,
-                              warmup=WarmupConfig(1.0, warmup),
+                              gamma=self.gamma, warmup_epochs=warmup,
                               total_epochs=self.total_epochs)
 
     def to_dict(self) -> dict:
-        return {"lr": self.lr, "weight_decay": self.weight_decay,
-                "step_size": self.step_size, "gamma": self.gamma,
-                "total_epochs": self.total_epochs,
-                "warmup_epochs": self.warmup_epochs,
-                "batch_size": self.batch_size, "embed_dim": self.embed_dim}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

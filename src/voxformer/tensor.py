@@ -9,7 +9,7 @@ Recording is disabled inside the ``no_grad()`` context (inference mode).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special as _special
@@ -39,10 +39,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def is_grad_enabled() -> bool:
-    return _grad_enabled
 
 
 def _as_dtype(dtype) -> np.dtype:
@@ -113,9 +109,6 @@ class Tensor:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -264,7 +257,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -
                   _backward_fn=backward_fn if requires else None, op=op)
 
 
-# -- elementwise arithmetic ----------------------------------------------------
+# -- arithmetic ----------------------------------------------------------------
 
 def _binary(a: Tensor, b, op: str, fwd, da, db) -> Tensor:
     a, bt = _coerce_pair(a, b)
@@ -335,12 +328,6 @@ def tlog(a: Tensor) -> Tensor:
 def tsqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     return _unary(a, "sqrt", out, lambda g: g * 0.5 / out)
-
-
-def tpow(a: Tensor, exponent: float) -> Tensor:
-    p = float(exponent)
-    out = a.data ** p
-    return _unary(a, "pow", out, lambda g: g * p * a.data ** (p - 1.0))
 
 
 # -- reductions ------------------------------------------------------------------
@@ -505,13 +492,3 @@ def softmax(a: Tensor) -> Tensor:
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _unary(a, "softmax", y, grad_local)
-
-
-def elementwise(op: str, a: Tensor, b=None, k: float = 0.2) -> Tensor:
-    """Dispatch form of the basic elementwise ops: add/sub/mul/leaky_relu."""
-    if op == "leaky_relu":
-        return leaky_relu(a, k)
-    table: dict[str, Callable] = {"add": add, "sub": sub, "mul": mul}
-    if op not in table:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    return table[op](a, b)

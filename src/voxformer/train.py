@@ -9,7 +9,7 @@ the split only (late-split guard).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +35,7 @@ class RunConfig:
     target_accuracy: float | None = None
 
     def to_dict(self) -> dict:
-        return {"model": self.model, "size": self.size, "norm": self.norm,
-                "train": self.train.to_dict(), "seed": self.seed,
-                "pool_stride": self.pool_stride,
-                "target_accuracy": self.target_accuracy}
+        return asdict(self)
 
 
 def resolve_pool_stride(extents: tuple[int, int, int], requested: int | None) -> int:

@@ -178,6 +178,28 @@ def test_eval_extent_mismatch_is_config_error(dataset, tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("damage", ["cut_12", "cut_40", "cut_400", "manifest_length_1e12",
+                                    "cut_payload", "bad_magic"])
+def test_eval_bad_checkpoint_exits_3_with_one_line(tmp_path, capsys, damage):
+    cfg = M.build_config("cvvt", "tiny", extents=(12, 12, 12))
+    ckpt = tmp_path / "bad.ckpt"
+    M.save_checkpoint(ckpt, M.build_model(cfg, seed=0),
+                      {"model_config": M.config_to_dict(cfg), "run": {"seed": 0},
+                       "normalization": {"mean": 0.0, "std": 1.0},
+                       "labels": list(D.LABELS)})
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes({"cut_12": blob[:12], "cut_40": blob[:40], "cut_400": blob[:400],
+                      "manifest_length_1e12": blob[:8] + (10 ** 12).to_bytes(8, "little")
+                      + blob[16:],
+                      "cut_payload": blob[:-100],
+                      "bad_magic": b"X" + blob[1:]}[damage])
+    capsys.readouterr()
+    rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_DATA
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(ckpt) in err[0]
+
+
 def test_verify_fast_suites_pass(capsys):
     assert cli.main(["verify", "--suite", "params"]) == 0
     assert cli.main(["verify", "--suite", "shapes"]) == 0

@@ -1,11 +1,16 @@
+import errno
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxformer import models as M
 from voxformer import nn
 from voxformer.gradcheck import sampled_gradcheck
 from voxformer.nn import cross_entropy
-from voxformer.tensor import Tensor, no_grad
+from voxformer.tensor import Tensor, no_grad, tlog
 
 RNG = np.random.default_rng(0)
 
@@ -281,6 +286,13 @@ def test_small_cvvt_full_gradcheck():
     assert report.passed, report
 
 
+def test_sampled_gradcheck_rejects_non_finite_perturbed_output():
+    # log is finite at the point but not at point - eps
+    p = Tensor(np.array([0.5e-5]), requires_grad=True)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        sampled_gradcheck(lambda: tlog(p).sum(), [("p", p)], n_samples=1, eps=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -307,6 +319,99 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     p.write_bytes(b"NOTMODEL" + b"\x00" * 32)
     with pytest.raises(ValueError):
         M.load_checkpoint(p)
+
+
+class _TinyNet(nn.Module):
+    """A few hundred bytes of checkpoint: one float32 layer, one float64 buffer."""
+
+    def __init__(self):
+        super().__init__()
+        self.fc = nn.Linear(3, 2, rng=np.random.default_rng(0))
+        self.buf = Tensor(np.arange(4.0).reshape(2, 2))
+
+
+def _tiny_checkpoint(path) -> bytes:
+    M.save_checkpoint(path, _TinyNet(), {"model_config": {"model": "tiny"}, "run": {"seed": 0}})
+    return path.read_bytes()
+
+
+def _bad_checkpoints(blob: bytes) -> dict[str, bytes]:
+    """The faults the reader must name; ``blob`` is a valid checkpoint."""
+    n = struct.unpack("<Q", blob[8:16])[0]
+    manifest = blob[16:16 + n]
+    bad = {"bad_magic": b"NOTMODEL" + blob[8:], "cut_12": blob[:12], "cut_40": blob[:40],
+           "manifest_length_1e12": blob[:8] + struct.pack("<Q", 10 ** 12) + blob[16:],
+           "cut_payload": blob[:-3], "manifest_not_utf8": blob[:17] + b"\xff" + blob[18:]}
+    for name, old, new in [("dtype_int", b'"float32"', b'"int32"  '),
+                           ("nbytes_vs_shape", b'"shape":[2,3]', b'"shape":[3,3]'),
+                           ("no_tensors", b'"tensors"', b'"tensorz"'),
+                           ("negative_offset", b'"offset":0', b'"offset":-1')]:
+        assert old in manifest, name
+        edited = manifest.replace(old, new, 1)
+        bad[name] = blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + n:]
+    return bad
+
+
+def test_checkpoint_reader_names_file_and_offset(tmp_path):
+    blob = _tiny_checkpoint(tmp_path / "good.ckpt")
+    for name, damaged in _bad_checkpoints(blob).items():
+        p = tmp_path / f"{name}.ckpt"
+        p.write_bytes(damaged)
+        with pytest.raises(M.CheckpointFormatError, match="offset") as err:
+            M.load_checkpoint(p)
+        assert str(p) in str(err.value), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_reader_fuzz(tmp_path_factory, data):
+    """Truncations and byte flips: the reader loads or raises CheckpointFormatError."""
+    d = tmp_path_factory.mktemp("fuzz")
+    blob = bytearray(_tiny_checkpoint(d / "good.ckpt"))
+    for pos, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                  st.integers(1, 255)), max_size=4)):
+        blob[pos] ^= mask
+    blob = blob[:data.draw(st.integers(0, len(blob)))]
+    p = d / "fuzzed.ckpt"
+    p.write_bytes(bytes(blob))
+    try:
+        config, arrays = M.load_checkpoint(p)
+    except M.CheckpointFormatError:
+        return
+    assert isinstance(config, dict)
+    assert all(a.dtype in (np.float32, np.float64) for a in arrays.values())
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "best.ckpt"
+    before = _tiny_checkpoint(path)
+
+    class DiskFull:
+        """Accepts 100 bytes, then fails the way a full disk does."""
+
+        def __init__(self, f):
+            self.f, self.room = f, 100
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, b):
+            if len(b) > self.room:
+                self.f.write(b[:self.room])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= len(b)
+            return self.f.write(b)
+
+    monkeypatch.setattr(M, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+    net = _TinyNet()
+    net.buf.data[:] = -1.0
+    with pytest.raises(OSError):
+        M.save_checkpoint(path, net, {"model_config": {"model": "tiny"}, "run": {"seed": 1}})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
 def test_load_state_shape_mismatch_rejected():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxformer.optim import (_BLOCK, AdamW, GridSpec, OptimizerError, ScheduleConfig,
-                             TrainConfig, WarmupConfig, grid_enumerate, lr_at)
+                             TrainConfig, grid_enumerate, lr_at)
 from voxformer.tensor import Tensor
 
 
@@ -51,7 +51,7 @@ def test_epoch_out_of_range():
 def test_warmup_longer_than_run_rejected():
     with pytest.raises(ValueError):
         ScheduleConfig(base_lr=0.01, step_size=25, gamma=0.3,
-                       warmup=WarmupConfig(1.0, 20), total_epochs=15)
+                       warmup_epochs=20, total_epochs=15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,7 +91,6 @@ def test_grid_carries_schema_constants():
     cfg = grid_enumerate(GridSpec())[0]
     assert cfg.total_epochs == 100
     assert cfg.batch_size == 1
-    assert cfg.embed_dim == 512
     assert cfg.warmup_epochs == 10
 
 
@@ -301,5 +300,5 @@ def test_train_config_schedule_round_trip():
     tc = TrainConfig(lr=0.01, weight_decay=0.001, step_size=40, gamma=0.5)
     s = tc.schedule()
     assert s.base_lr == 0.01 and s.step_size == 40 and s.gamma == 0.5
-    assert s.warmup.total_epochs == 10 and s.total_epochs == 100
+    assert s.warmup_epochs == 10 and s.total_epochs == 100
     assert TrainConfig(**tc.to_dict()) == tc

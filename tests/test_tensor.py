@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voxformer.tensor import (AutodiffError, ShapeError, Tensor, add, concat,
-                              elementwise, flatten, getitem, leaky_relu, matmul,
-                              mul, no_grad, pad3d, reshape, softmax, sub,
-                              tmean, transpose, tsum)
+                              flatten, getitem, leaky_relu, matmul, mul,
+                              no_grad, pad3d, reshape, softmax, sub, tmean,
+                              transpose, tsum)
 from voxformer.gradcheck import gradcheck
 
 
@@ -35,7 +35,7 @@ def test_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# elementwise
+# arithmetic
 
 def test_leaky_relu_values():
     out = leaky_relu(Tensor([-1.0, 0.0, 2.0]), k=0.2)
@@ -62,12 +62,6 @@ def test_shape_mismatch_names_both_shapes():
 def test_scalar_operand():
     out = mul(Tensor([1.0, 2.0]), 3.0)
     np.testing.assert_allclose(out.data, [3.0, 6.0])
-
-
-def test_elementwise_dispatch():
-    a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-    np.testing.assert_allclose(elementwise("sub", a, b).data, [-2.0, -2.0])
-    np.testing.assert_allclose(elementwise("leaky_relu", Tensor([-1.0]), k=0.5).data, [-0.5])
 
 
 def test_leaky_relu_derivative_matches_finite_difference():
