@@ -194,7 +194,7 @@ def cmd_eval(args) -> int:
         records = test_recs if args.subset == "test" else train_recs
     else:
         records = D.select_per_subject(records)
-    want = tuple(config["model_config"]["extents"])
+    want = tuple(model.cfg.extents)
     vols = np.stack([D.load_record_volume(data_dir, r) for r in records])
     if tuple(vols.shape[1:]) != want:
         raise ConfigError(f"checkpoint expects extents {want}, data volumes are {vols.shape[1:]}")

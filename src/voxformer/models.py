@@ -584,11 +584,15 @@ def build_config(model: str, size: str = "tiny", norm: str = "in",
     inputs (the four stride-3 pools need extents of at least 81).
     """
     extents = tuple(int(e) for e in extents)
+    if model in ("vvit", "cvvt") and size not in VIT_SIZES:
+        raise ValueError(f"unknown size {size!r} (expected {', '.join(VIT_SIZES)})")
     if model == "vvit":
         return VViTConfig(size=VIT_SIZES[size], extents=extents, num_classes=num_classes)
     if model == "cvvt":
         return CVVTConfig(size=VIT_SIZES[size], extents=extents, num_classes=num_classes)
     if model == "convnet3d4":
+        if norm not in ("bn", "in"):
+            raise ValueError(f"unknown norm {norm!r} (expected bn or in)")
         kind = {"bn": "batch3d", "in": "instance3d"}[norm]
         cfg = ConvNet3D4Config(norm=kind, extents=extents,
                                pool_stride=3 if pool_stride is None else int(pool_stride),

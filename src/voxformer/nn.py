@@ -1,9 +1,11 @@
 """Neural operators: 3D convolution and pooling, normalization layers, dropout,
 linear/attention/encoder blocks, and the cross-entropy loss.
 
-Layers are small ``Module`` objects holding parameter Tensors; the heavy
-kernels (conv3d, maxpool3d, adaptive pooling) are single recorded graph nodes
-backed by im2col + BLAS rather than per-voxel graphs.
+Layers are small ``Module`` objects holding parameter Tensors.  The heavy
+kernels are single recorded graph nodes rather than per-voxel graphs:
+conv3d is im2col + BLAS, maxpool3d a separable max over W, H and D,
+adaptive pooling uses prefix sums, and the instance, batch and layer norms
+share one fused ``normalize`` node.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ import math
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as _special
 
 from .tensor import (Tensor, ShapeError, _node, add, div, gelu, matmul, mul,
-                     reshape, softmax, sub, tmean, transpose, tsqrt)
+                     reshape, softmax, sub, transpose)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,61 @@ def maxpool3d_output_extents(extents: Sequence[int], kernel: int, stride: int) -
     return tuple((e - kernel) // stride + 1 for e in extents)
 
 
+def _taps(a: np.ndarray, axis: int, k: int, s: int, n: int):
+    """The k strided views of ``a`` along ``axis``; tap t holds t, t+s, ..., t+(n-1)s."""
+    idx = [slice(None)] * a.ndim
+    for t in range(k):
+        idx[axis] = slice(t, t + s * (n - 1) + 1, s)
+        yield a[tuple(idx)]
+
+
+def _max_along(a: np.ndarray, axis: int, k: int, s: int, n: int) -> np.ndarray:
+    taps = _taps(a, axis, k, s, n)
+    m = next(taps).copy()
+    for tap in taps:
+        np.maximum(tap, m, out=m)      # on a tie (+0 vs -0) numpy keeps m, the earlier tap
+    return m
+
+
+def _first_tap(a: np.ndarray, m: np.ndarray, axis: int, k: int, s: int) -> np.ndarray:
+    """uint8 offset of the first tap of ``a`` along ``axis`` that equals ``m``."""
+    taps = _taps(a, axis, k, s, m.shape[axis])
+    found = next(taps) == m
+    off = np.zeros(m.shape, np.uint8)
+    for t, tap in enumerate(taps, 1):
+        eq = tap == m
+        off += (eq > found).view(np.uint8) * np.uint8(t)     # equal here, not before
+        found |= eq
+    return off
+
+
+def _pick(off: np.ndarray, a: np.ndarray, axis: int, k: int, s: int) -> np.ndarray:
+    """``a``'s tap ``off`` along ``axis`` at every output position."""
+    taps = enumerate(_taps(a, axis, k, s, off.shape[axis]))
+    return sum((off == t) * tap for t, tap in taps)
+
+
+def _pool_winners(x: np.ndarray, out: np.ndarray, k: int, s: int) -> np.ndarray:
+    """Flat (d,h,w) index of each window's first max in row-major order.
+
+    The max is separable, so the winner is found one axis at a time: the
+    first D tap whose H,W-max equals the output, in that plane the first H
+    tap whose W-max equals it, in that row the first W tap.
+    """
+    d, h, w = x.shape[2:]
+    do, ho, wo = out.shape[2:]
+    m1 = _max_along(x, 4, k, s, wo)                        # [N,C,D,H,Wo]
+    m2 = _max_along(m1, 3, k, s, ho)                       # [N,C,D,Ho,Wo]
+    off_d = _first_tap(m2, out, 2, k, s)                   # [N,C,Do,Ho,Wo]
+    off_h = _first_tap(m1, m2, 3, k, s)                    # [N,C,D,Ho,Wo]
+    off_w = _first_tap(x, m1, 4, k, s)                     # [N,C,D,H,Wo]
+    rel = off_h.astype(np.int32) * w + _pick(off_h, off_w, 3, k, s)
+    rel = _pick(off_d, rel, 2, k, s) + off_d.astype(np.int32) * (h * w)
+    origin = ((np.arange(do)[:, None, None] * h + np.arange(ho)[:, None]) * w
+              + np.arange(wo)) * s
+    return origin + rel
+
+
 def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
               return_indices: bool = False):
     """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
@@ -265,39 +321,34 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     Gradient goes to the argmax voxel; ties go to the first element of the
     window in (d,h,w) row-major order.  With ``return_indices`` the flat
     spatial index of each winner is also returned (numpy int array).
+
+    The forward takes the max over W, then H, then D, and keeps nothing but
+    its output; the winners are found only for the backward pass or for
+    ``return_indices``.  A window holding a NaN outputs NaN; its winner is
+    then a voxel of that window, not necessarily the NaN.
     """
     k = int(kernel)
     s = k if stride is None else int(stride)
+    if not 1 <= k <= 255:
+        raise ValueError(f"kernel must lie in [1, 255], got {k}")
     if s < 1:
         raise ValueError(f"stride must be >= 1, got {s}")
     n, c, d, h, w = x.shape
     do, ho, wo = maxpool3d_output_extents((d, h, w), k, s)
-    win = sliding_window_view(x.data, (k, k, k), axis=(2, 3, 4))[:, :, ::s, ::s, ::s]
-    wf = win.reshape(n, c, do, ho, wo, k * k * k)
-    arg = wf.argmax(axis=-1)
-    out = np.take_along_axis(wf, arg[..., None], axis=-1)[..., 0]
-
-    off_d = arg // (k * k)
-    off_h = (arg // k) % k
-    off_w = arg % k
-    dd = np.arange(do)[:, None, None] * s + off_d
-    hh = np.arange(ho)[None, :, None] * s + off_h
-    ww = np.arange(wo)[None, None, :] * s + off_w
-    spatial_idx = (dd * h + hh) * w + ww                    # flat within (D,H,W)
+    out = x.data
+    for axis, extent in ((4, wo), (3, ho), (2, do)):
+        out = _max_along(out, axis, k, s, extent)
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        base = (np.arange(n)[:, None, None, None, None] * c
-                + np.arange(c)[None, :, None, None, None]) * (d * h * w)
-        lin = (base + spatial_idx).reshape(-1)
+        base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
+        lin = (base + _pool_winners(x.data, out, k, s)).reshape(-1)
         dx = np.bincount(lin, weights=g.reshape(-1).astype(np.float64),
                          minlength=x.size)
         x._accumulate(dx.reshape(x.shape).astype(x.dtype))
 
-    out_t = _node(np.ascontiguousarray(out), (x,), backward, "maxpool3d")
+    out_t = _node(out, (x,), backward, "maxpool3d")
     if return_indices:
-        return out_t, spatial_idx
+        return out_t, _pool_winners(x.data, out, k, s)
     return out_t
 
 
@@ -364,21 +415,43 @@ def adaptive_avg_pool3d(x: Tensor, output: tuple[int, int, int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _affine(xhat: Tensor, gamma: Tensor | None, beta: Tensor | None,
-            channel_axis: int) -> Tensor:
-    if gamma is None:
-        return xhat
-    shape = [1] * xhat.ndim
-    shape[channel_axis] = gamma.size
-    out = mul(xhat, reshape(gamma, shape))
-    return add(out, reshape(beta, shape))
+def normalize(x: Tensor, gamma: Tensor | None, beta: Tensor | None,
+              axes: tuple[int, ...], channel_axis: int, eps: float) -> Tensor:
+    """x̂ = (x - mean) / sqrt(var + eps) over ``axes`` (biased variance), then
+    gamma * x̂ + beta along ``channel_axis`` unless gamma is None.
 
+    One graph node that keeps only x̂ and 1/σ; its backward is the closed
+    form dx = (ĝ - mean(ĝ) - x̂·mean(ĝ·x̂)) / σ with ĝ = g·gamma,
+    dgamma = Σ g·x̂ and dbeta = Σ g.
+    """
+    xd = x.data
+    xc = xd - xd.mean(axis=axes, keepdims=True)
+    sd = np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + xd.dtype.type(eps))
+    xhat = np.divide(xc, sd, out=xc)
+    inv = 1 / sd
+    shape = [1] * x.ndim
+    shape[channel_axis] = x.shape[channel_axis]
+    others = tuple(ax for ax in range(x.ndim) if ax != channel_axis)
+    out, parents = xhat, (x,)
+    if gamma is not None:
+        scale = gamma.data.reshape(shape)
+        out = xhat * scale + beta.data.reshape(shape)
+        parents = (x, gamma, beta)
 
-def _normalize(x: Tensor, axes: tuple[int, ...], eps: float) -> Tensor:
-    mu = tmean(x, axis=axes, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=axes, keepdims=True)
-    return div(xc, tsqrt(add(var, eps)))
+    def backward(g: np.ndarray) -> None:
+        if gamma is not None:
+            if gamma.requires_grad:
+                gamma._accumulate((g * xhat).sum(axis=others))
+            if beta.requires_grad:
+                beta._accumulate(g.sum(axis=others))
+            g = g * scale
+        if x.requires_grad:
+            dx = g - g.mean(axis=axes, keepdims=True)
+            dx -= xhat * (g * xhat).mean(axis=axes, keepdims=True)
+            dx *= inv
+            x._accumulate(dx)
+
+    return _node(out, parents, backward, "normalize")
 
 
 class InstanceNorm3d(Module):
@@ -397,7 +470,7 @@ class InstanceNorm3d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
-        return _affine(_normalize(x, (2, 3, 4), self.eps), self.gamma, self.beta, 1)
+        return normalize(x, self.gamma, self.beta, (2, 3, 4), 1, self.eps)
 
 
 class BatchNorm3d(Module):
@@ -424,7 +497,7 @@ class BatchNorm3d(Module):
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
         if self.training:
-            out = _normalize(x, (0, 2, 3, 4), self.eps)
+            out = normalize(x, self.gamma, self.beta, (0, 2, 3, 4), 1, self.eps)
             n, _, d, h, w = x.shape
             count = n * d * h * w
             mean = x.data.mean(axis=(0, 2, 3, 4))
@@ -439,7 +512,9 @@ class BatchNorm3d(Module):
             mu = Tensor(self.running_mean.data.reshape(shape))
             sd = Tensor(np.sqrt(self.running_var.data.reshape(shape) + x.dtype.type(self.eps)))
             out = div(sub(x, mu), sd)
-        return _affine(out, self.gamma, self.beta, 1)
+            if self.gamma is not None:
+                out = add(mul(out, reshape(self.gamma, shape)), reshape(self.beta, shape))
+        return out
 
 
 class LayerNorm(Module):
@@ -455,7 +530,7 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.normalized_dim:
             raise ShapeError(f"expected trailing extent {self.normalized_dim}, got {x.shape}")
-        return _affine(_normalize(x, (x.ndim - 1,), self.eps), self.gamma, self.beta, x.ndim - 1)
+        return normalize(x, self.gamma, self.beta, (x.ndim - 1,), x.ndim - 1, self.eps)
 
 
 # ---------------------------------------------------------------------------

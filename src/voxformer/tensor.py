@@ -303,8 +303,9 @@ def leaky_relu(a: Tensor, k: float = 0.2) -> Tensor:
     """max(k*x, x).  Subgradient at x == 0 is 1 (the x-branch)."""
     if not 0.0 < k < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {k}")
-    factor = np.where(a.data >= 0, a.dtype.type(1), a.dtype.type(k))
-    return _unary(a, "leaky_relu", a.data * factor, lambda g: g * factor)
+    one, kk = a.dtype.type(1), a.dtype.type(k)
+    return _unary(a, "leaky_relu", np.maximum(a.data, a.data * kk),
+                  lambda g: g * np.where(a.data >= 0, one, kk))
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ from . import data as D
 from . import models as M
 from .nn import cross_entropy
 from .optim import AdamW, TrainConfig, lr_at
-from .tensor import Tensor, no_grad
+from .tensor import ShapeError, Tensor, no_grad
 
 CHECKPOINT_NAME = "best.ckpt"
 METRICS_NAME = "metrics.jsonl"
@@ -196,10 +196,39 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
 
 
 def load_model_from_checkpoint(path):
-    """Rebuild the model and its normalization stats from a checkpoint."""
+    """Rebuild the model and its normalization stats from a checkpoint.
+
+    A manifest that reads but does not describe a model (a missing key, a
+    config ``build_config`` rejects, a non-integer seed, tensors that do not
+    match the model, or no numeric normalization mean and std) raises
+    ``CheckpointFormatError`` naming the file and the key or tensor.
+    """
     config, arrays = M.load_checkpoint(path)
-    cfg = M.config_from_dict(config["model_config"])
-    model = M.build_model(cfg, seed=config["run"]["seed"])
-    model.load_state(arrays)
+
+    def entry(*keys, types=None):
+        value = config
+        for i, key in enumerate(keys):
+            if not isinstance(value, dict) or key not in value:
+                raise M.CheckpointFormatError(
+                    f"{path}: the manifest config has no {'.'.join(keys[:i + 1])!r}")
+            value = value[key]
+        if types is not None and type(value) not in types:
+            raise M.CheckpointFormatError(
+                f"{path}: manifest config {'.'.join(keys)!r} is {value!r}, expected "
+                f"{' or '.join(t.__name__ for t in types)}")
+        return value
+
+    model_config, seed = entry("model_config"), entry("run", "seed", types=(int,))
+    try:
+        model = M.build_model(M.config_from_dict(model_config), seed=seed)
+    except (TypeError, ValueError) as e:
+        raise M.CheckpointFormatError(f"{path}: manifest config 'model_config': {e}") from None
+    for key in ("mean", "std"):
+        entry("normalization", key, types=(int, float))
+    try:
+        model.load_state(arrays)
+    except (KeyError, ShapeError) as e:
+        raise M.CheckpointFormatError(f"{path}: tensors do not match the model: "
+                                      f"{e.args[0]}") from None
     model.eval()
     return model, config

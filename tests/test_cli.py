@@ -200,6 +200,47 @@ def test_eval_bad_checkpoint_exits_3_with_one_line(tmp_path, capsys, damage):
     assert len(err) == 1 and err[0].startswith("data error: ") and str(ckpt) in err[0]
 
 
+def _edit_manifest(ckpt, edit):
+    blob = ckpt.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    manifest = json.loads(blob[16:16 + n])
+    edit(manifest)
+    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n:])
+
+
+_MANIFEST_FAULTS = {
+    "unknown_size": ("'model_config'", lambda m: m["config"]["model_config"].update(size="tinz")),
+    "unknown_model": ("'model_config'", lambda m: m["config"]["model_config"].update(model="resnet")),
+    "two_extents": ("'model_config'", lambda m: m["config"]["model_config"].update(extents=[12, 12])),
+    "renamed_tensor": ("'renamed'", lambda m: m["tensors"][0].update(name="renamed")),
+    "reshaped_tensor": ("'stages.0.weight'",
+                        lambda m: m["tensors"][0].update(shape=[m["tensors"][0]["nbytes"] // 4])),
+    "no_seed": ("'run.seed'", lambda m: m["config"]["run"].pop("seed")),
+    "no_normalization": ("'normalization'", lambda m: m["config"].pop("normalization")),
+    "text_std": ("'normalization.std'", lambda m: m["config"]["normalization"].update(std="1")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MANIFEST_FAULTS))
+def test_eval_checkpoint_config_fault_exits_3_with_one_line(dataset, tmp_path, capsys, fault):
+    # the file reads, but its manifest does not describe a model that fits it
+    cfg = M.build_config("cvvt", "tiny", extents=(12, 12, 12))
+    ckpt = tmp_path / "edited.ckpt"
+    M.save_checkpoint(ckpt, M.build_model(cfg, seed=0),
+                      {"model_config": M.config_to_dict(cfg), "run": {"seed": 0},
+                       "normalization": {"mean": 0.0, "std": 1.0},
+                       "labels": list(D.LABELS)})
+    named, edit = _MANIFEST_FAULTS[fault]
+    _edit_manifest(ckpt, edit)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(dataset)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_DATA
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(ckpt) in err[0] and named in err[0]
+
+
 def test_verify_fast_suites_pass(capsys):
     assert cli.main(["verify", "--suite", "params"]) == 0
     assert cli.main(["verify", "--suite", "shapes"]) == 0
