@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as D
 from . import train as TR
-from .optim import GridSpec, OptimizerError, TrainConfig, grid_enumerate
+from .optim import OptimizerError, TrainConfig, grid_enumerate
 from .tensor import ShapeError
 from .verify import SUITES, run_suites
 
@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
         split_path = data_dir / D.SPLIT_NAME
         if not split_path.exists():
             raise D.DataError(f"subset {args.subset!r} needs a split at {split_path}")
-        split = D.SplitSpec.from_json(split_path.read_text())
+        split = D.read_split(split_path)
         train_recs, test_recs = D.split_records(records, split)
         records = test_recs if args.subset == "test" else train_recs
     else:
@@ -239,7 +239,7 @@ def cmd_grid(args) -> int:
     data_dir = Path(args.data)
     if not (data_dir / D.SPLIT_NAME).exists():
         raise D.DataError(f"no split found at {data_dir / D.SPLIT_NAME}; run `voxformer split` first")
-    configs = grid_enumerate(GridSpec(), total_epochs=args.epochs, batch_size=args.batch)
+    configs = grid_enumerate(total_epochs=args.epochs, batch_size=args.batch)
     if args.limit is not None:
         configs = configs[:args.limit]
     base = np.random.SeedSequence(_seed(args))

@@ -167,11 +167,25 @@ class SplitSpec:
                          tuple(d.get("val_subjects", ())), d["seed"], d.get("audit", {}))
 
 
+def read_split(path) -> SplitSpec:
+    """``SplitSpec`` from a split file; text that is not JSON or lacks a key
+    raises ``DataError`` naming the file (and the key)."""
+    try:
+        return SplitSpec.from_json(Path(path).read_text())
+    except KeyError as e:
+        raise DataError(f"{path}: split has no {e.args[0]!r} key") from None
+    except (TypeError, ValueError) as e:    # ValueError covers JSON and UTF-8 errors
+        raise DataError(f"{path}: not a split file ({e})") from None
+
+
 def subject_split(records: list[VolumeRecord], test_per_class: int, seed: int,
                   val_per_class: int = 0) -> SplitSpec:
     """Class-balanced test set sampled at subject granularity; everything else
     is train.  Runs on raw records before any statistics are computed, and the
     audit proves no subject crosses the boundary."""
+    for name, n in (("test_per_class", test_per_class), ("val_per_class", val_per_class)):
+        if n < 0:
+            raise ValueError(f"{name} must be >= 0, got {n}")
     selected = select_per_subject(records)
     by_class: dict[str, list[str]] = {lab: [] for lab in LABELS}
     for r in selected:

@@ -123,16 +123,11 @@ def default_embed_stack(extents: tuple[int, int, int]) -> tuple[StageSpec, ...]:
 class CVVTConfig:
     size: ViTSizeConfig
     extents: tuple[int, int, int] = FULL_EXTENTS
-    embed_stack: tuple[StageSpec, ...] = None  # derived from extents when None
-    feature_grid: tuple[int, int, int] = CVVT_GRID
     num_classes: int = 2
 
-    def __post_init__(self):
-        if self.embed_stack is None:
-            object.__setattr__(self, "embed_stack", default_embed_stack(self.extents))
-        if self.embed_stack[-1][1] != CVVT_TOKENS:
-            raise ShapeError(f"embed stack must end in {CVVT_TOKENS} channels, "
-                             f"got {self.embed_stack}")
+    @property
+    def embed_stack(self) -> tuple[StageSpec, ...]:
+        return default_embed_stack(self.extents)
 
     @property
     def num_patches(self) -> int:
@@ -140,30 +135,29 @@ class CVVTConfig:
 
     @property
     def token_dim(self) -> int:
-        return int(np.prod(self.feature_grid))
+        return int(np.prod(CVVT_GRID))
+
+
+# ConvNet3D-4 as the paper fixes it: four blocks of conv (3^3 kernel, stride 1,
+# padding 1, no bias) -> norm -> max-pool (kernel 3) -> LeakyReLU -> channel
+# dropout over these channels, then a 512-d embedding and the head.
+CONVNET_CHANNELS = (1, 128, 192, 256, 512)
+CONVNET_POOL_KERNEL = 3
+CONVNET_SLOPE = 0.2
+CONVNET_DROPOUT = 0.4
+CONVNET_EMBED_DIM = 512
 
 
 @dataclass(frozen=True)
 class ConvNet3D4Config:
-    channels: tuple[int, ...] = (1, 128, 192, 256, 512)
-    kernel: int = 3
-    stride: int = 1
-    padding: int = 1
-    conv_bias: bool = False
-    pool_kernel: int = 3
+    norm: str = "in"                    # "in" (instance) or "bn" (batch)
     pool_stride: int = 3
-    slope: float = 0.2
-    dropout: float = 0.4
-    norm: str = "instance3d"            # or "batch3d"
-    embed_dim: int = 512
-    num_classes: int = 2
     extents: tuple[int, int, int] = FULL_EXTENTS
+    num_classes: int = 2
 
     def __post_init__(self):
-        if self.norm not in ("instance3d", "batch3d"):
-            raise ValueError(f"norm must be instance3d or batch3d, got {self.norm!r}")
-        if len(self.channels) != 5:
-            raise ValueError(f"four blocks need five channel counts, got {self.channels}")
+        if self.norm not in ("bn", "in"):
+            raise ValueError(f"unknown norm {self.norm!r} (expected bn or in)")
 
 
 ModelConfig = VViTConfig | CVVTConfig | ConvNet3D4Config
@@ -175,20 +169,17 @@ ModelConfig = VViTConfig | CVVTConfig | ConvNet3D4Config
 ShapeTrace = list[tuple[str, tuple[int, ...]]]
 
 
-def shape_infer(cfg: ModelConfig, extents: tuple[int, int, int] | None = None) -> ShapeTrace:
+def shape_infer(cfg: ModelConfig) -> ShapeTrace:
     """Symbolic forward over shapes (batch dim fixed at 1); raises
     ShapeUnderflowError naming the first layer whose output extent underflows."""
-    e = tuple(extents if extents is not None else cfg.extents)
+    e = tuple(cfg.extents)
     if len(e) != 3 or any(x < 1 for x in e):
         raise ShapeError(f"extents must be three positive integers, got {e}")
     trace: ShapeTrace = [("input", (1, 1) + e)]
 
     if isinstance(cfg, VViTConfig):
-        edge = cfg.patch_edge
-        padded = tuple(-(-x // edge) * edge for x in e)
-        counts = tuple(p // edge for p in padded)
-        n_patches = int(np.prod(counts))
-        trace.append(("pad", (1, 1) + padded))
+        n_patches = cfg.num_patches
+        trace.append(("pad", (1, 1) + cfg.padded_extents))
         trace.append(("patchify", (1, n_patches, cfg.patch_dim)))
         trace.append(("patch_embed", (1, n_patches, cfg.size.embed_dim)))
         trace.append(("tokens", (1, n_patches + 1, cfg.size.embed_dim)))
@@ -205,11 +196,11 @@ def shape_infer(cfg: ModelConfig, extents: tuple[int, int, int] | None = None) -
                                           f"conv output underflows: {cur} -> {nxt}")
             trace.append((f"embed.stage{i}", (1, cout) + nxt))
             cur = nxt
-        if min(cur) < cfg.feature_grid[0]:
+        if min(cur) < CVVT_GRID[0]:
             raise ShapeUnderflowError(
                 "embed.adaptive_pool",
-                f"feature extents {cur} below target grid {cfg.feature_grid}")
-        trace.append(("embed.adaptive_pool", (1, CVVT_TOKENS) + cfg.feature_grid))
+                f"feature extents {cur} below target grid {CVVT_GRID}")
+        trace.append(("embed.adaptive_pool", (1, CVVT_TOKENS) + CVVT_GRID))
         trace.append(("token_embed", (1, CVVT_TOKENS, cfg.size.embed_dim)))
         trace.append(("tokens", (1, CVVT_TOKENS + 1, cfg.size.embed_dim)))
         trace.append(("encoder", (1, CVVT_TOKENS + 1, cfg.size.embed_dim)))
@@ -218,22 +209,22 @@ def shape_infer(cfg: ModelConfig, extents: tuple[int, int, int] | None = None) -
 
     if isinstance(cfg, ConvNet3D4Config):
         cur = e
-        for i in range(4):
-            conv = tuple(_conv_out(x, cfg.kernel, cfg.stride, cfg.padding) for x in cur)
+        k = CONVNET_POOL_KERNEL
+        for i, c in enumerate(CONVNET_CHANNELS[1:]):
+            conv = tuple(_conv_out(x) for x in cur)
             if min(conv) < 1:
                 raise ShapeUnderflowError(f"block{i + 1}.conv",
                                           f"conv output underflows: {cur} -> {conv}")
-            trace.append((f"block{i + 1}.conv", (1, cfg.channels[i + 1]) + conv))
-            pooled = tuple((x - cfg.pool_kernel) // cfg.pool_stride + 1 for x in conv)
-            if min(conv) < cfg.pool_kernel or min(pooled) < 1:
-                raise ShapeUnderflowError(
-                    f"block{i + 1}.pool",
-                    f"pool window {cfg.pool_kernel} does not fit extents {conv}")
-            trace.append((f"block{i + 1}.pool", (1, cfg.channels[i + 1]) + pooled))
+            trace.append((f"block{i + 1}.conv", (1, c) + conv))
+            pooled = tuple((x - k) // cfg.pool_stride + 1 for x in conv)
+            if min(conv) < k or min(pooled) < 1:
+                raise ShapeUnderflowError(f"block{i + 1}.pool",
+                                          f"pool window {k} does not fit extents {conv}")
+            trace.append((f"block{i + 1}.pool", (1, c) + pooled))
             cur = pooled
-        flat = cfg.channels[-1] * int(np.prod(cur))
+        flat = CONVNET_CHANNELS[-1] * int(np.prod(cur))
         trace.append(("flatten", (1, flat)))
-        trace.append(("embed", (1, cfg.embed_dim)))
+        trace.append(("embed", (1, CONVNET_EMBED_DIM)))
         trace.append(("head", (1, cfg.num_classes)))
         return trace
 
@@ -354,7 +345,7 @@ class CVVT(nn.Module):
         h = x
         for conv in self.stages:
             h = leaky_relu(conv(h), 0.2)
-        h = nn.adaptive_avg_pool3d(h, self.cfg.feature_grid)
+        h = nn.adaptive_avg_pool3d(h, CVVT_GRID)
         n = h.shape[0]
         tokens = h.reshape(n, CVVT_TOKENS, self.cfg.token_dim)
         return self.token_embed(tokens)
@@ -369,19 +360,18 @@ class _ConvBlock(nn.Module):
     def __init__(self, cfg: ConvNet3D4Config, cin: int, cout: int,
                  rng: np.random.Generator, drop_rng: np.random.Generator, dtype):
         super().__init__()
-        self.conv = nn.Conv3d(cin, cout, cfg.kernel, cfg.stride, cfg.padding,
-                              bias=cfg.conv_bias, rng=rng, dtype=dtype, slope=cfg.slope)
-        if cfg.norm == "batch3d":
+        self.conv = nn.Conv3d(cin, cout, 3, 1, 1, bias=False, rng=rng, dtype=dtype,
+                              slope=CONVNET_SLOPE)
+        if cfg.norm == "bn":
             self.norm = nn.BatchNorm3d(cout, dtype=dtype)
         else:
             self.norm = nn.InstanceNorm3d(cout, dtype=dtype)
-        self.pool = nn.MaxPool3d(cfg.pool_kernel, cfg.pool_stride)
-        self.slope = cfg.slope
-        self.drop = nn.Dropout3d(cfg.dropout, rng=drop_rng)
+        self.pool = nn.MaxPool3d(CONVNET_POOL_KERNEL, cfg.pool_stride)
+        self.drop = nn.Dropout3d(CONVNET_DROPOUT, rng=drop_rng)
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.pool(self.norm(self.conv(x)))
-        return self.drop(leaky_relu(h, self.slope))
+        return self.drop(leaky_relu(h, CONVNET_SLOPE))
 
 
 class ConvNet3D4(nn.Module):
@@ -395,10 +385,10 @@ class ConvNet3D4(nn.Module):
         trace = shape_infer(cfg)
         flat = dict(trace)["flatten"][1]
         rng, drop_rng = _spawn(seed, 2)
-        self.blocks = [_ConvBlock(cfg, cfg.channels[i], cfg.channels[i + 1],
-                                  rng, drop_rng, dtype) for i in range(4)]
-        self.embed = nn.Linear(flat, cfg.embed_dim, rng=rng, dtype=dtype)
-        self.head = nn.Linear(cfg.embed_dim, cfg.num_classes, rng=rng, dtype=dtype)
+        self.blocks = [_ConvBlock(cfg, cin, cout, rng, drop_rng, dtype)
+                       for cin, cout in zip(CONVNET_CHANNELS, CONVNET_CHANNELS[1:])]
+        self.embed = nn.Linear(flat, CONVNET_EMBED_DIM, rng=rng, dtype=dtype)
+        self.head = nn.Linear(CONVNET_EMBED_DIM, cfg.num_classes, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -422,7 +412,7 @@ def executed_shape_trace(model: Model, x: Tensor) -> ShapeTrace:
             trace.append((f"block{i + 1}.conv", c.shape))
             h = block.pool(block.norm(c))
             trace.append((f"block{i + 1}.pool", h.shape))
-            h = block.drop(leaky_relu(h, block.slope))
+            h = block.drop(leaky_relu(h, CONVNET_SLOPE))
         flat = h.flatten(start_axis=1)
         trace.append(("flatten", flat.shape))
         emb = model.embed(flat)
@@ -434,7 +424,7 @@ def executed_shape_trace(model: Model, x: Tensor) -> ShapeTrace:
         for i, conv in enumerate(model.stages):
             h = leaky_relu(conv(h), 0.2)
             trace.append((f"embed.stage{i}", h.shape))
-        h = nn.adaptive_avg_pool3d(h, model.cfg.feature_grid)
+        h = nn.adaptive_avg_pool3d(h, CVVT_GRID)
         trace.append(("embed.adaptive_pool", h.shape))
         tokens = model.token_embed(h.reshape(h.shape[0], CVVT_TOKENS, model.cfg.token_dim))
         trace.append(("token_embed", tokens.shape))
@@ -591,13 +581,9 @@ def build_config(model: str, size: str = "tiny", norm: str = "in",
     if model == "cvvt":
         return CVVTConfig(size=VIT_SIZES[size], extents=extents, num_classes=num_classes)
     if model == "convnet3d4":
-        if norm not in ("bn", "in"):
-            raise ValueError(f"unknown norm {norm!r} (expected bn or in)")
-        kind = {"bn": "batch3d", "in": "instance3d"}[norm]
-        cfg = ConvNet3D4Config(norm=kind, extents=extents,
-                               pool_stride=3 if pool_stride is None else int(pool_stride),
-                               num_classes=num_classes)
-        return cfg
+        return ConvNet3D4Config(norm=norm, extents=extents,
+                                pool_stride=3 if pool_stride is None else int(pool_stride),
+                                num_classes=num_classes)
     raise ValueError(f"unknown model {model!r} (expected vvit, cvvt, or convnet3d4)")
 
 
@@ -619,8 +605,7 @@ def config_to_dict(cfg: ModelConfig) -> dict:
         return {"model": "cvvt", "size": _size_name(cfg.size),
                 "extents": list(cfg.extents), "num_classes": cfg.num_classes,
                 "embed_stack": [list(s) for s in cfg.embed_stack]}
-    return {"model": "convnet3d4",
-            "norm": {"batch3d": "bn", "instance3d": "in"}[cfg.norm],
+    return {"model": "convnet3d4", "norm": cfg.norm,
             "extents": list(cfg.extents), "num_classes": cfg.num_classes,
             "pool_stride": cfg.pool_stride}
 

@@ -16,33 +16,6 @@ class OptimizerError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    base_lr: float
-    step_size: int
-    gamma: float
-    warmup_epochs: int = 10
-    total_epochs: int = 100
-
-    def __post_init__(self):
-        if self.warmup_epochs > self.total_epochs:
-            raise ValueError("warmup longer than the training run")
-        if self.step_size < 1:
-            raise ValueError("step_size must be >= 1")
-
-
-def lr_at(epoch: int, cfg: ScheduleConfig) -> float:
-    """Learning rate for one epoch: linear ramp to base over the warmup
-    epochs ((epoch+1)/warmup, so epoch 0 is nonzero), then geometric step
-    decay whose clock starts when warmup ends."""
-    if not 0 <= epoch < cfg.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {cfg.total_epochs})")
-    w = cfg.warmup_epochs
-    if epoch < w:
-        return cfg.base_lr * (epoch + 1) / w
-    return cfg.base_lr * cfg.gamma ** ((epoch - w) // cfg.step_size)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """One grid point plus the fixed training-schema constants."""
 
@@ -54,32 +27,40 @@ class TrainConfig:
     warmup_epochs: int = 10
     batch_size: int = 1
 
-    def schedule(self) -> ScheduleConfig:
-        # runs shorter than the 10-epoch warmup compress the ramp to fit
-        warmup = min(self.warmup_epochs, self.total_epochs)
-        return ScheduleConfig(base_lr=self.lr, step_size=self.step_size,
-                              gamma=self.gamma, warmup_epochs=warmup,
-                              total_epochs=self.total_epochs)
+    def __post_init__(self):
+        for name in ("step_size", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """The searched hyper-parameter lists, in printed order."""
+def lr_at(epoch: int, tc: TrainConfig) -> float:
+    """Learning rate for one epoch: linear ramp to ``tc.lr`` over the warmup
+    epochs ((epoch+1)/warmup, so epoch 0 is nonzero), then geometric step
+    decay whose clock starts when warmup ends.  A run shorter than the
+    warmup compresses the ramp to fit."""
+    if not 0 <= epoch < tc.total_epochs:
+        raise ValueError(f"epoch {epoch} outside [0, {tc.total_epochs})")
+    w = min(tc.warmup_epochs, tc.total_epochs)
+    if epoch < w:
+        return tc.lr * (epoch + 1) / w
+    return tc.lr * tc.gamma ** ((epoch - w) // tc.step_size)
 
-    lrs: tuple[float, ...] = (0.01, 0.001, 0.0001)
-    weight_decays: tuple[float, ...] = (0.001, 0.0)
-    step_sizes: tuple[int, ...] = (25, 40, 80)
-    gammas: tuple[float, ...] = (0.3, 0.5, 0.9)
+
+# The searched hyper-parameter lists, in printed order.
+GRID_LRS = (0.01, 0.001, 0.0001)
+GRID_WEIGHT_DECAYS = (0.001, 0.0)
+GRID_STEP_SIZES = (25, 40, 80)
+GRID_GAMMAS = (0.3, 0.5, 0.9)
 
 
-def grid_enumerate(spec: GridSpec = GridSpec(), **schema) -> list[TrainConfig]:
+def grid_enumerate(**schema) -> list[TrainConfig]:
     """All combinations in deterministic lexicographic order over the lists."""
     return [TrainConfig(lr=lr, weight_decay=wd, step_size=ss, gamma=g, **schema)
-            for lr, wd, ss, g in itertools.product(spec.lrs, spec.weight_decays,
-                                                   spec.step_sizes, spec.gammas)]
+            for lr, wd, ss, g in itertools.product(GRID_LRS, GRID_WEIGHT_DECAYS,
+                                                   GRID_STEP_SIZES, GRID_GAMMAS)]
 
 
 # Elements per update block: big enough to amortize the per-call overhead of

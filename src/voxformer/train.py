@@ -120,19 +120,17 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    split = D.SplitSpec.from_json((Path(data_dir) / D.SPLIT_NAME).read_text())
+    split = D.read_split(Path(data_dir) / D.SPLIT_NAME)
     ds = load_dataset(data_dir, split)
 
     pool_stride = (resolve_pool_stride(ds.extents, run.pool_stride)
                    if run.model == "convnet3d4" else run.pool_stride)
     cfg = M.build_config(run.model, run.size, run.norm, ds.extents, pool_stride)
-    M.shape_infer(cfg)
     # streams 0 and 1 of this seed belong to the model (init, dropout)
     model = M.build_model(cfg, seed=run.seed)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(run.seed).spawn(3)[2])
 
     tc = run.train
-    sched = tc.schedule()
     opt = AdamW(dict(model.named_parameters()), lr=tc.lr, weight_decay=tc.weight_decay)
 
     ckpt_config = {"model_config": M.config_to_dict(cfg), "run": run.to_dict(),
@@ -159,7 +157,7 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
     epoch = None
     try:
         for epoch in range(tc.total_epochs):
-            lr = lr_at(epoch, sched)
+            lr = lr_at(epoch, tc)
             opt.lr = lr
             model.train()
             order = shuffle_rng.permutation(n_train)

@@ -15,8 +15,7 @@ from voxformer import models as M
 from voxformer import nn
 from voxformer import train as TR
 from voxformer.gradcheck import gradcheck, sampled_gradcheck
-from voxformer.optim import (AdamW, GridSpec, ScheduleConfig, TrainConfig,
-                             grid_enumerate, lr_at)
+from voxformer.optim import AdamW, TrainConfig, grid_enumerate, lr_at
 from voxformer.tensor import Tensor
 from voxformer.verify import operator_gradchecks, suite_norms
 
@@ -110,7 +109,7 @@ def test_criterion_05_normalization_identity():
 
 
 def test_criterion_06_scheduler_and_optimizer_contracts():
-    s = ScheduleConfig(base_lr=0.01, step_size=25, gamma=0.3)
+    s = TrainConfig(lr=0.01, weight_decay=0.0, step_size=25, gamma=0.3)
     ramp_ok = (abs(lr_at(4, s) - 0.005) < 1e-15
                and lr_at(9, s) == 0.01
                and abs(lr_at(60, s) - 9e-4) < 1e-12)
@@ -130,7 +129,7 @@ def test_criterion_06_scheduler_and_optimizer_contracts():
         max_rel = max(max_rel, abs(p.data[0] - theta) / max(abs(theta), 1e-300))
     adam_ok = max_rel < 1e-10
 
-    grid = grid_enumerate(GridSpec())
+    grid = grid_enumerate()
     grid_ok = len(grid) == 54
     report(6, ramp_ok and adam_ok and grid_ok,
            f"ramp/decay exact={ramp_ok}, adam oracle max_rel={max_rel:.2e} "

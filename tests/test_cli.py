@@ -52,6 +52,70 @@ def test_train_without_split_is_data_error(tmp_path):
     assert rc == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("flag,value", [("--test-per-class", "-1"),
+                                        ("--val-per-class", "-2")])
+def test_split_negative_count_exits_2_with_one_line(tmp_path, capsys, flag, value):
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data_dir), "--subjects", "8",
+                     "--extents", "10", "--seed", "3"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["split", "--data", str(data_dir), flag, value, "--seed", "0"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_CONFIG
+    assert len(err) == 1 and flag[2:].replace("-", "_") in err[0] and value in err[0]
+    assert not (data_dir / D.SPLIT_NAME).exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_batch_zero_exits_2_before_any_output(dataset, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = cli.main([command, "--model", "cvvt", "--data", str(dataset), "--out", str(out),
+                   "--epochs", "1", "--batch", "0"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error: ") and "batch_size" in err[0]
+    assert not out.exists()
+
+
+_SPLIT_FAULTS = {
+    "no_train_subjects": ("'train_subjects'",
+                          lambda text: text.replace('"train_subjects"', '"trains"')),
+    "not_json": ("", lambda text: text[:len(text) // 2]),
+}
+
+
+def _save_cvvt_checkpoint(ckpt):
+    cfg = M.build_config("cvvt", "tiny", extents=(12, 12, 12))
+    M.save_checkpoint(ckpt, M.build_model(cfg, seed=0),
+                      {"model_config": M.config_to_dict(cfg), "run": {"seed": 0},
+                       "normalization": {"mean": 0.0, "std": 1.0},
+                       "labels": list(D.LABELS)})
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("fault", sorted(_SPLIT_FAULTS))
+def test_malformed_split_exits_3_with_one_line(dataset, tmp_path, capsys, command, fault):
+    split_path = dataset / D.SPLIT_NAME
+    named, edit = _SPLIT_FAULTS[fault]
+    split_path.write_text(edit(split_path.read_text()))
+    out = tmp_path / "run"
+    if command == "train":
+        argv = ["train", "--model", "cvvt", "--data", str(dataset), "--out", str(out),
+                "--epochs", "1"]
+    else:
+        _save_cvvt_checkpoint(tmp_path / "m.ckpt")
+        argv = ["eval", "--ckpt", str(tmp_path / "m.ckpt"), "--data", str(dataset),
+                "--subset", "test"]
+    capsys.readouterr()
+    rc = cli.main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_DATA
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(split_path) in err[0] and named in err[0]
+    assert not (out / TR.METRICS_NAME).exists()
+
+
 def test_train_extents_mismatch_is_config_error(dataset, tmp_path):
     rc = cli.main(["train", "--model", "cvvt", "--data", str(dataset),
                    "--out", str(tmp_path / "run"), "--epochs", "1",
@@ -298,5 +362,5 @@ def test_grid_parallel_matches_sequential(dataset, tmp_path):
 
 
 def test_full_grid_enumeration_count():
-    from voxformer.optim import GridSpec, grid_enumerate
-    assert len(grid_enumerate(GridSpec())) == 54
+    from voxformer.optim import grid_enumerate
+    assert len(grid_enumerate()) == 54

@@ -154,6 +154,17 @@ def test_cvvt_tiny_embedding_band_and_imbalance_ratios():
     assert cvvt["embedding"] / cvvt["encoder"] < 1
 
 
+@pytest.mark.parametrize("norm,n_tensors", [("in", 16), ("bn", 24)])
+def test_convnet_full_size_parameter_count_exact(norm, n_tensors):
+    # pins the paper's fixed ConvNet3D-4 architecture (channels, 3^3 bias-free
+    # convs, affine norms, 512-d embedding); BN adds two running statistics
+    # per block
+    model = M.build_model(M.build_config("convnet3d4", norm=norm))
+    assert M.param_count(model) == {"blocks": 5_535_232, "embedding": 2_097_664,
+                                    "head": 1_026, "total": 7_633_922}
+    assert len(list(model.named_tensors())) == n_tensors
+
+
 def test_param_count_zero_layer_model():
     class Empty(nn.Module):
         pass

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxformer.optim import (_BLOCK, AdamW, GridSpec, OptimizerError, ScheduleConfig,
-                             TrainConfig, grid_enumerate, lr_at)
+from voxformer.optim import _BLOCK, AdamW, OptimizerError, TrainConfig, grid_enumerate, lr_at
 from voxformer.tensor import Tensor
 
 
 def sched(base=0.01, step=25, gamma=0.3):
-    return ScheduleConfig(base_lr=base, step_size=step, gamma=gamma)
+    return TrainConfig(lr=base, weight_decay=0.0, step_size=step, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +47,16 @@ def test_epoch_out_of_range():
         lr_at(-1, sched())
 
 
-def test_warmup_longer_than_run_rejected():
-    with pytest.raises(ValueError):
-        ScheduleConfig(base_lr=0.01, step_size=25, gamma=0.3,
-                       warmup_epochs=20, total_epochs=15)
+def test_short_run_compresses_warmup():
+    tc = TrainConfig(lr=0.01, weight_decay=0.0, step_size=25, gamma=0.3, total_epochs=4)
+    assert [lr_at(e, tc) for e in range(4)] == pytest.approx([0.0025, 0.005, 0.0075, 0.01])
+
+
+@pytest.mark.parametrize("field", ["step_size", "batch_size"])
+def test_train_config_rejects_counts_below_one(field):
+    kwargs = {"lr": 0.01, "weight_decay": 0.0, "step_size": 25, "gamma": 0.3, field: 0}
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**kwargs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,26 +74,21 @@ def test_lr_monotone_up_then_down(base, step, gamma):
 # grid
 
 def test_grid_has_54_configs():
-    configs = grid_enumerate(GridSpec())
+    configs = grid_enumerate()
     assert len(configs) == 54
     assert len(set(configs)) == 54
 
 
 def test_grid_first_element_and_order():
-    first = grid_enumerate(GridSpec())[0]
+    first = grid_enumerate()[0]
     assert (first.lr, first.weight_decay, first.step_size, first.gamma) == \
         (0.01, 0.001, 25, 0.3)
-    second = grid_enumerate(GridSpec())[1]
+    second = grid_enumerate()[1]
     assert (second.lr, second.gamma) == (0.01, 0.5)   # gamma varies fastest
 
 
-def test_grid_singleton():
-    spec = GridSpec(lrs=(0.01,), weight_decays=(0.0,), step_sizes=(25,), gammas=(0.3,))
-    assert len(grid_enumerate(spec)) == 1
-
-
 def test_grid_carries_schema_constants():
-    cfg = grid_enumerate(GridSpec())[0]
+    cfg = grid_enumerate()[0]
     assert cfg.total_epochs == 100
     assert cfg.batch_size == 1
     assert cfg.warmup_epochs == 10
@@ -298,7 +298,5 @@ def test_adamw_step_allocates_no_parameter_sized_temporaries():
 
 def test_train_config_schedule_round_trip():
     tc = TrainConfig(lr=0.01, weight_decay=0.001, step_size=40, gamma=0.5)
-    s = tc.schedule()
-    assert s.base_lr == 0.01 and s.step_size == 40 and s.gamma == 0.5
-    assert s.warmup_epochs == 10 and s.total_epochs == 100
+    assert tc.warmup_epochs == 10 and tc.total_epochs == 100
     assert TrainConfig(**tc.to_dict()) == tc
