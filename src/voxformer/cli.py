@@ -146,7 +146,7 @@ def cmd_split(args) -> int:
     data_dir = Path(args.data)
     records = D.read_manifest(data_dir / D.MANIFEST_NAME)
     split = D.subject_split(records, args.test_per_class, _seed(args), args.val_per_class)
-    (data_dir / D.SPLIT_NAME).write_text(split.to_json())
+    D.write_atomic(data_dir / D.SPLIT_NAME, split.to_json().encode())
     print(json.dumps(split.audit, sort_keys=True))
     return EXIT_OK
 
@@ -162,8 +162,7 @@ def _run_config_from_args(args, epochs: int | None = None) -> TR.RunConfig:
 
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
-    if not (data_dir / D.SPLIT_NAME).exists():
-        raise D.DataError(f"no split found at {data_dir / D.SPLIT_NAME}; run `voxformer split` first")
+    D.read_split(data_dir / D.SPLIT_NAME)
     run = _run_config_from_args(args)
     if args.extents is not None:
         want = _parse_extents(args.extents)
@@ -182,14 +181,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.batch < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {args.batch}")
     model, config = TR.load_model_from_checkpoint(args.ckpt)
     data_dir = Path(args.data)
     records = D.read_manifest(data_dir / D.MANIFEST_NAME)
     if args.subset in ("train", "test"):
-        split_path = data_dir / D.SPLIT_NAME
-        if not split_path.exists():
-            raise D.DataError(f"subset {args.subset!r} needs a split at {split_path}")
-        split = D.read_split(split_path)
+        split = D.read_split(data_dir / D.SPLIT_NAME)
         train_recs, test_recs = D.split_records(records, split)
         records = test_recs if args.subset == "test" else train_recs
     else:
@@ -214,7 +212,7 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f"  [{r.detail}]" if r.detail else ""))
     if args.out:
         report = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True))
+        D.write_atomic(args.out, json.dumps(report, indent=1, sort_keys=True).encode())
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -229,7 +227,7 @@ def _grid_worker(payload) -> dict:
                    best_test_acc=max((r["test_acc"] for r in epochs), default=0.0),
                    final_test_acc=epochs[-1]["test_acc"] if epochs else 0.0,
                    final_train_loss=epochs[-1]["train_loss"] if epochs else None)
-    except Exception as e:  # per-run failures are recorded, not fatal
+    except OptimizerError as e:     # a diverging run is recorded, not fatal
         row.update(status="failed", error=f"{type(e).__name__}: {e}",
                    best_test_acc=-1.0, final_test_acc=-1.0, final_train_loss=None)
     return row
@@ -237,8 +235,7 @@ def _grid_worker(payload) -> dict:
 
 def cmd_grid(args) -> int:
     data_dir = Path(args.data)
-    if not (data_dir / D.SPLIT_NAME).exists():
-        raise D.DataError(f"no split found at {data_dir / D.SPLIT_NAME}; run `voxformer split` first")
+    D.read_split(data_dir / D.SPLIT_NAME)      # every run shares it: check it once
     configs = grid_enumerate(total_epochs=args.epochs, batch_size=args.batch)
     if args.limit is not None:
         configs = configs[:args.limit]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -31,6 +32,22 @@ class DataError(ValueError):
 
 class VolumeFormatError(DataError):
     """Malformed VOX1 file: bad magic, truncation, or absurd extents."""
+
+
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write ``chunks`` to a temporary file next to ``path``, then rename it
+    over ``path``: ``path`` holds its old contents or the new ones, never a
+    partial write."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +108,8 @@ class VolumeRecord:
 def write_manifest(path, records: list[VolumeRecord]) -> None:
     keys = ("subject_id", "session_id", "label", "path",
             "preferred", "quality_rank", "visit_order")
-    with open(path, "w") as f:
-        for r in records:
-            d = asdict(r)
-            f.write(json.dumps({k: d[k] for k in keys}) + "\n")
+    rows = [asdict(r) for r in records]
+    write_atomic(path, "".join(json.dumps({k: d[k] for k in keys}) + "\n" for d in rows).encode())
 
 
 def read_manifest(path) -> list[VolumeRecord]:
@@ -168,10 +183,12 @@ class SplitSpec:
 
 
 def read_split(path) -> SplitSpec:
-    """``SplitSpec`` from a split file; text that is not JSON or lacks a key
-    raises ``DataError`` naming the file (and the key)."""
+    """``SplitSpec`` from a split file; a missing file, text that is not JSON
+    or a missing key raises ``DataError`` naming the file (and the key)."""
     try:
         return SplitSpec.from_json(Path(path).read_text())
+    except FileNotFoundError:
+        raise DataError(f"no split found at {path}; run `voxformer split` first") from None
     except KeyError as e:
         raise DataError(f"{path}: split has no {e.args[0]!r} key") from None
     except (TypeError, ValueError) as e:    # ValueError covers JSON and UTF-8 errors
@@ -318,7 +335,8 @@ def synth_generate(out_dir, cfg: SynthConfig) -> Path:
             records.append(VolumeRecord(subject_id=subject, session_id=f"ses-{s + 1:02d}",
                                         label=label, path=name, visit_order=s + 1))
     write_manifest(out / MANIFEST_NAME, records)
-    (out / "synth_config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=1))
+    write_atomic(out / "synth_config.json",
+                 json.dumps(asdict(cfg), sort_keys=True, indent=1).encode())
     return out / MANIFEST_NAME
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import DataError
+from .data import DataError, write_atomic
 from .tensor import MAX_NDIM, Tensor, ShapeError, concat, leaky_relu, _node
 
 FULL_EXTENTS = (169, 208, 179)
@@ -262,19 +261,6 @@ def vvit_patchify(x: Tensor, patch_edge: int = 50) -> Tensor:
     return _node(np.ascontiguousarray(tokens), (x,), backward, "vvit_patchify")
 
 
-def unpatchify(tokens: np.ndarray, extents: tuple[int, int, int],
-               patch_edge: int = 50) -> np.ndarray:
-    """Inverse of vvit_patchify on raw arrays (test oracle for losslessness)."""
-    n = tokens.shape[0]
-    e = patch_edge
-    counts = tuple(-(-x // e) for x in extents)
-    nd, nh, nw = counts
-    blocks = tokens.reshape(n, nd, nh, nw, e, e, e).transpose(0, 1, 4, 2, 5, 3, 6)
-    full = blocks.reshape(n, nd * e, nh * e, nw * e)
-    d, h, w = extents
-    return full[:, None, :d, :h, :w]
-
-
 # ---------------------------------------------------------------------------
 # models
 
@@ -334,8 +320,7 @@ class CVVT(nn.Module):
         super().__init__()
         self.cfg = cfg
         rng, = _spawn(seed, 1)
-        self.stages = [nn.Conv3d(cin, cout, kernel=3, stride=s, padding=1,
-                                 rng=rng, dtype=dtype)
+        self.stages = [nn.Conv3d(cin, cout, stride=s, rng=rng, dtype=dtype)
                        for cin, cout, s in cfg.embed_stack]
         self.token_embed = nn.Linear(cfg.token_dim, cfg.size.embed_dim, rng=rng, dtype=dtype)
         self.core = _ViTCore(cfg.num_patches, cfg.size, cfg.num_classes, rng, dtype)
@@ -360,17 +345,16 @@ class _ConvBlock(nn.Module):
     def __init__(self, cfg: ConvNet3D4Config, cin: int, cout: int,
                  rng: np.random.Generator, drop_rng: np.random.Generator, dtype):
         super().__init__()
-        self.conv = nn.Conv3d(cin, cout, 3, 1, 1, bias=False, rng=rng, dtype=dtype,
-                              slope=CONVNET_SLOPE)
+        self.conv = nn.Conv3d(cin, cout, bias=False, rng=rng, dtype=dtype)
         if cfg.norm == "bn":
             self.norm = nn.BatchNorm3d(cout, dtype=dtype)
         else:
             self.norm = nn.InstanceNorm3d(cout, dtype=dtype)
-        self.pool = nn.MaxPool3d(CONVNET_POOL_KERNEL, cfg.pool_stride)
+        self.pool_stride = cfg.pool_stride
         self.drop = nn.Dropout3d(CONVNET_DROPOUT, rng=drop_rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.pool(self.norm(self.conv(x)))
+        h = nn.maxpool3d(self.norm(self.conv(x)), CONVNET_POOL_KERNEL, self.pool_stride)
         return self.drop(leaky_relu(h, CONVNET_SLOPE))
 
 
@@ -399,50 +383,6 @@ class ConvNet3D4(nn.Module):
 
 
 Model = VViT | CVVT | ConvNet3D4
-
-
-def executed_shape_trace(model: Model, x: Tensor) -> ShapeTrace:
-    """Shapes observed while actually running the forward pass (oracle for
-    shape_infer); matches the trace's layer names."""
-    trace: ShapeTrace = [("input", x.shape)]
-    if isinstance(model, ConvNet3D4):
-        h = x
-        for i, block in enumerate(model.blocks):
-            c = block.conv(h)
-            trace.append((f"block{i + 1}.conv", c.shape))
-            h = block.pool(block.norm(c))
-            trace.append((f"block{i + 1}.pool", h.shape))
-            h = block.drop(leaky_relu(h, CONVNET_SLOPE))
-        flat = h.flatten(start_axis=1)
-        trace.append(("flatten", flat.shape))
-        emb = model.embed(flat)
-        trace.append(("embed", emb.shape))
-        trace.append(("head", model.head(emb).shape))
-        return trace
-    if isinstance(model, CVVT):
-        h = x
-        for i, conv in enumerate(model.stages):
-            h = leaky_relu(conv(h), 0.2)
-            trace.append((f"embed.stage{i}", h.shape))
-        h = nn.adaptive_avg_pool3d(h, CVVT_GRID)
-        trace.append(("embed.adaptive_pool", h.shape))
-        tokens = model.token_embed(h.reshape(h.shape[0], CVVT_TOKENS, model.cfg.token_dim))
-        trace.append(("token_embed", tokens.shape))
-        out = model.core(tokens)
-        trace.append(("head", out.shape))
-        return trace
-    if isinstance(model, VViT):
-        edge = model.cfg.patch_edge
-        padded = tuple(-(-s // edge) * edge for s in x.shape[2:])
-        trace.append(("pad", x.shape[:2] + padded))
-        tokens = vvit_patchify(x, edge)
-        trace.append(("patchify", tokens.shape))
-        emb = model.patch_embed(tokens)
-        trace.append(("patch_embed", emb.shape))
-        out = model.core(emb)
-        trace.append(("head", out.shape))
-        return trace
-    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +421,8 @@ def save_checkpoint(path, model: nn.Module, config: dict) -> None:
     """Container file: magic, u64 manifest length, JSON manifest, raw
     little-endian tensor payloads.  Round-trips byte-exactly.
 
-    The file is written next to ``path`` under a temporary name and renamed
-    over it, so ``path`` holds either the previous checkpoint or the new
-    one, never a partial write.
+    The write is atomic (``write_atomic``): ``path`` holds either the
+    previous checkpoint or the new one, never a partial write.
     """
     entries = []
     payload = bytearray()
@@ -495,18 +434,7 @@ def save_checkpoint(path, model: nn.Module, config: dict) -> None:
         payload.extend(raw)
     manifest = json.dumps({"config": config, "tensors": entries},
                           sort_keys=True, separators=(",", ":")).encode()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_CKPT_MAGIC)
-            f.write(struct.pack("<Q", len(manifest)))
-            f.write(manifest)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, _CKPT_MAGIC, struct.pack("<Q", len(manifest)), manifest, payload)
 
 
 def _is_count(v) -> bool:

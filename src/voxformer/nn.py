@@ -10,6 +10,7 @@ share one fused ``normalize`` node.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -18,6 +19,13 @@ from scipy import special as _special
 
 from .tensor import (Tensor, ShapeError, _node, add, div, gelu, matmul, mul,
                      reshape, softmax, sub, transpose)
+
+# Fixed layer settings: every model in this package uses these values.
+CONV_KERNEL = 3         # Conv3d: cubic kernel extent
+CONV_PADDING = 1        # Conv3d: zero padding, which keeps stride-1 extents
+INIT_SLOPE = 0.2        # Conv3d init: Kaiming gain for the LeakyReLU(0.2) after it
+NORM_EPS = 1e-5         # variance floor of every normalization
+BN_MOMENTUM = 0.1       # BatchNorm3d: weight of the newest batch in the running stats
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +40,8 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
 
 
 def kaiming_normal(rng: np.random.Generator, shape, fan_in: int,
-                   slope: float = 0.2, dtype=np.float32) -> np.ndarray:
-    gain = math.sqrt(2.0 / (1.0 + slope * slope))
+                   dtype=np.float32) -> np.ndarray:
+    gain = math.sqrt(2.0 / (1.0 + INIT_SLOPE * INIT_SLOPE))
     std = gain / math.sqrt(fan_in)
     return (rng.standard_normal(size=shape) * std).astype(dtype)
 
@@ -112,15 +120,12 @@ class Module:
 # ---------------------------------------------------------------------------
 # linear
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ W^T (+ b) over the trailing axis; W is [out, in]."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """y = x @ W^T + b over the trailing axis; W is [out, in]."""
     n_in = weight.shape[1]
     if x.shape[-1] != n_in:
         raise ShapeError(f"linear input extent {x.shape} does not match weight {weight.shape}")
-    out = np.matmul(x.data, weight.data.T)
-    if bias is not None:
-        out = out + bias.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = np.matmul(x.data, weight.data.T) + bias.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -129,20 +134,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             g2 = g.reshape(-1, weight.shape[0])
             x2 = x.data.reshape(-1, n_in)
             weight._accumulate(g2.T @ x2)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.reshape(-1, weight.shape[0]).sum(axis=0))
 
-    return _node(out, parents, backward, "linear")
+    return _node(out, (x, weight, bias), backward, "linear")
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
+    def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         super().__init__()
         rng = _default_rng(rng)
         self.weight = Tensor(trunc_normal(rng, (out_features, in_features), dtype=dtype),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -160,23 +165,12 @@ def conv3d_output_extents(extents: Sequence[int], kernel: Sequence[int],
     return out
 
 
-def _im2col(xp: np.ndarray, kernel: tuple[int, int, int], stride: int,
-            out_sp: tuple[int, int, int]) -> np.ndarray:
-    n, c = xp.shape[:2]
-    kd, kh, kw = kernel
-    do, ho, wo = out_sp
-    p = do * ho * wo
-    cols = np.empty((n, c * kd * kh * kw, p), dtype=xp.dtype)
-    view = cols.reshape(n, c, kd * kh * kw, p)
-    s = stride
-    i = 0
-    for a in range(kd):
-        for b in range(kh):
-            for cc in range(kw):
-                sl = xp[:, :, a:a + s * do:s, b:b + s * ho:s, cc:cc + s * wo:s]
-                view[:, :, i, :] = sl.reshape(n, c, p)
-                i += 1
-    return cols
+def _windows(a: np.ndarray, kernel: Sequence[int], stride: int, out_sp: Sequence[int]):
+    """For each kernel tap in (d, h, w) row-major order, the strided view of the
+    padded [N,C,D,H,W] array ``a`` that the tap reads at every output position."""
+    for offs in itertools.product(*(range(k) for k in kernel)):
+        yield a[(slice(None), slice(None))
+                + tuple(slice(o, o + stride * n, stride) for o, n in zip(offs, out_sp))]
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -188,10 +182,15 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     cout, cw, kd, kh, kw = weight.shape
     if cin != cw:
         raise ShapeError(f"conv3d channel mismatch: input has {cin}, weight expects {cw}")
-    out_sp = conv3d_output_extents((d, h, w), (kd, kh, kw), stride, padding)
+    kernel = (kd, kh, kw)
+    out_sp = conv3d_output_extents((d, h, w), kernel, stride, padding)
     pd = padding
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (pd, pd), (pd, pd))) if pd else x.data
-    cols = _im2col(xp, (kd, kh, kw), stride, out_sp)
+    # im2col: row (ci, tap) of the [N, Cin*k3, P] columns is tap's window of channel ci
+    cols = np.empty((n, cin * kd * kh * kw, math.prod(out_sp)), dtype=xp.dtype)
+    taps = cols.reshape(n, cin, kd * kh * kw, *out_sp)
+    for i, window in enumerate(_windows(xp, kernel, stride, out_sp)):
+        taps[:, :, i] = window
     wm = weight.data.reshape(cout, -1)
     out = np.matmul(wm, cols)                          # [N, Cout, P]
     if bias is not None:
@@ -209,16 +208,11 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             bias._accumulate(gm.sum(axis=(0, 2)))
         if x.requires_grad:
             dcols = np.matmul(wm.T, gm)                # [N, Cin*k3, P]
+            dtaps = dcols.reshape(n, cin, kd * kh * kw, *out_sp)
             dxp = np.zeros((n, cin) + padded_sp, dtype=g.dtype)
-            dv = dcols.reshape(n, cin, kd * kh * kw, *out_sp)
-            s = stride
-            i = 0
-            do, ho, wo = out_sp
-            for a in range(kd):
-                for b in range(kh):
-                    for cc in range(kw):
-                        dxp[:, :, a:a + s * do:s, b:b + s * ho:s, cc:cc + s * wo:s] += dv[:, :, i]
-                        i += 1
+            # col2im: each tap's columns add back into the window they came from
+            for i, window in enumerate(_windows(dxp, kernel, stride, out_sp)):
+                window += dtaps[:, :, i]
             if pd:
                 dxp = dxp[:, :, pd:pd + d, pd:pd + h, pd:pd + w]
             x._accumulate(dxp)
@@ -227,27 +221,22 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 class Conv3d(Module):
-    """3D convolution layer; kernel may be an int (cubic) or a (kd,kh,kw) tuple."""
+    """3D convolution layer with a CONV_KERNEL^3 kernel and CONV_PADDING zero padding."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel=3,
-                 stride: int = 1, padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator | None = None, dtype=np.float32,
-                 slope: float = 0.2):
+    def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
+                 bias: bool = True, rng: np.random.Generator | None = None,
+                 dtype=np.float32):
         super().__init__()
         rng = _default_rng(rng)
-        k = (kernel,) * 3 if isinstance(kernel, int) else tuple(kernel)
-        if any(e < 1 for e in k):
-            raise ValueError(f"kernel extents must be >= 1, got {k}")
         self.stride = int(stride)
-        self.padding = int(padding)
-        fan_in = in_channels * int(np.prod(k))
+        k = (CONV_KERNEL,) * 3
         self.weight = Tensor(kaiming_normal(rng, (out_channels, in_channels) + k,
-                                            fan_in, slope=slope, dtype=dtype),
+                                            in_channels * CONV_KERNEL ** 3, dtype=dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv3d(x, self.weight, self.bias, stride=self.stride, padding=CONV_PADDING)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +341,6 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     return out_t
 
 
-class MaxPool3d(Module):
-    def __init__(self, kernel: int = 3, stride: int | None = None):
-        super().__init__()
-        self.kernel = int(kernel)
-        self.stride = self.kernel if stride is None else int(stride)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return maxpool3d(x, self.kernel, self.stride)
-
-
 def _adaptive_bounds(length: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(out)
     starts = (i * length) // out
@@ -415,10 +394,10 @@ def adaptive_avg_pool3d(x: Tensor, output: tuple[int, int, int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def normalize(x: Tensor, gamma: Tensor | None, beta: Tensor | None,
-              axes: tuple[int, ...], channel_axis: int, eps: float) -> Tensor:
-    """x̂ = (x - mean) / sqrt(var + eps) over ``axes`` (biased variance), then
-    gamma * x̂ + beta along ``channel_axis`` unless gamma is None.
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor,
+              axes: tuple[int, ...], channel_axis: int) -> Tensor:
+    """x̂ = (x - mean) / sqrt(var + NORM_EPS) over ``axes`` (biased variance),
+    then gamma * x̂ + beta along ``channel_axis``.
 
     One graph node that keeps only x̂ and 1/σ; its backward is the closed
     form dx = (ĝ - mean(ĝ) - x̂·mean(ĝ·x̂)) / σ with ĝ = g·gamma,
@@ -426,51 +405,43 @@ def normalize(x: Tensor, gamma: Tensor | None, beta: Tensor | None,
     """
     xd = x.data
     xc = xd - xd.mean(axis=axes, keepdims=True)
-    sd = np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + xd.dtype.type(eps))
+    sd = np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + xd.dtype.type(NORM_EPS))
     xhat = np.divide(xc, sd, out=xc)
     inv = 1 / sd
     shape = [1] * x.ndim
     shape[channel_axis] = x.shape[channel_axis]
     others = tuple(ax for ax in range(x.ndim) if ax != channel_axis)
-    out, parents = xhat, (x,)
-    if gamma is not None:
-        scale = gamma.data.reshape(shape)
-        out = xhat * scale + beta.data.reshape(shape)
-        parents = (x, gamma, beta)
+    scale = gamma.data.reshape(shape)
+    out = xhat * scale + beta.data.reshape(shape)
 
     def backward(g: np.ndarray) -> None:
-        if gamma is not None:
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=others))
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=others))
-            g = g * scale
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=others))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=others))
+        g = g * scale
         if x.requires_grad:
             dx = g - g.mean(axis=axes, keepdims=True)
             dx -= xhat * (g * xhat).mean(axis=axes, keepdims=True)
             dx *= inv
             x._accumulate(dx)
 
-    return _node(out, parents, backward, "normalize")
+    return _node(out, (x, gamma, beta), backward, "normalize")
 
 
 class InstanceNorm3d(Module):
     """Per (sample, channel) normalization over (D,H,W); identical train/eval."""
 
-    def __init__(self, num_features: int, eps: float = 1e-5, affine: bool = True,
-                 dtype=np.float32):
+    def __init__(self, num_features: int, dtype=np.float32):
         super().__init__()
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         self.num_features = num_features
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True) if affine else None
-        self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True) if affine else None
+        self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
-        return normalize(x, self.gamma, self.beta, (2, 3, 4), 1, self.eps)
+        return normalize(x, self.gamma, self.beta, (2, 3, 4), 1)
 
 
 class BatchNorm3d(Module):
@@ -480,16 +451,11 @@ class BatchNorm3d(Module):
     estimates; eval normalizes with the running estimates.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1,
-                 affine: bool = True, dtype=np.float32):
+    def __init__(self, num_features: int, dtype=np.float32):
         super().__init__()
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True) if affine else None
-        self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True) if affine else None
+        self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
         self.running_mean = Tensor(np.zeros(num_features, dtype=dtype))
         self.running_var = Tensor(np.ones(num_features, dtype=dtype))
 
@@ -497,40 +463,38 @@ class BatchNorm3d(Module):
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
         if self.training:
-            out = normalize(x, self.gamma, self.beta, (0, 2, 3, 4), 1, self.eps)
+            out = normalize(x, self.gamma, self.beta, (0, 2, 3, 4), 1)
             n, _, d, h, w = x.shape
             count = n * d * h * w
             mean = x.data.mean(axis=(0, 2, 3, 4))
             var = x.data.var(axis=(0, 2, 3, 4))
             if count > 1:
                 var = var * count / (count - 1)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean.data = ((1 - m) * self.running_mean.data + m * mean).astype(x.dtype)
             self.running_var.data = ((1 - m) * self.running_var.data + m * var).astype(x.dtype)
         else:
             shape = (1, self.num_features, 1, 1, 1)
             mu = Tensor(self.running_mean.data.reshape(shape))
-            sd = Tensor(np.sqrt(self.running_var.data.reshape(shape) + x.dtype.type(self.eps)))
+            sd = Tensor(np.sqrt(self.running_var.data.reshape(shape) + x.dtype.type(NORM_EPS)))
             out = div(sub(x, mu), sd)
-            if self.gamma is not None:
-                out = add(mul(out, reshape(self.gamma, shape)), reshape(self.beta, shape))
+            out = add(mul(out, reshape(self.gamma, shape)), reshape(self.beta, shape))
         return out
 
 
 class LayerNorm(Module):
     """Normalization over the trailing (embedding) axis with affine params."""
 
-    def __init__(self, normalized_dim: int, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, normalized_dim: int, dtype=np.float32):
         super().__init__()
         self.normalized_dim = normalized_dim
-        self.eps = eps
         self.gamma = Tensor(np.ones(normalized_dim, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(normalized_dim, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.normalized_dim:
             raise ShapeError(f"expected trailing extent {self.normalized_dim}, got {x.shape}")
-        return normalize(x, self.gamma, self.beta, (x.ndim - 1,), x.ndim - 1, self.eps)
+        return normalize(x, self.gamma, self.beta, (x.ndim - 1,), x.ndim - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +520,6 @@ def dropout3d(x: Tensor, p: float = 0.4, training: bool = True,
 class Dropout3d(Module):
     def __init__(self, p: float = 0.4, rng: np.random.Generator | None = None):
         super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
         self.p = p
         self.rng = _default_rng(rng)
 

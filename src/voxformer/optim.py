@@ -63,6 +63,10 @@ def grid_enumerate(**schema) -> list[TrainConfig]:
                                                    GRID_STEP_SIZES, GRID_GAMMAS)]
 
 
+# AdamW's fixed moment decay rates and denominator floor.
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+
 # Elements per update block: big enough to amortize the per-call overhead of
 # a ufunc, small enough that a block of data, grad, m, v and the two scratch
 # buffers stays in cache.  On a 2-vCPU Xeon VM 2**14 to 2**16 measured
@@ -80,14 +84,10 @@ class AdamW:
     a step allocates nothing the size of a parameter.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -112,10 +112,10 @@ class AdamW:
     def step(self) -> None:
         self._check_gradients()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        lr, wd, eps = self.lr, self.weight_decay, self.eps
+        lr, wd, eps = self.lr, self.weight_decay, ADAMW_EPS
         for name, p in self.params.items():
             if p.dtype not in self._scratch:
                 self._scratch[p.dtype] = (np.empty(_BLOCK, p.dtype), np.empty(_BLOCK, p.dtype))

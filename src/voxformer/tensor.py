@@ -317,20 +317,6 @@ def gelu(a: Tensor) -> Tensor:
     return _unary(a, "gelu", x * cdf, lambda g: g * (cdf + x * pdf))
 
 
-def texp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _unary(a, "exp", out, lambda g: g * out)
-
-
-def tlog(a: Tensor) -> Tensor:
-    return _unary(a, "log", np.log(a.data), lambda g: g / a.data)
-
-
-def tsqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _unary(a, "sqrt", out, lambda g: g * 0.5 / out)
-
-
 # -- reductions ------------------------------------------------------------------
 
 def _norm_axis(axis, ndim: int):
@@ -454,19 +440,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(piece)
 
     return _node(out, tuple(tensors), backward, "concat")
-
-
-def pad3d(a: Tensor, pads: Sequence[tuple[int, int]]) -> Tensor:
-    """Zero-pad the three trailing (spatial) axes; ``pads`` is three (before, after) pairs."""
-    pads = tuple((int(b), int(c)) for b, c in pads)
-    if len(pads) != 3 or any(b < 0 or c < 0 for b, c in pads):
-        raise ValueError(f"pad3d needs three non-negative (before, after) pairs, got {pads}")
-    if a.ndim < 3:
-        raise ShapeError(f"pad3d needs >=3 axes, got shape {a.shape}")
-    full = ((0, 0),) * (a.ndim - 3) + pads
-    out = np.pad(a.data, full)
-    crop = tuple(slice(b, b + n) for (b, _), n in zip(full, a.shape))
-    return _unary(a, "pad3d", out, lambda g: g[crop])
 
 
 def getitem(a: Tensor, idx) -> Tensor:

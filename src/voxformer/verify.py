@@ -51,11 +51,6 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     run("leaky_relu", lambda x: T.leaky_relu(x, 0.2).sum(), [_away_from_zero(rng, 4, 5)],
         tol=1e-6)
     run("gelu", lambda x: T.gelu(x).sum(), [_t(rng, 4, 5)])
-    run("exp", lambda x: T.texp(x).sum(), [_t(rng, 3, 3)])
-    run("log", lambda x: T.tlog(x).sum(),
-        [Tensor(rng.uniform(0.5, 2.0, (3, 3)), dtype=np.float64, requires_grad=True)])
-    run("sqrt", lambda x: T.tsqrt(x).sum(),
-        [Tensor(rng.uniform(0.5, 2.0, (3, 3)), dtype=np.float64, requires_grad=True)])
     run("matmul", lambda x, y: T.matmul(x, y).sum(), [_t(rng, 4, 5), _t(rng, 5, 3)],
         tol=1e-5)
     run("matmul_batched", lambda x, y: T.matmul(x, y).sum(), [_t(rng, 2, 4, 5), _t(rng, 5, 3)])
@@ -63,8 +58,6 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     run("flatten", lambda x: T.flatten(x).sum(), [_t(rng, 2, 3, 2)])
     run("transpose", lambda x: (T.transpose(x, (1, 0)) * 3.0).sum(), [_t(rng, 3, 4)])
     run("concat", lambda x, y: T.concat([x, y], axis=1).sum(), [_t(rng, 2, 3), _t(rng, 2, 2)])
-    run("pad3d", lambda x: (T.pad3d(x, ((1, 2), (0, 1), (2, 0))) * 2.0).sum(),
-        [_t(rng, 1, 1, 2, 3, 2)])
     run("getitem", lambda x: x[:, 1:3].sum(), [_t(rng, 2, 4)])
     run("sum_axis", lambda x: (x.sum(axis=1) * 2.0).sum(), [_t(rng, 3, 4)])
     run("mean_axis", lambda x: (x.mean(axis=(1, 2)) * 2.0).sum(), [_t(rng, 2, 3, 4)])

@@ -7,6 +7,7 @@ from voxformer import cli
 from voxformer import data as D
 from voxformer import models as M
 from voxformer import train as TR
+from voxformer.optim import OptimizerError
 
 
 @pytest.fixture
@@ -78,7 +79,8 @@ def test_batch_zero_exits_2_before_any_output(dataset, tmp_path, capsys, command
     assert not out.exists()
 
 
-_SPLIT_FAULTS = {
+_SPLIT_FAULTS = {       # fault: (what the message names, edit of the split text or None)
+    "missing": ("run `voxformer split` first", lambda text: None),
     "no_train_subjects": ("'train_subjects'",
                           lambda text: text.replace('"train_subjects"', '"trains"')),
     "not_json": ("", lambda text: text[:len(text) // 2]),
@@ -93,15 +95,19 @@ def _save_cvvt_checkpoint(ckpt):
                        "labels": list(D.LABELS)})
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "grid"])
 @pytest.mark.parametrize("fault", sorted(_SPLIT_FAULTS))
 def test_malformed_split_exits_3_with_one_line(dataset, tmp_path, capsys, command, fault):
     split_path = dataset / D.SPLIT_NAME
     named, edit = _SPLIT_FAULTS[fault]
-    split_path.write_text(edit(split_path.read_text()))
+    text = edit(split_path.read_text())
+    if text is None:
+        split_path.unlink()
+    else:
+        split_path.write_text(text)
     out = tmp_path / "run"
-    if command == "train":
-        argv = ["train", "--model", "cvvt", "--data", str(dataset), "--out", str(out),
+    if command in ("train", "grid"):
+        argv = [command, "--model", "cvvt", "--data", str(dataset), "--out", str(out),
                 "--epochs", "1"]
     else:
         _save_cvvt_checkpoint(tmp_path / "m.ckpt")
@@ -113,7 +119,19 @@ def test_malformed_split_exits_3_with_one_line(dataset, tmp_path, capsys, comman
     assert rc == cli.EXIT_DATA
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(split_path) in err[0] and named in err[0]
-    assert not (out / TR.METRICS_NAME).exists()
+    assert not out.exists()         # no metrics.jsonl, checkpoint or grid.jsonl
+
+
+def test_eval_batch_zero_exits_2_before_reading_a_volume(dataset, tmp_path, capsys,
+                                                        monkeypatch):
+    _save_cvvt_checkpoint(tmp_path / "m.ckpt")
+    monkeypatch.setattr(D, "read_volume", lambda path: pytest.fail(f"read {path}"))
+    capsys.readouterr()
+    rc = cli.main(["eval", "--ckpt", str(tmp_path / "m.ckpt"), "--data", str(dataset),
+                   "--batch", "0"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error: ") and "batch_size" in err[0]
 
 
 def test_train_extents_mismatch_is_config_error(dataset, tmp_path):
@@ -348,6 +366,23 @@ def test_grid_rows_are_reconstructible_and_ranked(dataset, tmp_path):
         assert {"model", "size", "norm", "train", "seed"} <= set(run)
         from voxformer.optim import TrainConfig
         TrainConfig(**run["train"])     # reconstructs without error
+
+
+def test_grid_records_only_diverged_runs_as_failed(dataset, tmp_path, monkeypatch):
+    argv = ["grid", "--model", "cvvt", "--data", str(dataset), "--out", str(tmp_path / "grid"),
+            "--epochs", "1", "--limit", "2"]
+
+    def diverge(run, data_dir, out_dir):
+        raise OptimizerError("non-finite gradient for parameter 'head.weight'")
+
+    monkeypatch.setattr(TR, "run_training", diverge)
+    assert cli.main(argv) == 0
+    rows = read_jsonl(tmp_path / "grid" / "grid.jsonl")
+    assert [r["status"] for r in rows] == ["failed", "failed"]
+    assert "head.weight" in rows[0]["error"]
+    monkeypatch.setattr(TR, "run_training", lambda run, data_dir, out_dir: 1 / 0)
+    with pytest.raises(ZeroDivisionError):      # a bug is not a failed grid point
+        cli.main(argv)
 
 
 @pytest.mark.slow

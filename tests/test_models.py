@@ -1,16 +1,20 @@
 import errno
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxformer import cli
+from voxformer import data as D
 from voxformer import models as M
 from voxformer import nn
 from voxformer.gradcheck import sampled_gradcheck
 from voxformer.nn import cross_entropy
-from voxformer.tensor import Tensor, no_grad, tlog
+from voxformer.tensor import Tensor, _unary, no_grad
 
 RNG = np.random.default_rng(0)
 
@@ -36,11 +40,23 @@ def test_patchify_exact_cube_is_flatten():
     np.testing.assert_array_equal(tokens.data[0, 0], x.data.ravel())
 
 
+def unpatchify(tokens: np.ndarray, extents: tuple[int, int, int],
+               patch_edge: int) -> np.ndarray:
+    """Inverse of vvit_patchify on raw arrays: the losslessness oracle."""
+    n = tokens.shape[0]
+    e = patch_edge
+    nd, nh, nw = (-(-x // e) for x in extents)
+    blocks = tokens.reshape(n, nd, nh, nw, e, e, e).transpose(0, 1, 4, 2, 5, 3, 6)
+    full = blocks.reshape(n, nd * e, nh * e, nw * e)
+    d, h, w = extents
+    return full[:, None, :d, :h, :w]
+
+
 def test_patchify_roundtrip_lossless():
     extents = (7, 11, 5)
     x = rand_volume(extents, seed=3)
     tokens = M.vvit_patchify(x, 4)
-    back = M.unpatchify(tokens.data, extents, 4)
+    back = unpatchify(tokens.data, extents, 4)
     np.testing.assert_array_equal(back, x.data)
 
 
@@ -115,19 +131,37 @@ def test_cvvt_too_small_extents_underflow():
     assert err.value.layer == "embed.adaptive_pool"
 
 
+# the calls whose outputs are recorded, each with the shape_infer entries it produces
+_RECORDED = {"conv3d": (nn, r"block\d\.conv|embed\.stage\d"),
+             "maxpool3d": (nn, r"block\d\.pool"),
+             "adaptive_avg_pool3d": (nn, r"embed\.adaptive_pool"),
+             "vvit_patchify": (M, r"patchify")}
+
+
+# CVVT at 24^3 has a stride-2 stage, (1, 32, 2), before the stride-1 one
 @pytest.mark.parametrize("model,extents,kwargs", [
     ("vvit", (50, 50, 50), {}),
-    ("cvvt", (16, 16, 16), {}),
+    ("cvvt", (24, 24, 24), {}),
     ("convnet3d4", (32, 32, 32), {"pool_stride": 2}),
 ])
-def test_executed_shapes_equal_inferred(model, extents, kwargs):
+def test_executed_shapes_equal_inferred(model, extents, kwargs, monkeypatch):
     cfg = M.build_config(model, "tiny", extents=extents, **kwargs)
     net = M.build_model(cfg, seed=0)
     net.eval()
+    executed = []
+    for name, (owner, _) in _RECORDED.items():
+        def record(*args, _call=getattr(owner, name), _name=name, **kw):
+            out = _call(*args, **kw)
+            executed.append((_name, out.shape))
+            return out
+        monkeypatch.setattr(owner, name, record)
     with no_grad():
-        executed = M.executed_shape_trace(net, rand_volume(extents, seed=5))
+        logits = net(rand_volume(extents, seed=5))
     inferred = M.shape_infer(cfg)
-    assert dict(executed) == {k: v for k, v in inferred if k in dict(executed)}
+    expected = [(name, shape) for layer, shape in inferred
+                for name, (_, pattern) in _RECORDED.items() if re.fullmatch(pattern, layer)]
+    assert executed and executed == expected
+    assert logits.shape == dict(inferred)["head"]
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +331,15 @@ def test_small_cvvt_full_gradcheck():
     assert report.passed, report
 
 
+def _log(a: Tensor) -> Tensor:
+    return _unary(a, "log", np.log(a.data), lambda g: g / a.data)
+
+
 def test_sampled_gradcheck_rejects_non_finite_perturbed_output():
     # log is finite at the point but not at point - eps
     p = Tensor(np.array([0.5e-5]), requires_grad=True)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        sampled_gradcheck(lambda: tlog(p).sum(), [("p", p)], n_samples=1, eps=1e-5)
+        sampled_gradcheck(lambda: _log(p).sum(), [("p", p)], n_samples=1, eps=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +431,42 @@ def test_checkpoint_reader_fuzz(tmp_path_factory, data):
     assert all(a.dtype in (np.float32, np.float64) for a in arrays.values())
 
 
+def _write_checkpoint(d, version):
+    net = _TinyNet()
+    net.buf.data[:] = version
+    M.save_checkpoint(d / "best.ckpt", net,
+                      {"model_config": {"model": "tiny"}, "run": {"seed": version}})
+    return d / "best.ckpt"
+
+
+def _write_manifest(d, version):
+    D.write_manifest(d / D.MANIFEST_NAME,
+                     [D.VolumeRecord(f"sub-{version}", "ses-01", "AD", "a.vox")])
+    return d / D.MANIFEST_NAME
+
+
+def _synth(d, version):
+    D.synth_generate(d, D.SynthConfig(n_subjects=4, sessions_per_subject=1, extents=(8, 8, 8),
+                                      seed=version))
+    return d / "synth_config.json"
+
+
+def _write_split(d, version):
+    if version == 0:
+        _synth(d, 0)
+    cli.main(["split", "--data", str(d), "--test-per-class", "1", "--seed", str(version)])
+    return d / D.SPLIT_NAME
+
+
+def _write_verify_report(d, version):
+    cli.main(["verify", "--suite", "shapes", "--out", str(d / "report.json")])
+    return d / "report.json"
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "best.ckpt"
-    before = _tiny_checkpoint(path)
+    """A full disk while rewriting a checkpoint, manifest, synth config, split
+    file or verify report leaves the previous file whole and no temporary
+    file behind."""
 
     class DiskFull:
         """Accepts 100 bytes, then fails the way a full disk does."""
@@ -416,13 +487,23 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
             self.room -= len(b)
             return self.f.write(b)
 
-    monkeypatch.setattr(M, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
-    net = _TinyNet()
-    net.buf.data[:] = -1.0
-    with pytest.raises(OSError):
-        M.save_checkpoint(path, net, {"model_config": {"model": "tiny"}, "run": {"seed": 1}})
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+    for writer in (_write_checkpoint, _write_manifest, _synth, _write_split,
+                   _write_verify_report):
+        d = tmp_path / writer.__name__
+        d.mkdir()
+        path = writer(d, 0)
+        before = path.read_bytes()
+
+        def full_disk_for_path(file, *a, **k):      # other files write normally
+            f = open(file, *a, **k)
+            return DiskFull(f) if Path(file).name.startswith(path.name) else f
+
+        with monkeypatch.context() as m:
+            m.setattr(D, "open", full_disk_for_path, raising=False)
+            with pytest.raises(OSError):
+                writer(d, 1)
+        assert path.read_bytes() == before, writer.__name__
+        assert not list(d.glob("*.tmp")), writer.__name__
 
 
 def test_load_state_shape_mismatch_rejected():

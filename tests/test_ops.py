@@ -86,8 +86,8 @@ def test_conv3d_nonpositive_output():
 
 def test_conv3d_anisotropic_kernel():
     x = randt((1, 1, 5, 6, 7), seed=11, dtype=np.float32)
-    layer = nn.Conv3d(1, 2, kernel=(1, 3, 3), padding=0, dtype=np.float32)
-    assert layer(x).shape == (1, 2, 5, 4, 5)
+    w = randt((2, 1, 1, 3, 3), seed=12, dtype=np.float32)
+    assert nn.conv3d(x, w).shape == (1, 2, 5, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_dropout_p_domain():
 def test_linear_identity_weight():
     x = randt((3, 4), dtype=np.float32)
     w = Tensor(np.eye(4, dtype=np.float32))
-    out = nn.linear(x, w)
+    out = nn.linear(x, w, Tensor(np.zeros(4, np.float32)))
     np.testing.assert_allclose(out.data, x.data, rtol=1e-6)
 
 
@@ -270,7 +270,7 @@ def test_linear_gradcheck():
 
 def test_linear_extent_mismatch():
     with pytest.raises(ShapeError):
-        nn.linear(randt((3, 4)), randt((5, 7)))
+        nn.linear(randt((3, 4)), randt((5, 7)), randt((5,)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxformer.optim import _BLOCK, AdamW, OptimizerError, TrainConfig, grid_enumerate, lr_at
+from voxformer.optim import (_BLOCK, ADAMW_BETAS, ADAMW_EPS, AdamW, OptimizerError,
+                             TrainConfig, grid_enumerate, lr_at)
 from voxformer.tensor import Tensor
 
 
@@ -199,7 +200,7 @@ def reference_step(opt: AdamW) -> None:
     """The unblocked AdamW update with full-size temporaries: the oracle that
     the blocked in-place step must match bit for bit."""
     opt.t += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = ADAMW_BETAS
     bc1 = 1.0 - b1 ** opt.t
     bc2 = 1.0 - b2 ** opt.t
     for name, p in opt.params.items():
@@ -210,7 +211,7 @@ def reference_step(opt: AdamW) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
         if opt.weight_decay:
             update = update + opt.weight_decay * p.data
         p.data -= (opt.lr * update).astype(p.dtype)

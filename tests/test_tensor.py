@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from voxformer.tensor import (AutodiffError, ShapeError, Tensor, add, concat,
                               flatten, getitem, leaky_relu, matmul, mul,
-                              no_grad, pad3d, reshape, softmax, sub, tmean,
+                              no_grad, reshape, softmax, sub, tmean,
                               transpose, tsum)
 from voxformer.gradcheck import gradcheck
 
@@ -113,13 +113,6 @@ def test_matmul_batched_leading_dim():
 # ---------------------------------------------------------------------------
 # layout ops
 
-def test_pad3d_to_multiples_of_50():
-    x = Tensor(np.zeros((1, 1, 169, 208, 179), np.float32))
-    pads = [((-e) % 50,) * 1 for e in (169, 208, 179)]
-    out = pad3d(x, [(0, (-169) % 50), (0, (-208) % 50), (0, (-179) % 50)])
-    assert out.shape == (1, 1, 200, 250, 200)
-
-
 def test_flatten_convnet_tail():
     x = Tensor(np.zeros((1, 512, 2, 2, 2), np.float32))
     assert flatten(x, start_axis=1).shape == (1, 4096)
@@ -142,15 +135,6 @@ def test_reshape_inverse_is_identity(arr):
     t = Tensor(arr)
     back = reshape(reshape(t, (-1,)), arr.shape)
     np.testing.assert_array_equal(back.data, arr)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-def test_pad_then_crop_is_identity(b0, a0, b1, a1):
-    arr = np.random.default_rng(0).standard_normal((2, 3, 4)).astype(np.float32)
-    padded = pad3d(Tensor(arr), ((b0, a0), (b1, a1), (1, 0)))
-    crop = padded.data[b0:b0 + 2, b1:b1 + 3, 1:1 + 4]
-    np.testing.assert_array_equal(crop, arr)
 
 
 def test_concat_split_roundtrip_gradients():
