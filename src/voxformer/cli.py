@@ -1,14 +1,15 @@
 """Command-line surface: dataset synthesis, splitting, training, evaluation,
 verification suites, and the hyper-parameter grid.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 verification failure,
-5 training diverged.
+Exit codes: 0 success, 2 config error, 3 data error (including a file that
+cannot be read or written), 4 verification failure, 5 training diverged.
 The seed falls back to the VOXFORMER_SEED environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -248,15 +249,18 @@ def cmd_grid(args) -> int:
         run = TR.RunConfig(model=args.model, size=args.size, norm=args.norm, train=tc,
                            seed=run_seeds[i], pool_stride=args.pool_stride)
         payloads.append((i, run, str(data_dir), str(out_dir)))
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_grid_worker, payloads))
-    else:
-        rows = [_grid_worker(p) for p in payloads]
-    rows.sort(key=lambda r: (-r["best_test_acc"], r["index"]))
-    with open(out_dir / "grid.jsonl", "w") as f:
-        for row in rows:
+    # each row is appended as its run returns, in grid order, so a stopped
+    # grid keeps the rows before it; a finished one is rewritten ranked
+    grid_path = out_dir / "grid.jsonl"
+    rows = []
+    pool = ProcessPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
+    with open(grid_path, "w") as f, pool or contextlib.nullcontext():
+        for row in (pool.map if pool else map)(_grid_worker, payloads):
             f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.flush()
+            rows.append(row)
+    rows.sort(key=lambda r: (-r["best_test_acc"], r["index"]))
+    D.write_atomic(grid_path, *(json.dumps(r, sort_keys=True).encode() + b"\n" for r in rows))
     print(f"{'rank':>4} {'best_acc':>8} {'lr':>8} {'wd':>7} {'step':>4} {'gamma':>5} status")
     for rank, row in enumerate(rows):
         c = row["config"]["train"]
@@ -280,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_DATA
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as e:
+    except OSError as e:            # a missing input, a full disk, a denied permission
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OptimizerError as e:

@@ -37,7 +37,7 @@ class VolumeFormatError(DataError):
 def write_atomic(path, *chunks: bytes) -> None:
     """Write ``chunks`` to a temporary file next to ``path``, then rename it
     over ``path``: ``path`` holds its old contents or the new ones, never a
-    partial write."""
+    partial write.  An ``OSError`` that names no file is given ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -45,8 +45,10 @@ def write_atomic(path, *chunks: bytes) -> None:
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename is None:
+            e.filename = str(path)
         raise
 
 

@@ -3,7 +3,7 @@ linear/attention/encoder blocks, and the cross-entropy loss.
 
 Layers are small ``Module`` objects holding parameter Tensors.  The heavy
 kernels are single recorded graph nodes rather than per-voxel graphs:
-conv3d is im2col + BLAS, maxpool3d a separable max over W, H and D,
+conv3d is tiled im2col + BLAS, maxpool3d a separable max over W, H and D,
 adaptive pooling uses prefix sums, and the instance, batch and layer norms
 share one fused ``normalize`` node.
 """
@@ -154,7 +154,7 @@ class Linear(Module):
 
 
 # ---------------------------------------------------------------------------
-# 3D convolution (im2col + GEMM)
+# 3D convolution (tiled im2col + GEMM)
 
 def conv3d_output_extents(extents: Sequence[int], kernel: Sequence[int],
                           stride: int, padding: int) -> tuple[int, ...]:
@@ -167,15 +167,31 @@ def conv3d_output_extents(extents: Sequence[int], kernel: Sequence[int],
 
 def _windows(a: np.ndarray, kernel: Sequence[int], stride: int, out_sp: Sequence[int]):
     """For each kernel tap in (d, h, w) row-major order, the strided view of the
-    padded [N,C,D,H,W] array ``a`` that the tap reads at every output position."""
+    padded [..., D, H, W] array ``a`` that the tap reads at every output position."""
     for offs in itertools.product(*(range(k) for k in kernel)):
-        yield a[(slice(None), slice(None))
+        yield a[(Ellipsis,)
                 + tuple(slice(o, o + stride * n, stride) for o, n in zip(offs, out_sp))]
+
+
+# Elements of one tile of the im2col matrix: a tile holds as many output depth
+# planes of one sample as fit, and at least one.  On a 2-vCPU Xeon VM (numpy
+# 2.4, OpenBLAS), the five CVVT-tiny stage convs of one 169x208x179 scan took
+# (best of 3) 425 ms at 2**18, 384 at 2**20, 358 at 2**21, 410 at 2**22,
+# 424 at 2**23 and 459 at 2**24; the whole matrix at once took 591 ms.
+_TILE = 1 << 21
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw], zero padding."""
+    """Cross-correlation of [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw], zero padding.
+
+    Tiled im2col: the [Cin*k3, P] column matrix of one sample is built a few
+    output depth planes at a time in one reused ``_TILE``-sized buffer and
+    multiplied by the weight matrix there.  The backward pass keeps no
+    columns: it refills each tile from the padded input, adds the tile's
+    weight gradient, and scatters the tile's input gradient back through the
+    same tap windows.
+    """
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(f"conv3d needs 5-D input and weight, got {x.shape} and {weight.shape}")
     n, cin, d, h, w = x.shape
@@ -183,39 +199,55 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if cin != cw:
         raise ShapeError(f"conv3d channel mismatch: input has {cin}, weight expects {cw}")
     kernel = (kd, kh, kw)
-    out_sp = conv3d_output_extents((d, h, w), kernel, stride, padding)
+    do, ho, wo = conv3d_output_extents((d, h, w), kernel, stride, padding)
     pd = padding
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (pd, pd), (pd, pd))) if pd else x.data
-    # im2col: row (ci, tap) of the [N, Cin*k3, P] columns is tap's window of channel ci
-    cols = np.empty((n, cin * kd * kh * kw, math.prod(out_sp)), dtype=xp.dtype)
-    taps = cols.reshape(n, cin, kd * kh * kw, *out_sp)
-    for i, window in enumerate(_windows(xp, kernel, stride, out_sp)):
-        taps[:, :, i] = window
+    rows, plane = cin * kd * kh * kw, ho * wo
+    planes = max(1, min(do, _TILE // (rows * plane)))
+    spans = [(i, z0, min(z0 + planes, do)) for i in range(n) for z0 in range(0, do, planes)]
+
+    def windows(a: np.ndarray, i: int, z0: int, z1: int):
+        return _windows(a[i, :, z0 * stride:], kernel, stride, (z1 - z0, ho, wo))
+
+    def fill(buf: np.ndarray, i: int, z0: int, z1: int) -> np.ndarray:
+        """Sample i's columns for output planes z0..z1 in ``buf``: row (ci, tap)
+        is tap's window of channel ci."""
+        taps = buf[:rows * (z1 - z0) * plane].reshape(cin, -1, z1 - z0, ho, wo)
+        for t, window in enumerate(windows(xp, i, z0, z1)):
+            taps[:, t] = window
+        return taps.reshape(rows, -1)
+
     wm = weight.data.reshape(cout, -1)
-    out = np.matmul(wm, cols)                          # [N, Cout, P]
+    tile = np.empty(rows * planes * plane, xp.dtype)
+    out = np.empty((n, cout, do * plane), np.result_type(wm, xp))
+    for i, z0, z1 in spans:
+        np.matmul(wm, fill(tile, i, z0, z1), out=out[i, :, z0 * plane:z1 * plane])
     if bias is not None:
         out += bias.data[:, None]
-    out = out.reshape(n, cout, *out_sp)
+    out = out.reshape(n, cout, do, ho, wo)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    padded_sp = xp.shape[2:]
 
     def backward(g: np.ndarray) -> None:
         gm = g.reshape(n, cout, -1)
-        if weight.requires_grad:
-            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(gw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(gm.sum(axis=(0, 2)))
-        if x.requires_grad:
-            dcols = np.matmul(wm.T, gm)                # [N, Cin*k3, P]
-            dtaps = dcols.reshape(n, cin, kd * kh * kw, *out_sp)
-            dxp = np.zeros((n, cin) + padded_sp, dtype=g.dtype)
-            # col2im: each tap's columns add back into the window they came from
-            for i, window in enumerate(_windows(dxp, kernel, stride, out_sp)):
-                window += dtaps[:, :, i]
-            if pd:
-                dxp = dxp[:, :, pd:pd + d, pd:pd + h, pd:pd + w]
-            x._accumulate(dxp)
+        gw = np.zeros(wm.shape, np.result_type(gm, xp)) if weight.requires_grad else None
+        dxp = np.zeros(xp.shape, g.dtype) if x.requires_grad else None
+        cols = np.empty(rows * planes * plane, xp.dtype)
+        dcols = np.empty(rows * planes * plane, np.result_type(wm, gm))
+        for i, z0, z1 in spans:
+            gt = gm[i, :, z0 * plane:z1 * plane]
+            if gw is not None:
+                gw += gt @ fill(cols, i, z0, z1).T
+            if dxp is not None:
+                dt = np.matmul(wm.T, gt, out=dcols[:rows * gt.shape[1]].reshape(rows, -1))
+                dtaps = dt.reshape(cin, -1, z1 - z0, ho, wo)
+                for t, window in enumerate(windows(dxp, i, z0, z1)):
+                    window += dtaps[:, t]
+        if gw is not None:
+            weight._accumulate(gw.reshape(weight.shape))
+        if dxp is not None:
+            x._accumulate(dxp[:, :, pd:pd + d, pd:pd + h, pd:pd + w] if pd else dxp)
 
     return _node(out, parents, backward, "conv3d")
 
@@ -331,9 +363,13 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     def backward(g: np.ndarray) -> None:
         base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
         lin = (base + _pool_winners(x.data, out, k, s)).reshape(-1)
-        dx = np.bincount(lin, weights=g.reshape(-1).astype(np.float64),
-                         minlength=x.size)
-        x._accumulate(dx.reshape(x.shape).astype(x.dtype))
+        if s >= k:      # windows do not overlap: each voxel wins at most once
+            dx = np.zeros(x.shape, x.dtype)
+            dx.reshape(-1)[lin] = g.reshape(-1) + g.dtype.type(0)   # -0 + 0 is +0, as in bincount
+        else:
+            dx = np.bincount(lin, weights=g.reshape(-1).astype(np.float64),
+                             minlength=x.size).reshape(x.shape).astype(x.dtype)
+        x._accumulate(dx)
 
     out_t = _node(out, (x,), backward, "maxpool3d")
     if return_indices:

@@ -13,7 +13,7 @@ import numpy as np
 from . import models as M
 from . import nn
 from . import tensor as T
-from .gradcheck import gradcheck
+from .gradcheck import gradcheck, sampled_gradcheck
 from .tensor import Tensor
 
 
@@ -75,6 +75,7 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     run("conv3d_stride2",
         lambda x, ww: nn.conv3d(x, ww, stride=2, padding=1).sum(),
         [_t(rng, 1, 2, 6, 6, 6), _t(rng, 3, 2, 3, 3, 3, scale=0.2)])
+    checks.append(("conv3d_tiles", _conv3d_tiles_check(tol)))
     run("maxpool3d", lambda x: nn.maxpool3d(x, 3, 2).sum(),
         [_t(rng, 1, 2, 6, 6, 6)])
     run("adaptive_avg_pool3d", lambda x: nn.adaptive_avg_pool3d(x, (2, 2, 2)).sum(),
@@ -115,6 +116,28 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     run("vvit_patchify", lambda x: (M.vvit_patchify(x, 2) * 2.0).sum(),
         [_t(rng, 1, 1, 3, 4, 3)])
     return checks
+
+
+def _conv3d_tiles_check(tol: float):
+    """Sampled check of conv3d, batch 2, at stride 1 and 2 on non-cubic
+    extents, with the tile budget cut to two 324-element output planes
+    (Cin*27*Ho*Wo): each sample's columns span 4 tiles, the last partial."""
+    rng = np.random.default_rng(17)
+    x1, x2 = _t(rng, 2, 2, 7, 2, 3), _t(rng, 2, 2, 13, 3, 5)       # both give 7x2x3
+    w, b = _t(rng, 3, 2, 3, 3, 3, scale=0.2), _t(rng, 3, scale=0.1)
+    p1, p2 = (Tensor(rng.standard_normal((2, 3, 7, 2, 3))) for _ in range(2))
+    params = [("x_stride1", x1), ("x_stride2", x2), ("weight", w), ("bias", b)]
+
+    def loss():
+        return ((nn.conv3d(x1, w, b, stride=1, padding=1) * p1).sum()
+                + (nn.conv3d(x2, w, b, stride=2, padding=1) * p2).sum())
+
+    saved, nn._TILE = nn._TILE, 700
+    try:
+        return sampled_gradcheck(loss, params, n_samples=200, eps=1e-6, tol=tol,
+                                 rng=np.random.default_rng(18))
+    finally:
+        nn._TILE = saved
 
 
 def _with_affine(layer, gamma, beta):

@@ -385,6 +385,23 @@ def test_grid_records_only_diverged_runs_as_failed(dataset, tmp_path, monkeypatc
         cli.main(argv)
 
 
+def test_grid_keeps_rows_of_runs_before_a_crash(dataset, tmp_path, monkeypatch):
+    out = tmp_path / "grid"
+    real = TR.run_training
+
+    def crash_third(run, data_dir, out_dir):
+        if out_dir.name == "run_002":
+            raise RuntimeError("killed")
+        return real(run, data_dir, out_dir)
+
+    monkeypatch.setattr(TR, "run_training", crash_third)
+    with pytest.raises(RuntimeError):
+        cli.main(["grid", "--model", "cvvt", "--data", str(dataset), "--out", str(out),
+                  "--epochs", "0", "--limit", "4", "--seed", "0"])
+    rows = read_jsonl(out / "grid.jsonl")
+    assert [(r["index"], r["status"]) for r in rows] == [(0, "ok"), (1, "ok")]
+
+
 @pytest.mark.slow
 def test_grid_parallel_matches_sequential(dataset, tmp_path):
     seq, par = tmp_path / "seq", tmp_path / "par"

@@ -1,12 +1,18 @@
-"""The max-pool and normalization kernels against the kernels they replaced.
+"""The conv, max-pool and normalization kernels against the kernels they replaced.
 
-``oracle_maxpool3d`` is the earlier sliding-window argmax kernel and
+``oracle_conv3d`` is the earlier whole-matrix im2col kernel with its col2im
+backward, ``oracle_maxpool3d`` the earlier sliding-window argmax kernel and
 ``oracle_norm`` the earlier composite graph (mean, sub, mul, mean, add,
 sqrt, div, then reshape, mul, add for the affine part), kept here verbatim
-in substance; ``_sqrt`` is the square-root node that graph used.  The
-max-pool must match bit for bit.  The fused norm node's forward must too;
-its closed-form gradients must match to rounding.
+in substance; ``_sqrt`` is the square-root node that graph used.  The tiled
+conv must match to rounding.  The max-pool must match bit for bit.  The
+fused norm node's forward must too; its closed-form gradients must match to
+rounding.
 """
+
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +26,54 @@ from voxformer.tensor import (Tensor, _node, _unary, add, div, mul, no_grad, res
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def _oracle_windows(a, kernel, stride, out_sp):
+    for offs in itertools.product(*(range(k) for k in kernel)):
+        yield a[(slice(None), slice(None))
+                + tuple(slice(o, o + stride * n, stride) for o, n in zip(offs, out_sp))]
+
+
+def oracle_conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+                  stride: int = 1, padding: int = 0) -> Tensor:
+    n, cin, d, h, w = x.shape
+    cout, cw, kd, kh, kw = weight.shape
+    kernel = (kd, kh, kw)
+    out_sp = nn.conv3d_output_extents((d, h, w), kernel, stride, padding)
+    pd = padding
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (pd, pd), (pd, pd))) if pd else x.data
+    # im2col: row (ci, tap) of the [N, Cin*k3, P] columns is tap's window of channel ci
+    cols = np.empty((n, cin * kd * kh * kw, math.prod(out_sp)), dtype=xp.dtype)
+    taps = cols.reshape(n, cin, kd * kh * kw, *out_sp)
+    for i, window in enumerate(_oracle_windows(xp, kernel, stride, out_sp)):
+        taps[:, :, i] = window
+    wm = weight.data.reshape(cout, -1)
+    out = np.matmul(wm, cols)                          # [N, Cout, P]
+    if bias is not None:
+        out += bias.data[:, None]
+    out = out.reshape(n, cout, *out_sp)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    padded_sp = xp.shape[2:]
+
+    def backward(g: np.ndarray) -> None:
+        gm = g.reshape(n, cout, -1)
+        if weight.requires_grad:
+            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(gw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(gm.sum(axis=(0, 2)))
+        if x.requires_grad:
+            dcols = np.matmul(wm.T, gm)                # [N, Cin*k3, P]
+            dtaps = dcols.reshape(n, cin, kd * kh * kw, *out_sp)
+            dxp = np.zeros((n, cin) + padded_sp, dtype=g.dtype)
+            # col2im: each tap's columns add back into the window they came from
+            for i, window in enumerate(_oracle_windows(dxp, kernel, stride, out_sp)):
+                window += dtaps[:, :, i]
+            if pd:
+                dxp = dxp[:, :, pd:pd + d, pd:pd + h, pd:pd + w]
+            x._accumulate(dxp)
+
+    return _node(out, parents, backward, "conv3d")
+
 
 def oracle_maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
                      return_indices: bool = False):
@@ -67,6 +121,90 @@ def oracle_norm(x: Tensor, gamma, beta, axes, channel_axis):
     shape = [1] * xhat.ndim
     shape[channel_axis] = gamma.size
     return add(mul(xhat, reshape(gamma, shape)), reshape(beta, shape))
+
+
+# ---------------------------------------------------------------------------
+# tiled conv3d against whole-matrix im2col
+
+def _conv_both(x, w, b, stride, padding):
+    results = []
+    for conv in (oracle_conv3d, nn.conv3d):
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = conv(xt, wt, bt, stride=stride, padding=padding)
+        g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, [xt.grad, wt.grad, bt.grad]))
+    return results
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (3, 2, 1)])
+def test_tiled_conv3d_matches_im2col_oracle(kernel, stride, padding, batch, dtype,
+                                            monkeypatch):
+    rng = np.random.default_rng(stride * 10 + padding)
+    cin, cout, extents = 3, 4, (11 if stride == 1 else 15, 6, 7)
+    x = rng.standard_normal((batch, cin) + extents).astype(dtype)
+    w = rng.standard_normal((cout, cin) + kernel).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    do, ho, wo = nn.conv3d_output_extents(extents, kernel, stride, padding)
+    # 2 or 3 output planes per tile: at least three tiles per sample, a
+    # partial last one, and neighbouring tiles whose input slabs overlap,
+    # since kd > stride
+    planes = 2 if do % 2 else 3
+    assert do % planes and do > 2 * planes
+    monkeypatch.setattr(nn, "_TILE", planes * cin * math.prod(kernel) * ho * wo + 1)
+    (ref_out, ref_grads), (out, grads) = _conv_both(x, w, b, stride, padding)
+    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(out, ref_out, rtol=tol, atol=tol * np.abs(ref_out).max())
+    for g, ref in zip(grads, ref_grads):
+        assert g.dtype == ref.dtype and g.shape == ref.shape
+        np.testing.assert_allclose(g, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
+def _column_bytes(x, w, stride, padding):
+    out_sp = nn.conv3d_output_extents(x.shape[2:], w.shape[2:], stride, padding)
+    return x.shape[0] * w[0].size * math.prod(out_sp) * x.itemsize
+
+
+def test_no_grad_conv3d_peak_is_below_its_column_matrix():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((1, 16, 40, 36, 36)).astype(np.float32)
+    w = rng.standard_normal((4, 16, 3, 3, 3)).astype(np.float32)
+    cols = _column_bytes(x, w, 1, 1)
+    assert cols >= 8 * nn._TILE * x.itemsize
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = nn.conv3d(Tensor(x), Tensor(w), padding=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 4, 40, 36, 36)
+    assert peak < cols, (peak / 1e6, cols / 1e6)
+
+
+def test_recorded_conv3d_node_holds_no_column_sized_array(monkeypatch):
+    monkeypatch.setattr(nn, "_TILE", 4096)
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((2, 8, 9, 10, 11)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 8, 3, 3, 3)), requires_grad=True)
+    out = nn.conv3d(x, w, stride=1, padding=1)
+    cols = _column_bytes(x.data, w.data, 1, 1)
+    pending, seen, largest = [out._backward_fn], set(), 0
+    while pending:                  # every array the backward closure can reach
+        f = pending.pop()
+        for cell in f.__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                largest = max(largest, v.nbytes)
+            elif callable(v) and getattr(v, "__closure__", None) and id(v) not in seen:
+                seen.add(id(v))
+                pending.append(v)
+    assert 0 < largest < cols / 8, (largest, cols)
 
 
 # ---------------------------------------------------------------------------

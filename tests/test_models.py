@@ -1,6 +1,7 @@
 import errno
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,24 @@ def test_model_outputs_finite_on_bounded_inputs():
             assert np.all(np.isfinite(out.data)), model_name
 
 
+@pytest.mark.slow
+def test_cvvt_tiny_paper_size_forward_peak_memory():
+    """CVVT-tiny inference on one 169x208x179 scan stays under 400 MB of
+    traced allocations: the tiled conv never builds a whole column matrix
+    (the 32->64 stage's is 348 MB; the whole-matrix kernel peaked at 584 MB)."""
+    net = M.build_model(M.build_config("cvvt", "tiny"), seed=0).eval()
+    x = rand_volume((169, 208, 179), seed=1)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = net(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 2) and np.all(np.isfinite(out.data))
+    assert peak <= 400e6, peak / 1e6
+
+
 # ---------------------------------------------------------------------------
 # permutation invariance with zeroed positional embedding
 
@@ -451,59 +470,93 @@ def _synth(d, version):
     return d / "synth_config.json"
 
 
+def _command(argv):
+    """Run one CLI subcommand without ``main``'s mapping of errors to exit codes."""
+    args = cli.build_parser().parse_args(argv)
+    return cli.COMMANDS[args.command](args)
+
+
+def _split_argv(d, version):
+    return ["split", "--data", str(d), "--test-per-class", "1", "--seed", str(version)]
+
+
+def _verify_argv(d, version):
+    return ["verify", "--suite", "shapes", "--out", str(d / "report.json")]
+
+
 def _write_split(d, version):
     if version == 0:
         _synth(d, 0)
-    cli.main(["split", "--data", str(d), "--test-per-class", "1", "--seed", str(version)])
+    _command(_split_argv(d, version))
     return d / D.SPLIT_NAME
 
 
 def _write_verify_report(d, version):
-    cli.main(["verify", "--suite", "shapes", "--out", str(d / "report.json")])
+    _command(_verify_argv(d, version))
     return d / "report.json"
+
+
+class DiskFull:
+    """Accepts 100 bytes, then fails the way a full disk does."""
+
+    def __init__(self, f):
+        self.f, self.room = f, 100
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        if len(b) > self.room:
+            self.f.write(b[:self.room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(b)
+        return self.f.write(b)
+
+
+def _full_disk_for(name):
+    """An ``open`` for ``data`` under which files named ``name``* fill the disk;
+    other files write normally."""
+    def full_disk_open(file, *a, **k):
+        f = open(file, *a, **k)
+        return DiskFull(f) if Path(file).name.startswith(name) else f
+    return full_disk_open
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     """A full disk while rewriting a checkpoint, manifest, synth config, split
     file or verify report leaves the previous file whole and no temporary
     file behind."""
-
-    class DiskFull:
-        """Accepts 100 bytes, then fails the way a full disk does."""
-
-        def __init__(self, f):
-            self.f, self.room = f, 100
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-        def write(self, b):
-            if len(b) > self.room:
-                self.f.write(b[:self.room])
-                raise OSError(errno.ENOSPC, "No space left on device")
-            self.room -= len(b)
-            return self.f.write(b)
-
     for writer in (_write_checkpoint, _write_manifest, _synth, _write_split,
                    _write_verify_report):
         d = tmp_path / writer.__name__
         d.mkdir()
         path = writer(d, 0)
         before = path.read_bytes()
-
-        def full_disk_for_path(file, *a, **k):      # other files write normally
-            f = open(file, *a, **k)
-            return DiskFull(f) if Path(file).name.startswith(path.name) else f
-
         with monkeypatch.context() as m:
-            m.setattr(D, "open", full_disk_for_path, raising=False)
+            m.setattr(D, "open", _full_disk_for(path.name), raising=False)
             with pytest.raises(OSError):
                 writer(d, 1)
         assert path.read_bytes() == before, writer.__name__
         assert not list(d.glob("*.tmp")), writer.__name__
+
+
+@pytest.mark.parametrize("writer,argv", [(_write_split, _split_argv),
+                                         (_write_verify_report, _verify_argv)])
+def test_cli_write_on_full_disk_exits_3_with_one_line(tmp_path, monkeypatch, capsys,
+                                                      writer, argv):
+    path = writer(tmp_path, 0)
+    before = path.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setattr(D, "open", _full_disk_for(path.name), raising=False)
+    rc = cli.main(argv(tmp_path, 1))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_DATA
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    assert str(path) in err[0] and "No space left on device" in err[0]
+    assert path.read_bytes() == before and not list(tmp_path.glob("*.tmp"))
 
 
 def test_load_state_shape_mismatch_rejected():
