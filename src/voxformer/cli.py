@@ -167,8 +167,8 @@ def cmd_train(args) -> int:
     run = _run_config_from_args(args)
     if args.extents is not None:
         want = _parse_extents(args.extents)
-        records = D.read_manifest(data_dir / D.MANIFEST_NAME)
-        got = tuple(D.load_record_volume(data_dir, records[0]).shape)
+        manifest = data_dir / D.MANIFEST_NAME
+        got = D.load_volumes(data_dir, D.read_manifest(manifest)[:1], manifest).shape[1:]
         if got != want:
             raise ConfigError(f"--extents {want} but data volumes are {got}")
     # a diverging run overflows long before AdamW's finite-gradient check
@@ -186,21 +186,22 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"batch_size must be >= 1, got {args.batch}")
     model, config = TR.load_model_from_checkpoint(args.ckpt)
     data_dir = Path(args.data)
-    records = D.read_manifest(data_dir / D.MANIFEST_NAME)
+    manifest = data_dir / D.MANIFEST_NAME
+    records = D.read_manifest(manifest)
     if args.subset in ("train", "test"):
-        split = D.read_split(data_dir / D.SPLIT_NAME)
-        train_recs, test_recs = D.split_records(records, split)
+        split_path = data_dir / D.SPLIT_NAME
+        train_recs, test_recs = D.split_records(records, D.read_split(split_path))
         records = test_recs if args.subset == "test" else train_recs
+        selected_by = f"the {args.subset} side of {split_path}"
     else:
-        records = D.select_per_subject(records)
+        records, selected_by = D.select_per_subject(records), manifest
     want = tuple(model.cfg.extents)
-    vols = np.stack([D.load_record_volume(data_dir, r) for r in records])
+    vols = D.load_volumes(data_dir, records, selected_by)
     if tuple(vols.shape[1:]) != want:
         raise ConfigError(f"checkpoint expects extents {want}, data volumes are {vols.shape[1:]}")
     norm = config["normalization"]
     TR.normalize_volumes(vols, norm["mean"], norm["std"])
-    labels = np.array([D.LABELS.index(r.label) for r in records], dtype=np.int64)
-    acc, confusion = TR.evaluate(model, vols, labels, args.batch)
+    acc, confusion = TR.evaluate(model, vols, TR.record_labels(records), args.batch)
     print(json.dumps({"accuracy": acc, "n": len(records), "confusion": confusion},
                      sort_keys=True))
     return EXIT_OK

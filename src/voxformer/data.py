@@ -367,3 +367,20 @@ def load_record_volume(data_dir, record: VolumeRecord) -> np.ndarray:
     if not path.exists():
         raise DataError(f"volume file missing: {path}")
     return read_volume(path)
+
+
+def load_volumes(data_dir, records: list[VolumeRecord], selected_by) -> np.ndarray:
+    """The records' volumes stacked into one [n, D, H, W] array.
+
+    An empty selection raises ``DataError`` naming ``selected_by`` (the
+    manifest or split that chose the records), and a volume whose extents
+    differ from the first one's raises it naming that volume's file.
+    """
+    if not records:
+        raise DataError(f"{selected_by} selects no scan")
+    volumes = [load_record_volume(data_dir, r) for r in records]
+    for r, vol in zip(records, volumes):
+        if vol.shape != volumes[0].shape:
+            raise DataError(f"{Path(data_dir) / r.path}: extents {vol.shape} differ from "
+                            f"the {volumes[0].shape} of {Path(data_dir) / records[0].path}")
+    return np.stack(volumes)

@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import DataError, write_atomic
+from .data import LABELS, DataError, write_atomic
 from .tensor import MAX_NDIM, Tensor, ShapeError, concat, leaky_relu, _node
 
 FULL_EXTENTS = (169, 208, 179)
+NUM_CLASSES = len(LABELS)       # every head scores the two labels, AD and CN
 
 
 class ShapeUnderflowError(ShapeError):
@@ -66,7 +67,6 @@ class VViTConfig:
     size: ViTSizeConfig
     patch_edge: int = 50
     extents: tuple[int, int, int] = FULL_EXTENTS
-    num_classes: int = 2
 
     @property
     def padded_extents(self) -> tuple[int, int, int]:
@@ -123,7 +123,6 @@ def default_embed_stack(extents: tuple[int, int, int]) -> tuple[StageSpec, ...]:
 class CVVTConfig:
     size: ViTSizeConfig
     extents: tuple[int, int, int] = FULL_EXTENTS
-    num_classes: int = 2
 
     @property
     def embed_stack(self) -> tuple[StageSpec, ...]:
@@ -153,7 +152,6 @@ class ConvNet3D4Config:
     norm: str = "in"                    # "in" (instance) or "bn" (batch)
     pool_stride: int = 3
     extents: tuple[int, int, int] = FULL_EXTENTS
-    num_classes: int = 2
 
     def __post_init__(self):
         if self.norm not in ("bn", "in"):
@@ -184,7 +182,7 @@ def shape_infer(cfg: ModelConfig) -> ShapeTrace:
         trace.append(("patch_embed", (1, n_patches, cfg.size.embed_dim)))
         trace.append(("tokens", (1, n_patches + 1, cfg.size.embed_dim)))
         trace.append(("encoder", (1, n_patches + 1, cfg.size.embed_dim)))
-        trace.append(("head", (1, cfg.num_classes)))
+        trace.append(("head", (1, NUM_CLASSES)))
         return trace
 
     if isinstance(cfg, CVVTConfig):
@@ -204,7 +202,7 @@ def shape_infer(cfg: ModelConfig) -> ShapeTrace:
         trace.append(("token_embed", (1, CVVT_TOKENS, cfg.size.embed_dim)))
         trace.append(("tokens", (1, CVVT_TOKENS + 1, cfg.size.embed_dim)))
         trace.append(("encoder", (1, CVVT_TOKENS + 1, cfg.size.embed_dim)))
-        trace.append(("head", (1, cfg.num_classes)))
+        trace.append(("head", (1, NUM_CLASSES)))
         return trace
 
     if isinstance(cfg, ConvNet3D4Config):
@@ -225,7 +223,7 @@ def shape_infer(cfg: ModelConfig) -> ShapeTrace:
         flat = CONVNET_CHANNELS[-1] * int(np.prod(cur))
         trace.append(("flatten", (1, flat)))
         trace.append(("embed", (1, CONVNET_EMBED_DIM)))
-        trace.append(("head", (1, cfg.num_classes)))
+        trace.append(("head", (1, NUM_CLASSES)))
         return trace
 
     raise TypeError(f"unknown config type {type(cfg).__name__}")
@@ -275,7 +273,7 @@ def _spawn(seed: int, n: int) -> list[np.random.Generator]:
 class _ViTCore(nn.Module):
     """Shared token pipeline: class token, positional table, encoder, head."""
 
-    def __init__(self, num_patches: int, size: ViTSizeConfig, num_classes: int,
+    def __init__(self, num_patches: int, size: ViTSizeConfig,
                  rng: np.random.Generator, dtype):
         super().__init__()
         e = size.embed_dim
@@ -285,7 +283,7 @@ class _ViTCore(nn.Module):
                                 requires_grad=True)
         self.encoder = nn.TransformerEncoder(e, size.num_heads, size.depth,
                                              size.mlp_ratio, rng=rng, dtype=dtype)
-        self.head = nn.Linear(e, num_classes, rng=rng, dtype=dtype)
+        self.head = nn.Linear(e, NUM_CLASSES, rng=rng, dtype=dtype)
 
     def forward(self, tokens: Tensor) -> Tensor:
         n = tokens.shape[0]
@@ -307,7 +305,7 @@ class VViT(nn.Module):
         self.cfg = cfg
         rng, = _spawn(seed, 1)
         self.patch_embed = nn.Linear(cfg.patch_dim, cfg.size.embed_dim, rng=rng, dtype=dtype)
-        self.core = _ViTCore(cfg.num_patches, cfg.size, cfg.num_classes, rng, dtype)
+        self.core = _ViTCore(cfg.num_patches, cfg.size, rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         tokens = vvit_patchify(x, self.cfg.patch_edge)
@@ -327,7 +325,7 @@ class CVVT(nn.Module):
         self.stages = [nn.Conv3d(cin, cout, stride=s, rng=rng, dtype=dtype)
                        for cin, cout, s in cfg.embed_stack]
         self.token_embed = nn.Linear(cfg.token_dim, cfg.size.embed_dim, rng=rng, dtype=dtype)
-        self.core = _ViTCore(cfg.num_patches, cfg.size, cfg.num_classes, rng, dtype)
+        self.core = _ViTCore(cfg.num_patches, cfg.size, rng, dtype)
 
     def embed(self, x: Tensor) -> Tensor:
         """Conv stack -> 10^3 feature grid -> one token per channel."""
@@ -376,7 +374,7 @@ class ConvNet3D4(nn.Module):
         self.blocks = [_ConvBlock(cfg, cin, cout, rng, drop_rng, dtype)
                        for cin, cout in zip(CONVNET_CHANNELS, CONVNET_CHANNELS[1:])]
         self.embed = nn.Linear(flat, CONVNET_EMBED_DIM, rng=rng, dtype=dtype)
-        self.head = nn.Linear(CONVNET_EMBED_DIM, cfg.num_classes, rng=rng, dtype=dtype)
+        self.head = nn.Linear(CONVNET_EMBED_DIM, NUM_CLASSES, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -499,7 +497,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def build_config(model: str, size: str = "tiny", norm: str = "in",
                  extents: tuple[int, int, int] = FULL_EXTENTS,
-                 pool_stride: int | None = None, num_classes: int = 2) -> ModelConfig:
+                 pool_stride: int | None = None) -> ModelConfig:
     """Config for one of the eight reported model rows.
 
     ``pool_stride`` (ConvNet3D4 only) defaults to 3; pass 2 for desk-scale
@@ -509,13 +507,12 @@ def build_config(model: str, size: str = "tiny", norm: str = "in",
     if model in ("vvit", "cvvt") and size not in VIT_SIZES:
         raise ValueError(f"unknown size {size!r} (expected {', '.join(VIT_SIZES)})")
     if model == "vvit":
-        return VViTConfig(size=VIT_SIZES[size], extents=extents, num_classes=num_classes)
+        return VViTConfig(size=VIT_SIZES[size], extents=extents)
     if model == "cvvt":
-        return CVVTConfig(size=VIT_SIZES[size], extents=extents, num_classes=num_classes)
+        return CVVTConfig(size=VIT_SIZES[size], extents=extents)
     if model == "convnet3d4":
         return ConvNet3D4Config(norm=norm, extents=extents,
-                                pool_stride=3 if pool_stride is None else int(pool_stride),
-                                num_classes=num_classes)
+                                pool_stride=3 if pool_stride is None else int(pool_stride))
     raise ValueError(f"unknown model {model!r} (expected vvit, cvvt, or convnet3d4)")
 
 
@@ -531,21 +528,25 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
 def config_to_dict(cfg: ModelConfig) -> dict:
     if isinstance(cfg, VViTConfig):
         return {"model": "vvit", "size": _size_name(cfg.size),
-                "extents": list(cfg.extents), "num_classes": cfg.num_classes,
+                "extents": list(cfg.extents), "num_classes": NUM_CLASSES,
                 "patch_edge": cfg.patch_edge}
     if isinstance(cfg, CVVTConfig):
         return {"model": "cvvt", "size": _size_name(cfg.size),
-                "extents": list(cfg.extents), "num_classes": cfg.num_classes,
+                "extents": list(cfg.extents), "num_classes": NUM_CLASSES,
                 "embed_stack": [list(s) for s in cfg.embed_stack]}
     return {"model": "convnet3d4", "norm": cfg.norm,
-            "extents": list(cfg.extents), "num_classes": cfg.num_classes,
+            "extents": list(cfg.extents), "num_classes": NUM_CLASSES,
             "pool_stride": cfg.pool_stride}
 
 
 def config_from_dict(d: dict) -> ModelConfig:
     """Inverse of ``config_to_dict``.  Only the ``build_config`` arguments are
-    read: ``patch_edge`` and ``embed_stack`` follow from the extents."""
-    keys = ("model", "size", "norm", "extents", "pool_stride", "num_classes")
+    read: ``patch_edge`` and ``embed_stack`` follow from the extents, and a
+    stored ``num_classes`` must be ``NUM_CLASSES``."""
+    if d.get("num_classes", NUM_CLASSES) != NUM_CLASSES:
+        raise ValueError(f"'num_classes' is {d['num_classes']!r}, every model has "
+                         f"{NUM_CLASSES} classes {LABELS}")
+    keys = ("model", "size", "norm", "extents", "pool_stride")
     return build_config(**{k: d[k] for k in keys if k in d})
 
 

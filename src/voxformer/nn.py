@@ -4,8 +4,10 @@ linear/attention/encoder blocks, and the cross-entropy loss.
 Layers are small ``Module`` objects holding parameter Tensors.  The heavy
 kernels are single recorded graph nodes rather than per-voxel graphs:
 conv3d is tiled im2col + BLAS, maxpool3d a separable max over W, H and D,
-adaptive pooling uses prefix sums, and the instance, batch and layer norms
-share one fused ``normalize`` node.
+adaptive pooling three averaging-matrix products, and the instance, batch
+and layer norms share one fused ``normalize`` node.  One tap iterator,
+``_windows``, yields every strided kernel window that conv3d and both
+max-pool passes read.
 """
 
 from __future__ import annotations
@@ -187,12 +189,15 @@ def conv3d_output_extents(extents: Sequence[int], kernel: Sequence[int],
     return out
 
 
-def _windows(a: np.ndarray, kernel: Sequence[int], stride: int, out_sp: Sequence[int]):
+def _windows(a: np.ndarray, kernel: Sequence[int], strides: Sequence[int],
+             out_sp: Sequence[int]):
     """For each kernel tap in (d, h, w) row-major order, the strided view of the
-    padded [..., D, H, W] array ``a`` that the tap reads at every output position."""
+    [..., D, H, W] array ``a`` that the tap reads at every output position.
+    The one tap iterator of this module: conv3d, the max-pool forward and
+    the max-pool winner search all read their windows through it."""
     for offs in itertools.product(*(range(k) for k in kernel)):
-        yield a[(Ellipsis,)
-                + tuple(slice(o, o + stride * n, stride) for o, n in zip(offs, out_sp))]
+        yield a[(Ellipsis,) + tuple(slice(o, o + s * n, s)
+                                    for o, s, n in zip(offs, strides, out_sp))]
 
 
 # Elements of one tile of the im2col matrix: a tile holds as many output depth
@@ -229,7 +234,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     spans = [(i, z0, min(z0 + planes, do)) for i in range(n) for z0 in range(0, do, planes)]
 
     def windows(a: np.ndarray, i: int, z0: int, z1: int):
-        return _windows(a[i, :, z0 * stride:], kernel, stride, (z1 - z0, ho, wo))
+        return _windows(a[i, :, z0 * stride:], kernel, (stride,) * 3, (z1 - z0, ho, wo))
 
     def fill(buf: np.ndarray, i: int, z0: int, z1: int) -> np.ndarray:
         """Sample i's columns for output planes z0..z1 in ``buf``: row (ci, tap)
@@ -302,85 +307,49 @@ def maxpool3d_output_extents(extents: Sequence[int], kernel: int, stride: int) -
     return tuple((e - kernel) // stride + 1 for e in extents)
 
 
-def _taps(a: np.ndarray, axis: int, k: int, s: int, n: int):
-    """The k strided views of ``a`` along ``axis``; tap t holds t, t+s, ..., t+(n-1)s."""
-    idx = [slice(None)] * a.ndim
-    for t in range(k):
-        idx[axis] = slice(t, t + s * (n - 1) + 1, s)
-        yield a[tuple(idx)]
-
-
-def _max_along(a: np.ndarray, axis: int, k: int, s: int, n: int) -> np.ndarray:
-    taps = _taps(a, axis, k, s, n)
-    m = next(taps).copy()
-    for tap in taps:
-        np.maximum(tap, m, out=m)      # on a tie (+0 vs -0) numpy keeps m, the earlier tap
-    return m
-
-
-def _first_tap(a: np.ndarray, m: np.ndarray, axis: int, k: int, s: int) -> np.ndarray:
-    """uint8 offset of the first tap of ``a`` along ``axis`` that equals ``m``."""
-    taps = _taps(a, axis, k, s, m.shape[axis])
-    found = next(taps) == m
-    off = np.zeros(m.shape, np.uint8)
-    for t, tap in enumerate(taps, 1):
-        eq = tap == m
-        off += (eq > found).view(np.uint8) * np.uint8(t)     # equal here, not before
-        found |= eq
-    return off
-
-
-def _pick(off: np.ndarray, a: np.ndarray, axis: int, k: int, s: int) -> np.ndarray:
-    """``a``'s tap ``off`` along ``axis`` at every output position."""
-    taps = enumerate(_taps(a, axis, k, s, off.shape[axis]))
-    return sum((off == t) * tap for t, tap in taps)
-
-
 def _pool_winners(x: np.ndarray, out: np.ndarray, k: int, s: int) -> np.ndarray:
-    """Flat (d,h,w) index of each window's first max in row-major order.
-
-    The max is separable, so the winner is found one axis at a time: the
-    first D tap whose H,W-max equals the output, in that plane the first H
-    tap whose W-max equals it, in that row the first W tap.
-    """
+    """Flat (d,h,w) index of each window's first voxel equal to its max, in
+    row-major order; a window with no such voxel (a NaN max) gets its first."""
     d, h, w = x.shape[2:]
     do, ho, wo = out.shape[2:]
-    m1 = _max_along(x, 4, k, s, wo)                        # [N,C,D,H,Wo]
-    m2 = _max_along(m1, 3, k, s, ho)                       # [N,C,D,Ho,Wo]
-    off_d = _first_tap(m2, out, 2, k, s)                   # [N,C,Do,Ho,Wo]
-    off_h = _first_tap(m1, m2, 3, k, s)                    # [N,C,D,Ho,Wo]
-    off_w = _first_tap(x, m1, 4, k, s)                     # [N,C,D,H,Wo]
-    rel = off_h.astype(np.int32) * w + _pick(off_h, off_w, 3, k, s)
-    rel = _pick(off_d, rel, 2, k, s) + off_d.astype(np.int32) * (h * w)
+    found = np.zeros(out.shape, bool)
+    rel = np.zeros(out.shape, np.int32)
+    offsets = itertools.product(range(k), repeat=3)
+    for (td, th, tw), tap in zip(offsets, _windows(x, (k,) * 3, (s,) * 3, (do, ho, wo))):
+        first = (tap == out) > found                       # equal here, not before
+        found |= first
+        rel += first * np.int32((td * h + th) * w + tw)
     origin = ((np.arange(do)[:, None, None] * h + np.arange(ho)[:, None]) * w
               + np.arange(wo)) * s
     return origin + rel
 
 
-def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
-              return_indices: bool = False):
+def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None) -> Tensor:
     """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
 
-    Gradient goes to the argmax voxel; ties go to the first element of the
-    window in (d,h,w) row-major order.  With ``return_indices`` the flat
-    spatial index of each winner is also returned (numpy int array).
-
-    The forward takes the max over W, then H, then D, and keeps nothing but
-    its output; the winners are found only for the backward pass or for
-    ``return_indices``.  A window holding a NaN outputs NaN; its winner is
-    then a voxel of that window, not necessarily the NaN.
+    The forward takes the max over W, then H, then D through the tap
+    iterator, with kernels (1,1,k), (1,k,1) and (k,1,1), and keeps nothing
+    but its output.  The backward scans the k^3 taps once for the winners:
+    gradient goes to the argmax voxel, and ties go to the first element of
+    the window in (d,h,w) row-major order.  A window holding a NaN outputs
+    NaN, and its gradient goes to the window's first voxel.
     """
     k = int(kernel)
     s = k if stride is None else int(stride)
-    if not 1 <= k <= 255:
-        raise ValueError(f"kernel must lie in [1, 255], got {k}")
+    if k < 1:
+        raise ValueError(f"kernel must be >= 1, got {k}")
     if s < 1:
         raise ValueError(f"stride must be >= 1, got {s}")
     n, c, d, h, w = x.shape
     do, ho, wo = maxpool3d_output_extents((d, h, w), k, s)
     out = x.data
-    for axis, extent in ((4, wo), (3, ho), (2, do)):
-        out = _max_along(out, axis, k, s, extent)
+    for kern, strides, out_sp in (((1, 1, k), (1, 1, s), (d, h, wo)),
+                                  ((1, k, 1), (1, s, 1), (d, ho, wo)),
+                                  ((k, 1, 1), (s, 1, 1), (do, ho, wo))):
+        taps = _windows(out, kern, strides, out_sp)       # views of the previous stage
+        out = next(taps).copy()
+        for tap in taps:
+            np.maximum(tap, out, out=out)   # on a tie (+0 vs -0) numpy keeps out, the earlier tap
 
     def backward(g: np.ndarray) -> None:
         base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
@@ -393,60 +362,39 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
                              minlength=x.size).reshape(x.shape).astype(x.dtype)
         x._accumulate(dx)
 
-    out_t = _node(out, (x,), backward, "maxpool3d")
-    if return_indices:
-        return out_t, _pool_winners(x.data, out, k, s)
-    return out_t
+    return _node(out, (x,), backward, "maxpool3d")
 
 
-def _adaptive_bounds(length: int, out: int) -> tuple[np.ndarray, np.ndarray]:
-    i = np.arange(out)
-    starts = (i * length) // out
-    ends = -((-(i + 1) * length) // out)                   # ceil
-    return starts, ends
+def _averaging_matrix(length: int, out: int, dtype) -> np.ndarray:
+    """[out, length] matrix whose row i averages bin i: [i*L//out, ceil((i+1)*L/out))."""
+    i = np.arange(out)[:, None]
+    j = np.arange(length)
+    inside = (j >= i * length // out) & (j < -(-(i + 1) * length // out))
+    return (inside / inside.sum(axis=1, keepdims=True)).astype(dtype)
 
 
 def adaptive_avg_pool3d(x: Tensor, output: tuple[int, int, int]) -> Tensor:
-    """Average-pool each spatial axis down to a fixed extent (input >= output)."""
-    n, c, d, h, w = x.shape
-    od, oh, ow = output
-    for ext, o in zip((d, h, w), output):
+    """Average-pool each spatial axis down to a fixed extent (input >= output).
+
+    Each axis is one [out, in] averaging matrix; the forward contracts D, H
+    and W with them in turn, and the backward with their transposes.
+    """
+    for ext, o in zip(x.shape[2:], output):
         if ext < o:
             raise ShapeError(f"adaptive_avg_pool3d cannot expand extent {ext} to {o}")
-    bounds = [_adaptive_bounds(d, od), _adaptive_bounds(h, oh), _adaptive_bounds(w, ow)]
+    mats = [_averaging_matrix(ext, o, x.dtype) for ext, o in zip(x.shape[2:], output)]
 
-    def pool_axis(arr: np.ndarray, axis: int, starts, ends) -> np.ndarray:
-        ps = np.concatenate([np.zeros_like(arr.take([0], axis=axis)),
-                             np.cumsum(arr, axis=axis)], axis=axis)
-        sums = ps.take(ends, axis=axis) - ps.take(starts, axis=axis)
-        shape = [1] * arr.ndim
-        shape[axis] = len(starts)
-        return sums / (ends - starts).reshape(shape)
-
-    out = x.data
-    for axis, (starts, ends) in zip((2, 3, 4), bounds):
-        out = pool_axis(out, axis, starts, ends)
-
-    def unpool_axis(g: np.ndarray, axis: int, starts, ends, full: int) -> np.ndarray:
-        shape = list(g.shape)
-        shape[axis] = full
-        buf = np.zeros(shape, dtype=g.dtype)
-        idx_out = [slice(None)] * g.ndim
-        idx_in = [slice(None)] * g.ndim
-        for i, (s0, e0) in enumerate(zip(starts, ends)):
-            idx_out[axis] = slice(s0, e0)
-            idx_in[axis] = slice(i, i + 1)
-            buf[tuple(idx_out)] += g[tuple(idx_in)] / (e0 - s0)
-        return buf
+    def contract(a: np.ndarray, side: int) -> np.ndarray:
+        # each tensordot moves the contracted axis 2 to the end: D, H, W come back in order
+        for m in mats:
+            a = np.tensordot(a, m, axes=([2], [side]))
+        return a
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        for axis, (starts, ends), full in zip((4, 3, 2), bounds[::-1], (w, h, d)):
-            g = unpool_axis(g, axis, starts, ends, full)
-        x._accumulate(g)
+        if x.requires_grad:
+            x._accumulate(contract(g, 0))
 
-    return _node(np.ascontiguousarray(out.astype(x.dtype)), (x,), backward, "adaptive_avg_pool3d")
+    return _node(contract(x.data, 1), (x,), backward, "adaptive_avg_pool3d")
 
 
 # ---------------------------------------------------------------------------

@@ -68,25 +68,30 @@ def train_statistics(volumes: np.ndarray) -> tuple[float, float]:
     return float(volumes.mean()), float(volumes.std() + 1e-8)
 
 
+def record_labels(records: list[D.VolumeRecord]) -> np.ndarray:
+    return np.array([D.LABELS.index(r.label) for r in records], dtype=np.int64)
+
+
 def load_dataset(data_dir, split: D.SplitSpec) -> LoadedDataset:
-    records = D.read_manifest(Path(data_dir) / D.MANIFEST_NAME)
-    train_recs, test_recs = D.split_records(records, split)
-
-    def load(recs):
-        vols = np.stack([D.load_record_volume(data_dir, r) for r in recs])
-        labels = np.array([D.LABELS.index(r.label) for r in recs], dtype=np.int64)
-        return vols, labels
-
-    train_volumes, train_labels = load(train_recs)
-    test_volumes, test_labels = (load(test_recs) if test_recs
-                                 else (np.zeros((0,) + train_volumes.shape[1:],
-                                                np.float32), np.zeros(0, np.int64)))
+    """Both sides of the split, normalized by train-side statistics.  The
+    train side must select a scan; the test side may be empty, and its scans
+    must have the train extents."""
+    data_dir = Path(data_dir)
+    split_path = data_dir / D.SPLIT_NAME
+    train_recs, test_recs = D.split_records(D.read_manifest(data_dir / D.MANIFEST_NAME), split)
+    train_volumes = D.load_volumes(data_dir, train_recs, f"the train side of {split_path}")
+    extents = train_volumes.shape[1:]
+    test_volumes = (D.load_volumes(data_dir, test_recs, f"the test side of {split_path}")
+                    if test_recs else np.zeros((0,) + extents, np.float32))
+    if test_volumes.shape[1:] != extents:
+        raise D.DataError(f"{data_dir / test_recs[0].path}: extents {test_volumes.shape[1:]} "
+                          f"differ from the {extents} of the train scans")
     mean, std = train_statistics(train_volumes)
     for vols in (train_volumes, test_volumes):
         normalize_volumes(vols, mean, std)
-    return LoadedDataset(extents=train_volumes.shape[1:],
-                         train_volumes=train_volumes, train_labels=train_labels,
-                         test_volumes=test_volumes, test_labels=test_labels,
+    return LoadedDataset(extents=extents,
+                         train_volumes=train_volumes, train_labels=record_labels(train_recs),
+                         test_volumes=test_volumes, test_labels=record_labels(test_recs),
                          stats=(mean, std))
 
 
@@ -122,10 +127,10 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
     ``OptimizerError`` of a diverging run) appends a ``failed`` row naming
     the epoch and the error, then propagates.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     split = D.read_split(Path(data_dir) / D.SPLIT_NAME)
     ds = load_dataset(data_dir, split)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     pool_stride = (resolve_pool_stride(ds.extents, run.pool_stride)
                    if run.model == "convnet3d4" else run.pool_stride)
@@ -219,7 +224,8 @@ def load_model_from_checkpoint(path):
                 f"{' or '.join(t.__name__ for t in types)}")
         return value
 
-    model_config, seed = entry("model_config"), entry("run", "seed", types=(int,))
+    model_config = entry("model_config", types=(dict,))
+    seed = entry("run", "seed", types=(int,))
     try:
         model = M.build_model(M.config_from_dict(model_config), seed=seed)
     except (TypeError, ValueError) as e:

@@ -2,6 +2,7 @@ import errno
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voxformer import cli
@@ -303,6 +304,10 @@ _MANIFEST_FAULTS = {
     "no_seed": ("'run.seed'", lambda m: m["config"]["run"].pop("seed")),
     "no_normalization": ("'normalization'", lambda m: m["config"].pop("normalization")),
     "text_std": ("'normalization.std'", lambda m: m["config"]["normalization"].update(std="1")),
+    "three_classes": ("'num_classes'",
+                      lambda m: m["config"]["model_config"].update(num_classes=3)),
+    "model_config_list": ("'model_config'",
+                          lambda m: m["config"].update(model_config=[])),
 }
 
 
@@ -481,6 +486,58 @@ def _a_file(tmp):
     return tmp / "file"
 
 
+def _odd_volume(data):
+    """Give the last selected train scan other extents; returns its file."""
+    split = D.read_split(data / D.SPLIT_NAME)
+    train, _ = D.split_records(D.read_manifest(data / D.MANIFEST_NAME), split)
+    D.write_volume(data / train[-1].path, np.zeros((12, 12, 13), np.float32))
+    return data / train[-1].path
+
+
+def _odd_test_side(data):
+    """Give every selected test scan other extents; returns the first one's file."""
+    split = D.read_split(data / D.SPLIT_NAME)
+    _, test = D.split_records(D.read_manifest(data / D.MANIFEST_NAME), split)
+    for r in test:
+        D.write_volume(data / r.path, np.zeros((12, 12, 13), np.float32))
+    return data / test[0].path
+
+
+def _empty_side(data, side):
+    """Make the split select no subject on one side; returns the split file."""
+    path = data / D.SPLIT_NAME
+    split = json.loads(path.read_text())
+    split[f"{side}_subjects"] = []
+    path.write_text(json.dumps(split))
+    return path
+
+
+def _empty_manifest(data):
+    (data / D.MANIFEST_NAME).write_text("")
+    return data / D.MANIFEST_NAME
+
+
+# fault: (edit of the dataset that returns the file the error must name,
+# argv built from (dataset, tmp_path))
+_SELECTION_FAULTS = {
+    "odd_volume": (_odd_volume, lambda d, t: _run_argv("train", d, t / "run")),
+    "odd_test_side": (_odd_test_side, lambda d, t: _run_argv("train", d, t / "run")),
+    "no_train_scan": (lambda d: _empty_side(d, "train"),
+                      lambda d, t: _run_argv("train", d, t / "run")),
+    "empty_manifest": (_empty_manifest,
+                       lambda d, t: _run_argv("train", d, t / "run", "--extents", "12")),
+    "eval_odd_volume": (_odd_volume,
+                        lambda d, t: _eval_argv(d, t / "m.ckpt", "--subset", "all")),
+    "eval_empty_subset": (lambda d: _empty_side(d, "test"),
+                          lambda d, t: _eval_argv(d, t / "m.ckpt", "--subset", "test")),
+}
+
+
+def _selection_argv(fault):
+    edit, make_argv = _SELECTION_FAULTS[fault]
+    return lambda d, t, m: edit(d) and make_argv(d, t)
+
+
 # case: (raised class, exit code, argv built from (dataset, tmp_path, monkeypatch)).
 # A class of None means the command returns the code without raising.
 _EXIT_TABLE = {
@@ -506,6 +563,11 @@ _EXIT_TABLE = {
     "train-VolumeFormatError": (D.VolumeFormatError, 3, lambda d, t, m: _run_argv(
         "train", _truncate_a_volume(d) or d, t / "run")),
     "train-OSError": (OSError, 3, lambda d, t, m: _run_argv("train", d, _a_file(t) / "run")),
+    "train-DataError-odd-volume": (D.DataError, 3, _selection_argv("odd_volume")),
+    "train-DataError-odd-test-side": (D.DataError, 3, _selection_argv("odd_test_side")),
+    "train-DataError-no-train-scan": (D.DataError, 3, _selection_argv("no_train_scan")),
+    "train-DataError-extents-empty-manifest": (D.DataError, 3,
+                                               _selection_argv("empty_manifest")),
     "train-OptimizerError": (OptimizerError, 5, lambda d, t, m: _run_argv(
         "train", d, t / "run", "--lr", "1e30", "--seed", "0")),
     "eval-ConfigError": (cli.ConfigError, 2, lambda d, t, m: _eval_argv(
@@ -516,6 +578,8 @@ _EXIT_TABLE = {
         _truncate_a_volume(d) or d, t / "m.ckpt", "--subset", "all")),
     "eval-CheckpointFormatError": (M.CheckpointFormatError, 3, lambda d, t, m: [
         "eval", "--ckpt", str(_a_file(t)), "--data", str(d)]),
+    "eval-DataError-odd-volume": (D.DataError, 3, _selection_argv("eval_odd_volume")),
+    "eval-DataError-empty-subset": (D.DataError, 3, _selection_argv("eval_empty_subset")),
     "eval-OSError": (OSError, 3, lambda d, t, m: [
         "eval", "--ckpt", str(t / "none.ckpt"), "--data", str(d)]),
     "verify-failed": (None, 4, lambda d, t, m: _failing_suite(m)),
@@ -548,6 +612,26 @@ def test_exit_code_table(dataset, tmp_path, monkeypatch, capsys, case):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("fault", sorted(_SELECTION_FAULTS))
+def test_bad_scan_selection_names_the_file(dataset, tmp_path, capsys, fault):
+    edit, make_argv = _SELECTION_FAULTS[fault]
+    named = edit(dataset)
+    argv = make_argv(dataset, tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(named) in err[0], err
+    assert not (tmp_path / "run").exists()
+
+
+def test_empty_test_side_still_trains(dataset, tmp_path):
+    _empty_side(dataset, "test")
+    rc = cli.main(_run_argv("train", dataset, tmp_path / "run"))
+    assert rc == cli.EXIT_OK
+    rows = read_jsonl(tmp_path / "run" / TR.METRICS_NAME)
+    assert [r["event"] for r in rows] == ["config", "init", "epoch", "done"]
 
 
 @pytest.mark.slow

@@ -1,13 +1,15 @@
 """Kernels and copy paths against the routines they replaced.
 
 ``oracle_conv3d`` is the earlier whole-matrix im2col kernel with its col2im
-backward, ``oracle_maxpool3d`` the earlier sliding-window argmax kernel and
-``oracle_norm`` the earlier composite graph (mean, sub, mul, mean, add,
-sqrt, div, then reshape, mul, add for the affine part), kept here verbatim
-in substance; ``_sqrt`` is the square-root node that graph used.  The tiled
-conv must match to rounding.  The max-pool must match bit for bit.  The
-fused norm node's forward must too; its closed-form gradients must match to
-rounding.
+backward, ``oracle_maxpool3d`` the earlier sliding-window argmax kernel,
+``oracle_adaptive_avg_pool3d`` the earlier prefix-sum pooling with its
+per-bin gradient scatter, and ``oracle_norm`` the earlier composite graph
+(mean, sub, mul, mean, add, sqrt, div, then reshape, mul, add for the affine
+part), kept here verbatim in substance; ``_sqrt`` is the square-root node
+that graph used.  The tiled conv and the averaging-matrix pooling must
+match to rounding.  The max-pool must match bit for bit, winners included.
+The fused norm node's forward must too; its closed-form gradients must
+match to rounding.
 
 ``oracle_trunc_normal`` and ``oracle_kaiming_normal`` draw a whole
 parameter in one float64 call, ``oracle_patchify`` pads the volume and
@@ -29,8 +31,8 @@ from scipy import special
 
 from voxformer import models as M
 from voxformer import nn
-from voxformer.tensor import (Tensor, _node, _unary, add, div, mul, no_grad, reshape, sub,
-                              tmean)
+from voxformer.tensor import (ShapeError, Tensor, _node, _unary, add, div, mul, no_grad,
+                              reshape, sub, tmean)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,55 @@ def oracle_maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     if return_indices:
         return out_t, spatial_idx
     return out_t
+
+
+def _adaptive_bounds(length: int, out: int) -> tuple[np.ndarray, np.ndarray]:
+    i = np.arange(out)
+    starts = (i * length) // out
+    ends = -((-(i + 1) * length) // out)                   # ceil
+    return starts, ends
+
+
+def oracle_adaptive_avg_pool3d(x: Tensor, output: tuple[int, int, int]) -> Tensor:
+    n, c, d, h, w = x.shape
+    od, oh, ow = output
+    for ext, o in zip((d, h, w), output):
+        if ext < o:
+            raise ShapeError(f"adaptive_avg_pool3d cannot expand extent {ext} to {o}")
+    bounds = [_adaptive_bounds(d, od), _adaptive_bounds(h, oh), _adaptive_bounds(w, ow)]
+
+    def pool_axis(arr: np.ndarray, axis: int, starts, ends) -> np.ndarray:
+        ps = np.concatenate([np.zeros_like(arr.take([0], axis=axis)),
+                             np.cumsum(arr, axis=axis)], axis=axis)
+        sums = ps.take(ends, axis=axis) - ps.take(starts, axis=axis)
+        shape = [1] * arr.ndim
+        shape[axis] = len(starts)
+        return sums / (ends - starts).reshape(shape)
+
+    out = x.data
+    for axis, (starts, ends) in zip((2, 3, 4), bounds):
+        out = pool_axis(out, axis, starts, ends)
+
+    def unpool_axis(g: np.ndarray, axis: int, starts, ends, full: int) -> np.ndarray:
+        shape = list(g.shape)
+        shape[axis] = full
+        buf = np.zeros(shape, dtype=g.dtype)
+        idx_out = [slice(None)] * g.ndim
+        idx_in = [slice(None)] * g.ndim
+        for i, (s0, e0) in enumerate(zip(starts, ends)):
+            idx_out[axis] = slice(s0, e0)
+            idx_in[axis] = slice(i, i + 1)
+            buf[tuple(idx_out)] += g[tuple(idx_in)] / (e0 - s0)
+        return buf
+
+    def backward(g: np.ndarray) -> None:
+        if not x.requires_grad:
+            return
+        for axis, (starts, ends), full in zip((4, 3, 2), bounds[::-1], (w, h, d)):
+            g = unpool_axis(g, axis, starts, ends, full)
+        x._accumulate(g)
+
+    return _node(np.ascontiguousarray(out.astype(x.dtype)), (x,), backward, "adaptive_avg_pool3d")
 
 
 def _sqrt(a: Tensor) -> Tensor:
@@ -232,7 +283,11 @@ def _pool_both(x, k, s):
     results = []
     for pool in (oracle_maxpool3d, nn.maxpool3d):
         t = Tensor(x.copy(), requires_grad=True)
-        out, idx = pool(t, k, s, return_indices=True)
+        if pool is oracle_maxpool3d:
+            out, idx = pool(t, k, s, return_indices=True)
+        else:
+            out = pool(t, k, s)
+            idx = nn._pool_winners(x, out.data, k, s)
         g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
         (out * Tensor(g)).sum().backward()
         results.append((out.data, idx, t.grad))
@@ -264,6 +319,67 @@ def test_maxpool_no_grad_matches_oracle():
 def test_maxpool_kernel_out_of_range():
     with pytest.raises(ValueError):
         nn.maxpool3d(Tensor(np.zeros((1, 1, 3, 3, 3))), kernel=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_nan_window_outputs_nan_and_routes_to_its_first_voxel(dtype):
+    x = _pool_input((1, 2, 6, 6, 6), dtype, "normal", seed=9)
+    x[0, 1, 4, 3, 5] = np.nan               # window (1, 1, 1) of channel 1 at k = s = 3
+    t = Tensor(x, requires_grad=True)
+    out = nn.maxpool3d(t, 3, 3)
+    nan = np.isnan(out.data)
+    assert nan.sum() == 1 and nan[0, 1, 1, 1, 1]
+    out.sum().backward()
+    assert t.grad[0, 1, 3, 3, 3] == 1 and t.grad[0, 1, 3:, 3:, 3:].sum() == 1
+    # every other window still routes to its max
+    ref = Tensor(np.nan_to_num(x, nan=-np.inf), requires_grad=True)
+    oracle_maxpool3d(ref, 3, 3).sum().backward()
+    keep = np.ones(x.shape, bool)
+    keep[0, 1, 3:, 3:, 3:] = False
+    np.testing.assert_array_equal(t.grad[keep], ref.grad[keep])
+
+
+def test_pool_winners_peak_is_a_fraction_of_the_input():
+    """The winner search holds output-sized arrays only: at 1x32x45^3 and
+    stride 3 the three-stage search peaked at 0.90x the input bytes."""
+    x = np.random.default_rng(12).standard_normal((1, 32, 45, 45, 45)).astype(np.float32)
+    with no_grad():
+        out = nn.maxpool3d(Tensor(x), 3, 3).data
+    tracemalloc.start()
+    try:
+        nn._pool_winners(x, out, 3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * x.nbytes, peak / x.nbytes
+
+
+# ---------------------------------------------------------------------------
+# adaptive pooling: averaging matrices against prefix sums
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,output", [
+    ((1, 3, 11, 13, 12), (10, 10, 10)),
+    ((2, 3, 16, 16, 16), (10, 10, 10)),
+    ((1, 2, 5, 6, 7), (2, 3, 2)),
+    ((1, 2, 4, 5, 6), (4, 5, 6)),
+    ((1, 2, 4, 5, 6), (1, 1, 1)),
+], ids=["11x13x12_to_10", "16_to_10_batch2", "5x6x7_to_2x3x2", "identity", "to_1"])
+def test_adaptive_pool_matches_prefix_sum_oracle(shape, output, dtype):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(shape).astype(dtype)
+    g = rng.standard_normal(shape[:2] + output).astype(dtype)
+    results = []
+    for pool in (oracle_adaptive_avg_pool3d, nn.adaptive_avg_pool3d):
+        t = Tensor(x.copy(), requires_grad=True)
+        out = pool(t, output)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, t.grad))
+    (ref_out, ref_grad), (out, grad) = results
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for a, ref in ((out, ref_out), (grad, ref_grad)):
+        assert a.dtype == ref.dtype and a.shape == ref.shape
+        np.testing.assert_allclose(a, ref, rtol=tol, atol=tol * np.abs(ref).max())
 
 
 # ---------------------------------------------------------------------------
