@@ -92,6 +92,7 @@ StageSpec = tuple[int, int, int]
 CVVT_CHANNEL_LADDER = (32, 64, 96, 128)
 CVVT_TOKENS = 80
 CVVT_GRID = (10, 10, 10)
+CVVT_SLOPE = 0.2        # LeakyReLU after every embedding conv, fused into the conv node
 
 
 def _conv_out(extent: int, kernel: int = 3, stride: int = 1, padding: int = 1) -> int:
@@ -328,10 +329,10 @@ class CVVT(nn.Module):
         self.core = _ViTCore(cfg.num_patches, cfg.size, rng, dtype)
 
     def embed(self, x: Tensor) -> Tensor:
-        """Conv stack -> 10^3 feature grid -> one token per channel."""
+        """Conv + LeakyReLU stack -> 10^3 feature grid -> one token per channel."""
         h = x
         for conv in self.stages:
-            h = leaky_relu(conv(h), 0.2)
+            h = conv(h, slope=CVVT_SLOPE)
         h = nn.adaptive_avg_pool3d(h, CVVT_GRID)
         n = h.shape[0]
         tokens = h.reshape(n, CVVT_TOKENS, self.cfg.token_dim)

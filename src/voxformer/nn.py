@@ -3,15 +3,17 @@ linear/attention/encoder blocks, and the cross-entropy loss.
 
 Layers are small ``Module`` objects holding parameter Tensors.  The heavy
 kernels are single recorded graph nodes rather than per-voxel graphs:
-conv3d is tiled im2col + BLAS, maxpool3d a separable max over W, H and D,
-adaptive pooling three averaging-matrix products, and the instance, batch
-and layer norms share one fused ``normalize`` node.  One tap iterator,
-``_windows``, yields every strided kernel window that conv3d and both
-max-pool passes read.
+conv3d is tiled im2col + BLAS with an optional fused leaky ReLU,
+maxpool3d a separable max over W, H and D, adaptive pooling three
+averaging-matrix products, and the instance, batch and layer norms share
+one fused ``normalize`` node.  One tap iterator, ``_windows``, yields every
+strided kernel window that conv3d and both max-pool passes read; conv3d's
+zero padding is never materialized: each window is clipped to the input.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from typing import Sequence
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _special
 
-from .tensor import (Tensor, ShapeError, _node, add, div, gelu, matmul, mul,
+from .tensor import (Tensor, ShapeError, _node, _records, add, div, gelu, matmul, mul,
                      reshape, softmax, sub, transpose)
 
 # Fixed layer settings: every model in this package uses these values.
@@ -40,13 +42,28 @@ BN_MOMENTUM = 0.1       # BatchNorm3d: weight of the newest batch in the running
 # 497 ms, 2**14 481, 2**16 458, 2**18 503, 2**20 563, and one whole-size
 # draw 810.
 _INIT_BLOCK = 1 << 16
+_draw = True
+
+
+@contextlib.contextmanager
+def no_init():
+    """Inside the block, the random initializers allocate their arrays but
+    draw nothing into them: for a model whose state is loaded right after."""
+    global _draw
+    prev, _draw = _draw, False
+    try:
+        yield
+    finally:
+        _draw = prev
 
 
 def _blocks(shape, dtype):
-    """A new array of ``shape`` and its flat slices of at most ``_INIT_BLOCK``."""
+    """A new array of ``shape`` and its flat slices of at most ``_INIT_BLOCK``
+    (none inside ``no_init``)."""
     out = np.empty(shape, dtype)
     flat = out.reshape(-1)
-    return out, (flat[s:s + _INIT_BLOCK] for s in range(0, flat.size, _INIT_BLOCK))
+    stop = flat.size if _draw else 0
+    return out, (flat[s:s + _INIT_BLOCK] for s in range(0, stop, _INIT_BLOCK))
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
@@ -190,14 +207,38 @@ def conv3d_output_extents(extents: Sequence[int], kernel: Sequence[int],
 
 
 def _windows(a: np.ndarray, kernel: Sequence[int], strides: Sequence[int],
-             out_sp: Sequence[int]):
-    """For each kernel tap in (d, h, w) row-major order, the strided view of the
-    [..., D, H, W] array ``a`` that the tap reads at every output position.
-    The one tap iterator of this module: conv3d, the max-pool forward and
-    the max-pool winner search all read their windows through it."""
-    for offs in itertools.product(*(range(k) for k in kernel)):
-        yield a[(Ellipsis,) + tuple(slice(o, o + s * n, s)
-                                    for o, s, n in zip(offs, strides, out_sp))]
+             out_sp: Sequence[int], padding: int = 0, first: int = 0):
+    """For each kernel tap in (d, h, w) row-major order: the box of output
+    positions (three slices) at which the tap reads inside the [..., D, H, W]
+    array ``a`` zero-padded by ``padding`` on every side, and the strided
+    view of ``a`` read there.  Output depth planes count from ``first``.
+    The one tap iterator of this module: conv3d's tile fill and gradient
+    scatter, the max-pool forward and the winner search read through it."""
+    per_axis = []
+    for k, s, n, e, f in zip(kernel, strides, out_sp, a.shape[-3:], (first, 0, 0)):
+        spans = []
+        for o in range(k):
+            off = o - padding + s * f       # the input index read at output position 0
+            # the positions p in [lo, hi) read inside the input: 0 <= off + s*p < e
+            lo = min(n, max(0, -(off // s)))
+            hi = max(lo, min(n, (e - 1 - off) // s + 1))
+            start = off + s * lo
+            spans.append((slice(lo, hi), slice(start, start + s * (hi - lo), s)))
+        per_axis.append(spans)
+    for tap in itertools.product(*per_axis):
+        inside, src = zip(*tap)
+        yield inside, a[(Ellipsis,) + src]
+
+
+def _zero_outside(a: np.ndarray, inside) -> None:
+    """Zero the slabs of [C, D, H, W] array ``a`` outside the box ``inside``:
+    before and after it along each axis, within the box on the axes before."""
+    for ax, span in enumerate(inside):
+        box = (slice(None),) + inside[:ax]
+        if span.start:
+            a[box + (slice(0, span.start),)] = 0
+        if span.stop < a.shape[ax + 1]:
+            a[box + (slice(span.stop, None),)] = 0
 
 
 # Elements of one tile of the im2col matrix: a tile holds as many output depth
@@ -209,72 +250,89 @@ _TILE = 1 << 21
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw], zero padding.
+           stride: int = 1, padding: int = 0, slope: float | None = None) -> Tensor:
+    """Cross-correlation of [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw], zero
+    padding, then leaky_relu(., slope) when a slope is given.
 
     Tiled im2col: the [Cin*k3, P] column matrix of one sample is built a few
     output depth planes at a time in one reused ``_TILE``-sized buffer and
-    multiplied by the weight matrix there.  The backward pass keeps no
-    columns: it refills each tile from the padded input, adds the tile's
-    weight gradient, and scatters the tile's input gradient back through the
-    same tap windows.
+    multiplied by the weight matrix there.  The padding is never built: each
+    tap copies its window clipped to the input and zeroes only the border
+    slabs of its rows.  The bias and the slope's max(o, slope*o) are applied
+    to each output tile while it is in cache.  The node keeps its output, the
+    input and, with a slope, a ``bool`` mask of pre-activation >= 0; no
+    columns and no pre-activation.  The backward pass multiplies the gradient
+    by 1 or slope through the mask, refills each tile from the input, adds
+    the tile's weight gradient, and scatters the tile's input gradient back
+    through the same clipped windows.
     """
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(f"conv3d needs 5-D input and weight, got {x.shape} and {weight.shape}")
+    if slope is not None and not 0.0 < slope < 1.0:
+        raise ValueError(f"conv3d slope must lie in (0, 1), got {slope}")
     n, cin, d, h, w = x.shape
     cout, cw, kd, kh, kw = weight.shape
     if cin != cw:
         raise ShapeError(f"conv3d channel mismatch: input has {cin}, weight expects {cw}")
     kernel = (kd, kh, kw)
     do, ho, wo = conv3d_output_extents((d, h, w), kernel, stride, padding)
-    pd = padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (pd, pd), (pd, pd))) if pd else x.data
     rows, plane = cin * kd * kh * kw, ho * wo
     planes = max(1, min(do, _TILE // (rows * plane)))
     spans = [(i, z0, min(z0 + planes, do)) for i in range(n) for z0 in range(0, do, planes)]
 
-    def windows(a: np.ndarray, i: int, z0: int, z1: int):
-        return _windows(a[i, :, z0 * stride:], kernel, (stride,) * 3, (z1 - z0, ho, wo))
+    def windows(a: np.ndarray, z0: int, z1: int):
+        return _windows(a, kernel, (stride,) * 3, (z1 - z0, ho, wo), padding, z0)
 
     def fill(buf: np.ndarray, i: int, z0: int, z1: int) -> np.ndarray:
         """Sample i's columns for output planes z0..z1 in ``buf``: row (ci, tap)
-        is tap's window of channel ci."""
+        is tap's window of channel ci, zero where it reads the padding."""
         taps = buf[:rows * (z1 - z0) * plane].reshape(cin, -1, z1 - z0, ho, wo)
-        for t, window in enumerate(windows(xp, i, z0, z1)):
-            taps[:, t] = window
+        for t, (inside, window) in enumerate(windows(x.data[i], z0, z1)):
+            taps[(slice(None), t) + inside] = window
+            _zero_outside(taps[:, t], inside)
         return taps.reshape(rows, -1)
 
     wm = weight.data.reshape(cout, -1)
-    tile = np.empty(rows * planes * plane, xp.dtype)
-    out = np.empty((n, cout, do * plane), np.result_type(wm, xp))
-    for i, z0, z1 in spans:
-        np.matmul(wm, fill(tile, i, z0, z1), out=out[i, :, z0 * plane:z1 * plane])
-    if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape(n, cout, do, ho, wo)
     parents = (x, weight) if bias is None else (x, weight, bias)
+    tile = np.empty(rows * planes * plane, x.dtype)
+    out = np.empty((n, cout, do * plane), np.result_type(wm, x.data))
+    kk = None if slope is None else out.dtype.type(slope)
+    mask = np.empty(out.shape, bool) if kk is not None and _records(parents) else None
+    for i, z0, z1 in spans:
+        part = (i, slice(None), slice(z0 * plane, z1 * plane))
+        o = np.matmul(wm, fill(tile, i, z0, z1), out=out[part])
+        if bias is not None:
+            o += bias.data[:, None]
+        if mask is not None:
+            np.greater_equal(o, 0, out=mask[part])
+        if kk is not None:
+            np.maximum(o, o * kk, out=o)
+    out = out.reshape(n, cout, do, ho, wo)
 
     def backward(g: np.ndarray) -> None:
         gm = g.reshape(n, cout, -1)
+        if mask is not None:    # leaky ReLU's factor: 1 where pre >= 0 (g * 1 is g), else k
+            gm = gm * kk
+            np.copyto(gm, g.reshape(gm.shape), where=mask)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gm.sum(axis=(0, 2)))
-        gw = np.zeros(wm.shape, np.result_type(gm, xp)) if weight.requires_grad else None
-        dxp = np.zeros(xp.shape, g.dtype) if x.requires_grad else None
-        cols = np.empty(rows * planes * plane, xp.dtype)
+        gw = np.zeros(wm.shape, np.result_type(gm, x.data)) if weight.requires_grad else None
+        dx = np.zeros(x.shape, g.dtype) if x.requires_grad else None
+        cols = np.empty(rows * planes * plane, x.dtype)
         dcols = np.empty(rows * planes * plane, np.result_type(wm, gm))
         for i, z0, z1 in spans:
             gt = gm[i, :, z0 * plane:z1 * plane]
             if gw is not None:
                 gw += gt @ fill(cols, i, z0, z1).T
-            if dxp is not None:
+            if dx is not None:
                 dt = np.matmul(wm.T, gt, out=dcols[:rows * gt.shape[1]].reshape(rows, -1))
                 dtaps = dt.reshape(cin, -1, z1 - z0, ho, wo)
-                for t, window in enumerate(windows(dxp, i, z0, z1)):
-                    window += dtaps[:, t]
+                for t, (inside, window) in enumerate(windows(dx[i], z0, z1)):
+                    window += dtaps[(slice(None), t) + inside]
         if gw is not None:
             weight._accumulate(gw.reshape(weight.shape))
-        if dxp is not None:
-            x._accumulate(dxp[:, :, pd:pd + d, pd:pd + h, pd:pd + w] if pd else dxp)
+        if dx is not None:
+            x._accumulate(dx)
 
     return _node(out, parents, backward, "conv3d")
 
@@ -294,8 +352,10 @@ class Conv3d(Module):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.bias, stride=self.stride, padding=CONV_PADDING)
+    def forward(self, x: Tensor, slope: float | None = None) -> Tensor:
+        """The convolution, fused with leaky_relu(., slope) when a slope is given."""
+        return conv3d(x, self.weight, self.bias, stride=self.stride, padding=CONV_PADDING,
+                      slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +375,7 @@ def _pool_winners(x: np.ndarray, out: np.ndarray, k: int, s: int) -> np.ndarray:
     found = np.zeros(out.shape, bool)
     rel = np.zeros(out.shape, np.int32)
     offsets = itertools.product(range(k), repeat=3)
-    for (td, th, tw), tap in zip(offsets, _windows(x, (k,) * 3, (s,) * 3, (do, ho, wo))):
+    for (td, th, tw), (_, tap) in zip(offsets, _windows(x, (k,) * 3, (s,) * 3, (do, ho, wo))):
         first = (tap == out) > found                       # equal here, not before
         found |= first
         rel += first * np.int32((td * h + th) * w + tw)
@@ -346,7 +406,7 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None) -> Tensor:
     for kern, strides, out_sp in (((1, 1, k), (1, 1, s), (d, h, wo)),
                                   ((1, k, 1), (1, s, 1), (d, ho, wo)),
                                   ((k, 1, 1), (s, 1, 1), (do, ho, wo))):
-        taps = _windows(out, kern, strides, out_sp)       # views of the previous stage
+        taps = (v for _, v in _windows(out, kern, strides, out_sp))  # views of the previous stage
         out = next(taps).copy()
         for tap in taps:
             np.maximum(tap, out, out=out)   # on a tie (+0 vs -0) numpy keeps out, the earlier tap

@@ -250,8 +250,13 @@ def reduce_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` is recorded for the backward pass."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
+    requires = _records(parents)
     return Tensor(data, requires_grad=requires,
                   _parents=parents if requires else (),
                   _backward_fn=backward_fn if requires else None, op=op)
@@ -304,7 +309,8 @@ def leaky_relu(a: Tensor, k: float = 0.2) -> Tensor:
     if not 0.0 < k < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {k}")
     one, kk = a.dtype.type(1), a.dtype.type(k)
-    return _unary(a, "leaky_relu", np.maximum(a.data, a.data * kk),
+    out = a.data * kk
+    return _unary(a, "leaky_relu", np.maximum(a.data, out, out=out),
                   lambda g: g * np.where(a.data >= 0, one, kk))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as D
 from . import models as M
-from .nn import cross_entropy
+from .nn import cross_entropy, no_init
 from .optim import AdamW, TrainConfig, lr_at
 from .tensor import ShapeError, Tensor, no_grad
 
@@ -227,7 +227,8 @@ def load_model_from_checkpoint(path):
     model_config = entry("model_config", types=(dict,))
     seed = entry("run", "seed", types=(int,))
     try:
-        model = M.build_model(M.config_from_dict(model_config), seed=seed)
+        with no_init():         # load_state below replaces every tensor
+            model = M.build_model(M.config_from_dict(model_config), seed=seed)
     except (TypeError, ValueError) as e:
         raise M.CheckpointFormatError(f"{path}: manifest config 'model_config': {e}") from None
     for key in ("mean", "std"):

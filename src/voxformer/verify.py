@@ -76,6 +76,7 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
         lambda x, ww: nn.conv3d(x, ww, stride=2, padding=1).sum(),
         [_t(rng, 1, 2, 6, 6, 6), _t(rng, 3, 2, 3, 3, 3, scale=0.2)])
     checks.append(("conv3d_tiles", _conv3d_tiles_check(tol)))
+    checks.append(("conv3d_lrelu", _conv3d_tiles_check(tol, slope=0.2, seed=19)))
     run("maxpool3d", lambda x: nn.maxpool3d(x, 3, 2).sum(),
         [_t(rng, 1, 2, 6, 6, 6)])
     run("adaptive_avg_pool3d", lambda x: nn.adaptive_avg_pool3d(x, (2, 2, 2)).sum(),
@@ -118,24 +119,26 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     return checks
 
 
-def _conv3d_tiles_check(tol: float):
+def _conv3d_tiles_check(tol: float, slope: float | None = None, seed: int = 17):
     """Sampled check of conv3d, batch 2, at stride 1 and 2 on non-cubic
     extents, with the tile budget cut to two 324-element output planes
-    (Cin*27*Ho*Wo): each sample's columns span 4 tiles, the last partial."""
-    rng = np.random.default_rng(17)
+    (Cin*27*Ho*Wo): each sample's columns span 4 tiles, the last partial.
+    With a slope, the conv is fused with leaky_relu(., slope).  Inputs come
+    from ``seed`` and the samples from ``seed + 1``."""
+    rng = np.random.default_rng(seed)
     x1, x2 = _t(rng, 2, 2, 7, 2, 3), _t(rng, 2, 2, 13, 3, 5)       # both give 7x2x3
     w, b = _t(rng, 3, 2, 3, 3, 3, scale=0.2), _t(rng, 3, scale=0.1)
     p1, p2 = (Tensor(rng.standard_normal((2, 3, 7, 2, 3))) for _ in range(2))
     params = [("x_stride1", x1), ("x_stride2", x2), ("weight", w), ("bias", b)]
 
     def loss():
-        return ((nn.conv3d(x1, w, b, stride=1, padding=1) * p1).sum()
-                + (nn.conv3d(x2, w, b, stride=2, padding=1) * p2).sum())
+        return ((nn.conv3d(x1, w, b, stride=1, padding=1, slope=slope) * p1).sum()
+                + (nn.conv3d(x2, w, b, stride=2, padding=1, slope=slope) * p2).sum())
 
     saved, nn._TILE = nn._TILE, 700
     try:
         return sampled_gradcheck(loss, params, n_samples=200, eps=1e-6, tol=tol,
-                                 rng=np.random.default_rng(18))
+                                 rng=np.random.default_rng(seed + 1))
     finally:
         nn._TILE = saved
 

@@ -31,8 +31,8 @@ from scipy import special
 
 from voxformer import models as M
 from voxformer import nn
-from voxformer.tensor import (ShapeError, Tensor, _node, _unary, add, div, mul, no_grad,
-                              reshape, sub, tmean)
+from voxformer.tensor import (ShapeError, Tensor, _node, _unary, add, div, leaky_relu, mul,
+                              no_grad, reshape, sub, tmean)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +247,43 @@ def test_no_grad_conv3d_peak_is_below_its_column_matrix():
     assert peak < cols, (peak / 1e6, cols / 1e6)
 
 
+def test_no_grad_padded_conv3d_peak_is_its_output_and_tiles(monkeypatch):
+    """No padded copy of the input: with padding 1, a no-grad conv allocates
+    its output, its column tile and the slope's output tile, and less than
+    a quarter of the input beside (the padded input is 1.3x the input)."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((1, 4, 64, 16, 16)).astype(np.float32)
+    w = rng.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)
+    rows, plane = 4 * 27, 16 * 16
+    monkeypatch.setattr(nn, "_TILE", 2 * rows * plane)       # two output planes per tile
+    tiles = (2 * rows * plane + 4 * 2 * plane) * x.itemsize
+    for fused in ({}, {"slope": 0.2}):
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = nn.conv3d(Tensor(x), Tensor(w), padding=1, **fused)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 4, 64, 16, 16)
+        assert peak < out.data.nbytes + tiles + x.nbytes / 4, (peak, out.data.nbytes, x.nbytes)
+
+
+def _reachable_arrays(fn) -> list[np.ndarray]:
+    """Every array the closure of ``fn`` and of the closures it holds can reach."""
+    pending, seen, arrays = [fn], set(), []
+    while pending:
+        f = pending.pop()
+        for cell in f.__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+            elif callable(v) and getattr(v, "__closure__", None) and id(v) not in seen:
+                seen.add(id(v))
+                pending.append(v)
+    return arrays
+
+
 def test_recorded_conv3d_node_holds_no_column_sized_array(monkeypatch):
     monkeypatch.setattr(nn, "_TILE", 4096)
     rng = np.random.default_rng(4)
@@ -254,17 +291,81 @@ def test_recorded_conv3d_node_holds_no_column_sized_array(monkeypatch):
     w = Tensor(rng.standard_normal((3, 8, 3, 3, 3)), requires_grad=True)
     out = nn.conv3d(x, w, stride=1, padding=1)
     cols = _column_bytes(x.data, w.data, 1, 1)
-    pending, seen, largest = [out._backward_fn], set(), 0
-    while pending:                  # every array the backward closure can reach
-        f = pending.pop()
-        for cell in f.__closure__ or ():
-            v = cell.cell_contents
-            if isinstance(v, np.ndarray):
-                largest = max(largest, v.nbytes)
-            elif callable(v) and getattr(v, "__closure__", None) and id(v) not in seen:
-                seen.add(id(v))
-                pending.append(v)
+    largest = max((a.nbytes for a in _reachable_arrays(out._backward_fn)), default=0)
     assert 0 < largest < cols / 8, (largest, cols)
+
+
+def test_recorded_fused_conv3d_node_holds_output_mask_and_input(monkeypatch):
+    """The fused node keeps y (its data), x (a parent) and a bool mask of
+    pre-activation >= 0: no float array the size of the pre-activation or
+    of the padded input."""
+    monkeypatch.setattr(nn, "_TILE", 4096)
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((2, 8, 9, 10, 11)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 8, 3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    out = nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
+    assert out._parents == (x, w, b)
+    arrays = _reachable_arrays(out._backward_fn)
+    masks = [a for a in arrays if a.dtype == bool]
+    floats = [a for a in arrays if a.dtype.kind == "f"]
+    with no_grad():
+        pre = nn.conv3d(x, w, b, stride=1, padding=1)
+    assert len(masks) == 1 and np.array_equal(masks[0].reshape(pre.shape), pre.data >= 0)
+    padded = x.shape[0] * x.shape[1] * math.prod(e + 2 for e in x.shape[2:])
+    assert floats and max(a.size for a in floats) < min(pre.size, padded)
+
+
+# every output of the fused node: y and the x, weight and bias gradients
+def _fused_both(x, w, b, stride, padding):
+    results = []
+    for fused, conv in ((False, oracle_conv3d), (False, nn.conv3d), (True, nn.conv3d)):
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        if fused:
+            out = conv(xt, wt, bt, stride=stride, padding=padding, slope=0.2)
+        else:
+            out = leaky_relu(conv(xt, wt, bt, stride=stride, padding=padding), 0.2)
+        g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
+        (out * Tensor(g)).sum().backward()
+        results.append([out.data, xt.grad, wt.grad, bt.grad])
+    return results
+
+
+@pytest.mark.parametrize("extents", [(15, 6, 7), (16, 7, 6)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_fused_conv3d_leaky_relu_matches_composite(extents, stride, padding, batch, dtype,
+                                                   monkeypatch):
+    """conv3d(..., slope) gives the bytes of leaky_relu(conv3d(...)) at the
+    same tile budget, forward and gradients, and matches the whole-matrix
+    oracle under leaky_relu to rounding (a GEMM's bits depend on how its
+    columns are split, and the weight gradient sums tile by tile).  Odd
+    extents make a stride-2 last window end in the padding, even ones
+    before it.  Output channel 1 has zero weights and bias (pre-activation
+    +0), channel 2 has -0 weights and bias (a GEMM sum of -0 products is
+    +0 or -0 by the library), and one NaN voxel makes NaN pre-activations."""
+    rng = np.random.default_rng(stride * 10 + padding)
+    cin, cout = 3, 4
+    x = rng.standard_normal((batch, cin) + extents).astype(dtype)
+    x[0, 0, 4, 2, 3] = np.nan
+    w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    w[1], b[1], w[2], b[2] = 0.0, 0.0, -0.0, -0.0
+    do, ho, wo = nn.conv3d_output_extents(extents, (3, 3, 3), stride, padding)
+    planes = 2 if do % 2 else 3
+    assert do % planes and do > 2 * planes
+    monkeypatch.setattr(nn, "_TILE", planes * cin * 27 * ho * wo + 1)
+    oracle, composite, fused = _fused_both(x, w, b, stride, padding)
+    with no_grad():
+        pre = oracle_conv3d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+    assert (pre == 0).any() and np.isnan(pre).any() and (pre > 0).any() and (pre < 0).any()
+    for got, want, ref in zip(fused, composite, oracle):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.nanmax(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from voxformer import cli
 from voxformer import data as D
 from voxformer import models as M
 from voxformer import nn
+from voxformer import train as TR
 from voxformer.gradcheck import sampled_gradcheck
 from voxformer.nn import cross_entropy
 from voxformer.tensor import Tensor, _unary, no_grad
@@ -287,9 +288,11 @@ def test_model_outputs_finite_on_bounded_inputs():
 
 @pytest.mark.slow
 def test_cvvt_tiny_paper_size_forward_peak_memory():
-    """CVVT-tiny inference on one 169x208x179 scan stays under 400 MB of
-    traced allocations: the tiled conv never builds a whole column matrix
-    (the 32->64 stage's is 348 MB; the whole-matrix kernel peaked at 584 MB)."""
+    """CVVT-tiny inference on one 169x208x179 scan stays under 170 MB of
+    traced allocations, 1.25x the measured 136 MB: the tiled conv never
+    builds a whole column matrix (the 32->64 stage's is 348 MB; the
+    whole-matrix kernel peaked at 584 MB), pads no input, and applies each
+    stage's leaky ReLU in place (the unfused stages peaked at 305 MB)."""
     net = M.build_model(M.build_config("cvvt", "tiny"), seed=0).eval()
     x = rand_volume((169, 208, 179), seed=1)
     tracemalloc.start()
@@ -300,7 +303,7 @@ def test_cvvt_tiny_paper_size_forward_peak_memory():
     finally:
         tracemalloc.stop()
     assert out.shape == (1, 2) and np.all(np.isfinite(out.data))
-    assert peak <= 400e6, peak / 1e6
+    assert peak <= 170e6, peak / 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +383,24 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
     net.eval(), rebuilt.eval()
     with no_grad():
         np.testing.assert_array_equal(net(x).data, rebuilt(x).data)
+
+
+def test_load_skips_the_random_init_and_restores_every_tensor(tmp_path):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with nn.no_init():
+        nn.trunc_normal(rng, (4, 5))
+        nn.kaiming_normal(rng, (4, 5), fan_in=5)
+    assert rng.bit_generator.state == state             # nothing drawn
+    cfg = M.build_config("convnet3d4", norm="bn", extents=(32, 32, 32), pool_stride=2)
+    net = M.build_model(cfg, seed=4)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, net, {"model_config": M.config_to_dict(cfg), "run": {"seed": 4},
+                                  "normalization": {"mean": 0.0, "std": 1.0}})
+    loaded, _ = TR.load_model_from_checkpoint(path)
+    for (name, t), (name2, t2) in zip(net.named_tensors(), loaded.named_tensors()):
+        assert name == name2 and t.data.tobytes() == t2.data.tobytes()
+    assert nn.trunc_normal(np.random.default_rng(0), (3,)).any()     # draws again after
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):

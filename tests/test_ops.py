@@ -79,6 +79,13 @@ def test_conv3d_channel_mismatch():
         nn.conv3d(randt((1, 2, 4, 4, 4)), randt((3, 5, 3, 3, 3)))
 
 
+@pytest.mark.parametrize("slope", [0.0, 1.0, -0.2])
+def test_conv3d_slope_domain(slope):
+    with pytest.raises(ValueError, match="slope"):
+        nn.conv3d(Tensor(np.ones((1, 1, 3, 3, 3))), Tensor(np.ones((1, 1, 3, 3, 3))),
+                  slope=slope)
+
+
 def test_conv3d_nonpositive_output():
     with pytest.raises(ShapeError):
         nn.conv3d(randt((1, 1, 2, 2, 2)), randt((1, 1, 3, 3, 3)), padding=0)

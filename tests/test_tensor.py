@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,19 @@ def test_rejects_empty():
 def test_leaky_relu_values():
     out = leaky_relu(Tensor([-1.0, 0.0, 2.0]), k=0.2)
     np.testing.assert_allclose(out.data, [-0.2, 0.0, 2.0])
+
+
+def test_leaky_relu_forward_allocates_one_output():
+    x = randt((64, 64, 16), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = leaky_relu(x, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.tobytes() == np.maximum(x.data, x.data * np.float32(0.2)).tobytes()
+    assert peak < 1.5 * out.data.nbytes, (peak, out.data.nbytes)
 
 
 def test_leaky_relu_slope_domain():
