@@ -71,14 +71,13 @@ def append_text(path, text: str) -> None:
 # VOX1 volume files
 
 def write_volume(path, volume: np.ndarray) -> None:
+    """Write a VOX1 file through ``write_atomic``: the header, then the
+    payload straight from the volume's buffer when it is little-endian float32."""
     vol = np.ascontiguousarray(volume, dtype="<f4")
     if vol.ndim != 3:
         raise VolumeFormatError(f"volumes are 3-D, got shape {vol.shape}")
-    with open(path, "wb") as f:
-        f.write(_VOX_MAGIC)
-        f.write(struct.pack("<BB", 1, 0))
-        f.write(struct.pack("<III", *vol.shape))
-        f.write(memoryview(vol).cast("B"))
+    header = _VOX_MAGIC + struct.pack("<BB", 1, 0) + struct.pack("<III", *vol.shape)
+    write_atomic(path, header, memoryview(vol).cast("B"))
 
 
 def read_volume(path) -> np.ndarray:
@@ -300,24 +299,6 @@ def _fields(extents, offsets=(0.0, 0.0, 0.0), scales=(1.0, 1.0, 1.0)):
     q = sum((c - b) ** 2 for c, b in zip(cs, _BUMP_CENTER))
     bump = np.exp(-q / (2.0 * _BUMP_SIGMA ** 2))
     return base, bump
-
-
-def signal_region_mask(extents: tuple[int, int, int]) -> np.ndarray:
-    """Voxels of the undeformed class-signal region (the linear-probe oracle's ROI)."""
-    _, bump = _fields(extents)
-    return bump > 0.5
-
-
-def expected_region_means(cfg: SynthConfig) -> tuple[float, float, float]:
-    """(mean_AD, mean_CN, threshold) over the signal region, computed in
-    closed form from the generator fields (no sampling)."""
-    base, bump = _fields(cfg.extents)
-    mask = bump > 0.5
-    mu_base = float(base[mask].mean())
-    mu_bump = float(bump[mask].mean())
-    mu_ad = mu_base + cfg.atrophy_factor * cfg.signal_amplitude * mu_bump
-    mu_cn = mu_base + cfg.signal_amplitude * mu_bump
-    return mu_ad, mu_cn, 0.5 * (mu_ad + mu_cn)
 
 
 def synth_volume(cfg: SynthConfig, label: str, subject_rng: np.random.Generator,

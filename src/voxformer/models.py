@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -357,7 +357,7 @@ class _ConvBlock(nn.Module):
         self.drop = nn.Dropout3d(CONVNET_DROPOUT, rng=drop_rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = nn.maxpool3d(self.norm(self.conv(x)), CONVNET_POOL_KERNEL, self.pool_stride)
+        h = self.norm(self.conv(x), pool=(CONVNET_POOL_KERNEL, self.pool_stride))
         return self.drop(leaky_relu(h, CONVNET_SLOPE))
 
 
@@ -444,22 +444,25 @@ def _is_count(v) -> bool:
     return type(v) is int and v >= 0
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint, checking every length and offset against the file
-    before using it; any fault raises ``CheckpointFormatError``."""
-    blob = Path(path).read_bytes()
-    if blob[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+def _read_manifest(f, path) -> tuple[dict, list[dict]]:
+    """The config and tensor entries of the checkpoint open as ``f``,
+    reading only its header and manifest.  Every length and offset is
+    checked against the file's size; each entry's ``offset`` is made
+    absolute (from the start of the file)."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(_CKPT_HEADER)
+    if head[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise CheckpointFormatError(f"{path}: not a checkpoint file (bad magic at offset 0)")
-    if len(blob) < _CKPT_HEADER:
-        raise CheckpointFormatError(f"{path}: truncated header at offset {len(blob)} "
+    if len(head) < _CKPT_HEADER:
+        raise CheckpointFormatError(f"{path}: truncated header at offset {len(head)} "
                                     f"(the header is {_CKPT_HEADER} bytes)")
-    n = struct.unpack("<Q", blob[len(_CKPT_MAGIC):_CKPT_HEADER])[0]
+    n = struct.unpack("<Q", head[len(_CKPT_MAGIC):])[0]
     base = _CKPT_HEADER + n
-    if base > len(blob):
+    if base > size:
         raise CheckpointFormatError(f"{path}: manifest at offset {_CKPT_HEADER} declares "
-                                    f"{n} bytes, the file has {len(blob)}")
+                                    f"{n} bytes, the file has {size}")
     try:
-        manifest = json.loads(blob[_CKPT_HEADER:base])
+        manifest = json.loads(f.read(n))
     except ValueError as e:     # JSON syntax and UTF-8 decoding errors alike
         raise CheckpointFormatError(f"{path}: manifest at offset {_CKPT_HEADER} "
                                     f"is not JSON ({e})") from None
@@ -467,7 +470,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             and isinstance(manifest.get("tensors"), list)):
         raise CheckpointFormatError(f"{path}: manifest at offset {_CKPT_HEADER} needs a "
                                     f"'config' object and a 'tensors' list")
-    arrays = {}
+    entries = []
     for i, e in enumerate(manifest["tensors"]):
         if not (isinstance(e, dict) and isinstance(e.get("name"), str)
                 and e.get("dtype") in _CKPT_DTYPES
@@ -478,19 +481,45 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"{path}: tensor entry {i} of the manifest at offset {_CKPT_HEADER} needs a "
                 f"name, a dtype in {_CKPT_DTYPES}, a shape of at most {MAX_NDIM} "
                 f"extents, and an offset and nbytes")
-        dtype = np.dtype(e["dtype"])
+        itemsize = np.dtype(e["dtype"]).itemsize
         count = math.prod(e["shape"])
         start = base + e["offset"]
-        if e["nbytes"] != count * dtype.itemsize:
+        if e["nbytes"] != count * itemsize:
             raise CheckpointFormatError(f"{path}: tensor {e['name']!r} at offset {start} "
                                         f"declares {e['nbytes']} bytes, its shape "
-                                        f"{e['shape']} needs {count * dtype.itemsize}")
-        if start + e["nbytes"] > len(blob):
+                                        f"{e['shape']} needs {count * itemsize}")
+        if start + e["nbytes"] > size:
             raise CheckpointFormatError(f"{path}: tensor {e['name']!r} at offset {start} "
-                                        f"runs past the end of the file ({len(blob)} bytes)")
-        arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=start)
-        arrays[e["name"]] = arr.reshape(e["shape"]).astype(dtype)
-    return manifest["config"], arrays
+                                        f"runs past the end of the file ({size} bytes)")
+        entries.append({**e, "offset": start})
+    return manifest["config"], entries
+
+
+def load_checkpoint(path, build=None) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint: its header and manifest first, checking every
+    length and offset against the file's size before allocating anything;
+    any fault raises ``CheckpointFormatError``.  Each tensor is then read
+    straight into its array: a new one, or with ``build``, the tensor of that
+    name in the module ``build(config)`` returns, whose names and shapes
+    must be the file's (``KeyError`` or ``ShapeError`` otherwise)."""
+    with open(path, "rb") as f:
+        config, entries = _read_manifest(f, path)
+        shapes = {e["name"]: e["shape"] for e in entries}
+        arrays = {} if build is None else build(config).state_buffers(shapes)
+        for e in entries:
+            dtype = np.dtype(e["dtype"])
+            if build is None:
+                arrays[e["name"]] = np.empty(e["shape"], dtype)
+            dst, stored = arrays[e["name"]], dtype.newbyteorder("<")
+            # the file's bytes land in dst itself unless they need converting
+            raw = dst if dst.dtype == stored else np.empty(dst.shape, stored)
+            f.seek(e["offset"])
+            if f.readinto(raw) != e["nbytes"]:
+                raise CheckpointFormatError(f"{path}: tensor {e['name']!r} at offset "
+                                            f"{e['offset']} ends early: the file shrank")
+            if raw is not dst:
+                dst[...] = raw
+    return config, arrays
 
 
 # ---------------------------------------------------------------------------

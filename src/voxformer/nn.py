@@ -6,9 +6,12 @@ kernels are single recorded graph nodes rather than per-voxel graphs:
 conv3d is tiled im2col + BLAS with an optional fused leaky ReLU,
 maxpool3d a separable max over W, H and D, adaptive pooling three
 averaging-matrix products, and the instance, batch and layer norms share
-one fused ``normalize`` node.  One tap iterator, ``_windows``, yields every
-strided kernel window that conv3d and both max-pool passes read; conv3d's
-zero padding is never materialized: each window is clipped to the input.
+one fused ``normalize`` node.  An instance or batch norm followed by a
+max-pool is one ``maxpool3d(..., norm=...)`` node that pools the input and
+normalizes only the pooled values.  One tap iterator, ``_windows``, yields
+every strided kernel window that conv3d and both max-pool passes read;
+conv3d's zero padding is never materialized: each window is clipped to the
+input.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _special
 
-from .tensor import (Tensor, ShapeError, _node, _records, add, div, gelu, matmul, mul,
-                     reshape, softmax, sub, transpose)
+from .tensor import (Tensor, ShapeError, _node, _records, add, gelu, matmul, mul,
+                     reshape, softmax, transpose)
 
 # Fixed layer settings: every model in this package uses these values.
 CONV_KERNEL = 3         # Conv3d: cubic kernel extent
@@ -141,18 +144,23 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy arrays into this module's tensors, matched by name."""
+    def state_buffers(self, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+        """This module's tensor arrays by name, once ``shapes`` is checked to
+        name every tensor, and nothing else, with its shape."""
         own = dict(self.named_tensors())
-        missing = sorted(set(own) - set(arrays))
-        extra = sorted(set(arrays) - set(own))
+        missing = sorted(set(own) - set(shapes))
+        extra = sorted(set(shapes) - set(own))
         if missing or extra:
             raise KeyError(f"state mismatch: missing={missing} unexpected={extra}")
         for name, t in own.items():
-            arr = arrays[name]
-            if tuple(arr.shape) != t.shape:
-                raise ShapeError(f"state {name!r}: shape {arr.shape} != {t.shape}")
-            t.data = np.ascontiguousarray(arr, dtype=t.dtype)
+            if tuple(shapes[name]) != t.shape:
+                raise ShapeError(f"state {name!r}: shape {tuple(shapes[name])} != {t.shape}")
+        return {name: t.data for name, t in own.items()}
+
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy arrays into this module's tensors, matched by name."""
+        for name, buf in self.state_buffers({k: a.shape for k, a in arrays.items()}).items():
+            buf[...] = arrays[name]
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -246,6 +254,8 @@ def _zero_outside(a: np.ndarray, inside) -> None:
 # 2.4, OpenBLAS), the five CVVT-tiny stage convs of one 169x208x179 scan took
 # (best of 3) 425 ms at 2**18, 384 at 2**20, 358 at 2**21, 410 at 2**22,
 # 424 at 2**23 and 459 at 2**24; the whole matrix at once took 591 ms.
+# ``moments`` and the norm-and-max-pool node work on channel chunks of about
+# the same size.
 _TILE = 1 << 21
 
 
@@ -384,25 +394,12 @@ def _pool_winners(x: np.ndarray, out: np.ndarray, k: int, s: int) -> np.ndarray:
     return origin + rel
 
 
-def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None) -> Tensor:
-    """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
-
-    The forward takes the max over W, then H, then D through the tap
-    iterator, with kernels (1,1,k), (1,k,1) and (k,1,1), and keeps nothing
-    but its output.  The backward scans the k^3 taps once for the winners:
-    gradient goes to the argmax voxel, and ties go to the first element of
-    the window in (d,h,w) row-major order.  A window holding a NaN outputs
-    NaN, and its gradient goes to the window's first voxel.
-    """
-    k = int(kernel)
-    s = k if stride is None else int(stride)
-    if k < 1:
-        raise ValueError(f"kernel must be >= 1, got {k}")
-    if s < 1:
-        raise ValueError(f"stride must be >= 1, got {s}")
-    n, c, d, h, w = x.shape
+def _window_max(a: np.ndarray, k: int, s: int) -> np.ndarray:
+    """Per-window max of [N,C,D,H,W] ``a``: over W, then H, then D, through
+    the tap iterator with kernels (1,1,k), (1,k,1) and (k,1,1)."""
+    d, h, w = a.shape[2:]
     do, ho, wo = maxpool3d_output_extents((d, h, w), k, s)
-    out = x.data
+    out = a
     for kern, strides, out_sp in (((1, 1, k), (1, 1, s), (d, h, wo)),
                                   ((1, k, 1), (1, s, 1), (d, ho, wo)),
                                   ((k, 1, 1), (s, 1, 1), (do, ho, wo))):
@@ -410,6 +407,33 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None) -> Tensor:
         out = next(taps).copy()
         for tap in taps:
             np.maximum(tap, out, out=out)   # on a tie (+0 vs -0) numpy keeps out, the earlier tap
+    return out
+
+
+def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
+              norm: tuple | None = None) -> Tensor:
+    """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
+
+    The forward is ``_window_max`` and keeps nothing but its output.  The
+    backward scans the k^3 taps once for the winners: gradient goes to the
+    argmax voxel, and ties go to the first element of the window in (d,h,w)
+    row-major order.  A window holding a NaN outputs NaN, and its gradient
+    goes to the window's first voxel.
+
+    With ``norm=(gamma, beta, mean, var, axes)`` the node is instead
+    max-pool(gamma * (x - mean) / sd + beta), sd = sqrt(var + NORM_EPS), with
+    ``mean`` and ``var`` shaped to broadcast against x (see ``_norm_max_pool``).
+    """
+    k = int(kernel)
+    s = k if stride is None else int(stride)
+    if k < 1:
+        raise ValueError(f"kernel must be >= 1, got {k}")
+    if s < 1:
+        raise ValueError(f"stride must be >= 1, got {s}")
+    if norm is not None:
+        return _norm_max_pool(x, k, s, *norm)
+    n, c, d, h, w = x.shape
+    out = _window_max(x.data, k, s)
 
     def backward(g: np.ndarray) -> None:
         base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
@@ -423,6 +447,82 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None) -> Tensor:
         x._accumulate(dx)
 
     return _node(out, (x,), backward, "maxpool3d")
+
+
+def _norm_max_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
+                   mean: np.ndarray, var: np.ndarray, axes: tuple[int, ...] | None) -> Tensor:
+    """max-pool(gamma * x̂ + beta), x̂ = (x - mean) / sd, as one node that
+    never builds x̂ or the normalized volume.
+
+    ``axes`` names the axes ``mean`` and ``var`` were taken over (the
+    instance or batch statistics of x, from ``moments``), so the gradient
+    flows through them; None marks fixed statistics (BatchNorm's running
+    estimates).  Per channel the affine map is monotone, increasing where
+    gamma > 0 and decreasing where gamma < 0, so it commutes with the max:
+    the node pools sign(gamma) * x, a few channels at a time, and maps the
+    pooled values only.  The output has the bytes of the unfused
+    normalize-then-pool (where gamma and beta are both zero, up to the sign
+    of a zero).  The gradient goes to the first voxel holding the window's
+    max of sign(gamma) * x (the first voxel of every window when gamma is
+    ±0).
+
+    When recorded, the node keeps, beside x, only pooled-size arrays (the
+    output, the flat winner indices and x̂ at the winners) and the
+    statistics.  The backward takes dgamma, dbeta and the two means of
+    normalize's closed form from pooled-size sums, then writes dx in one
+    full-size pass over x, (x - mean) * (-mean(ĝ·x̂)/sd^2) - mean(ĝ)/sd with
+    ĝ = g·gamma, and adds ĝ/sd at the winners.
+    """
+    xd, dt = x.data, x.dtype
+    n, c, d, h, w = x.shape
+    out_sp = maxpool3d_output_extents((d, h, w), k, s)
+    shape = (1, c, 1, 1, 1)
+    scale, shift = gamma.data.reshape(shape), beta.data.reshape(shape)
+    sign = np.sign(scale)
+    sd = np.sqrt(var + dt.type(NORM_EPS))
+    parents = (x, gamma, beta)
+    z = np.empty((n, c) + out_sp, dt)       # the max of sign*x, then sign times it: x at the max
+    lin = np.empty(z.shape, np.int64) if _records(parents) else None
+    base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
+    for ch in _channel_chunks(xd):
+        sg = sign[:, ch]
+        xs = xd[:, ch] if (sg == 1).all() else xd[:, ch] * sg
+        z[:, ch] = _window_max(xs, k, s)
+        if lin is not None:
+            lin[:, ch] = base[:, ch] + _pool_winners(xs, z[:, ch], k, s)
+    z *= sign
+    xhat = np.divide(np.subtract(z, mean, out=z), sd, out=z)
+    out = xhat * scale + shift
+    if lin is None:
+        return _node(out, parents, None, "maxpool3d")
+    if not sign.all():      # gamma = ±0: x̂ of each window's first voxel, for dgamma
+        zero = sign.reshape(-1) == 0
+        first = (xd.reshape(-1)[lin[:, zero]] - mean[:, zero]) / sd[:, zero]
+        xhat[:, zero] = np.where(np.isnan(xhat[:, zero]), xhat[:, zero], first)
+    inv = 1 / sd
+    others = (0, 2, 3, 4)
+
+    def backward(g: np.ndarray) -> None:
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=others))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=others))
+        if not x.requires_grad:
+            return
+        gs = g * scale * inv                # ĝ/sd at the winners
+        if axes is None:
+            dx = np.zeros(x.shape, dt)
+        else:
+            count = math.prod(x.shape[ax] for ax in axes)
+            m1 = gs.sum(axis=axes, keepdims=True) / count
+            m2 = (gs * xhat).sum(axis=axes, keepdims=True) / count
+            dx = np.subtract(xd, mean)
+            dx *= -m2 * inv
+            dx -= m1
+        np.add.at(dx.reshape(-1), lin.reshape(-1), gs.reshape(-1))
+        x._accumulate(dx)
+
+    return _node(out, parents, backward, "maxpool3d")
 
 
 def _averaging_matrix(length: int, out: int, dtype) -> np.ndarray:
@@ -459,6 +559,32 @@ def adaptive_avg_pool3d(x: Tensor, output: tuple[int, int, int]) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # normalization
+
+def _channel_chunks(x: np.ndarray) -> list[slice]:
+    """Slices of the channels of [N,C,D,H,W] ``x``, about ``_TILE`` elements
+    each and at least two channels (when C > 1): numpy sums a contiguous
+    one-channel copy across samples in another order than the whole array."""
+    c = x.shape[1]
+    per = max(2, _TILE // (x.size // c))
+    starts = list(range(0, c, per))
+    if len(starts) > 1 and c - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [c])]
+
+
+def moments(x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased variance of [N,C,D,H,W] ``x`` over ``axes``, kept as
+    length-1 axes: ``normalize``'s arithmetic and bytes, computed a few
+    channels at a time so that no temporary is the size of x."""
+    shape = tuple(1 if ax in axes else e for ax, e in enumerate(x.shape))
+    mean, var = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
+    for ch in _channel_chunks(x):
+        part = (slice(None), ch)
+        mean[part] = x[part].mean(axis=axes, keepdims=True)
+        xc = x[part] - mean[part]
+        var[part] = np.multiply(xc, xc, out=xc).mean(axis=axes, keepdims=True)
+    return mean, var
+
 
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor,
               axes: tuple[int, ...], channel_axis: int) -> Tensor:
@@ -504,17 +630,23 @@ class InstanceNorm3d(Module):
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, pool: tuple[int, int] | None = None) -> Tensor:
+        """The normalized x; with ``pool=(kernel, stride)``, its max-pool as
+        one ``maxpool3d`` node that never builds the normalized volume."""
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
-        return normalize(x, self.gamma, self.beta, (2, 3, 4), 1)
+        axes = (2, 3, 4)
+        if pool is None:
+            return normalize(x, self.gamma, self.beta, axes, 1)
+        return maxpool3d(x, *pool, norm=(self.gamma, self.beta, *moments(x.data, axes), axes))
 
 
 class BatchNorm3d(Module):
     """Per-channel normalization over (N,D,H,W) with running statistics.
 
     Training uses batch statistics (biased variance) and updates the running
-    estimates; eval normalizes with the running estimates.
+    estimates; eval normalizes with the running estimates.  ``pool`` is as
+    in ``InstanceNorm3d``; eval without it is a 1^3 pool, the identity.
     """
 
     def __init__(self, num_features: int, dtype=np.float32):
@@ -525,26 +657,26 @@ class BatchNorm3d(Module):
         self.running_mean = Tensor(np.zeros(num_features, dtype=dtype))
         self.running_var = Tensor(np.ones(num_features, dtype=dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, pool: tuple[int, int] | None = None) -> Tensor:
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
-        if self.training:
-            out = normalize(x, self.gamma, self.beta, (0, 2, 3, 4), 1)
-            n, _, d, h, w = x.shape
-            count = n * d * h * w
-            mean = x.data.mean(axis=(0, 2, 3, 4))
-            var = x.data.var(axis=(0, 2, 3, 4))
-            if count > 1:
-                var = var * count / (count - 1)
-            m = BN_MOMENTUM
-            self.running_mean.data = ((1 - m) * self.running_mean.data + m * mean).astype(x.dtype)
-            self.running_var.data = ((1 - m) * self.running_var.data + m * var).astype(x.dtype)
-        else:
+        if not self.training:
             shape = (1, self.num_features, 1, 1, 1)
-            mu = Tensor(self.running_mean.data.reshape(shape))
-            sd = Tensor(np.sqrt(self.running_var.data.reshape(shape) + x.dtype.type(NORM_EPS)))
-            out = div(sub(x, mu), sd)
-            out = add(mul(out, reshape(self.gamma, shape)), reshape(self.beta, shape))
+            stats = (self.running_mean.data.reshape(shape), self.running_var.data.reshape(shape))
+            return maxpool3d(x, *(pool or (1, 1)), norm=(self.gamma, self.beta, *stats, None))
+        axes = (0, 2, 3, 4)
+        mean, var = moments(x.data, axes)
+        if pool is None:
+            out = normalize(x, self.gamma, self.beta, axes, 1)
+        else:
+            out = maxpool3d(x, *pool, norm=(self.gamma, self.beta, mean, var, axes))
+        count = x.size // self.num_features
+        mean, var = mean.reshape(-1), var.reshape(-1)
+        if count > 1:
+            var = var * count / (count - 1)
+        m = BN_MOMENTUM
+        self.running_mean.data = ((1 - m) * self.running_mean.data + m * mean).astype(x.dtype)
+        self.running_var.data = ((1 - m) * self.running_var.data + m * var).astype(x.dtype)
         return out
 
 

@@ -152,7 +152,7 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
         rows.append(row)
         D.append_text(metrics_path, json.dumps(row, sort_keys=True) + "\n")
 
-    metrics_path.write_text("")
+    D.write_atomic(metrics_path)
     emit({"event": "config", **ckpt_config["run"],
           "model_config": ckpt_config["model_config"],
           "normalization": ckpt_config["normalization"]})
@@ -201,15 +201,10 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
     return rows
 
 
-def load_model_from_checkpoint(path):
-    """Rebuild the model and its normalization stats from a checkpoint.
-
-    A manifest that reads but does not describe a model (a missing key, a
-    config ``build_config`` rejects, a non-integer seed, tensors that do not
-    match the model, or no numeric normalization mean and std) raises
-    ``CheckpointFormatError`` naming the file and the key or tensor.
-    """
-    config, arrays = M.load_checkpoint(path)
+def _checkpoint_model(path, config: dict):
+    """The model a checkpoint's config describes, built without a random
+    init; ``CheckpointFormatError`` names the key the config lacks or gets
+    wrong."""
 
     def entry(*keys, types=None):
         value = config
@@ -227,14 +222,34 @@ def load_model_from_checkpoint(path):
     model_config = entry("model_config", types=(dict,))
     seed = entry("run", "seed", types=(int,))
     try:
-        with no_init():         # load_state below replaces every tensor
+        with no_init():         # every tensor is then read from the file
             model = M.build_model(M.config_from_dict(model_config), seed=seed)
     except (TypeError, ValueError) as e:
         raise M.CheckpointFormatError(f"{path}: manifest config 'model_config': {e}") from None
     for key in ("mean", "std"):
         entry("normalization", key, types=(int, float))
+    return model
+
+
+def load_model_from_checkpoint(path):
+    """Rebuild the model and its normalization stats from a checkpoint.
+
+    A manifest that reads but does not describe a model (a missing key, a
+    config ``build_config`` rejects, a non-integer seed, tensors that do not
+    match the model, or no numeric normalization mean and std) raises
+    ``CheckpointFormatError`` naming the file and the key or tensor.  The
+    model is built before any tensor is read, and each tensor is read
+    straight into the model's own buffer.
+    """
+    model = None
+
+    def build(config):
+        nonlocal model
+        model = _checkpoint_model(path, config)
+        return model
+
     try:
-        model.load_state(arrays)
+        config, _ = M.load_checkpoint(path, build)
     except (KeyError, ShapeError) as e:
         raise M.CheckpointFormatError(f"{path}: tensors do not match the model: "
                                       f"{e.args[0]}") from None

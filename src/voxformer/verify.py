@@ -79,6 +79,8 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     checks.append(("conv3d_lrelu", _conv3d_tiles_check(tol, slope=0.2, seed=19)))
     run("maxpool3d", lambda x: nn.maxpool3d(x, 3, 2).sum(),
         [_t(rng, 1, 2, 6, 6, 6)])
+    checks.append(("maxpool3d_in", _norm_pool_check(nn.InstanceNorm3d, tol)))
+    checks.append(("maxpool3d_bn", _norm_pool_check(nn.BatchNorm3d, tol)))
     run("adaptive_avg_pool3d", lambda x: nn.adaptive_avg_pool3d(x, (2, 2, 2)).sum(),
         [_t(rng, 1, 2, 5, 6, 7)])
 
@@ -141,6 +143,21 @@ def _conv3d_tiles_check(tol: float, slope: float | None = None, seed: int = 17):
                                  rng=np.random.default_rng(seed + 1))
     finally:
         nn._TILE = saved
+
+
+def _norm_pool_check(layer_type, tol: float, seed: int = 21):
+    """Check of the norm-and-max-pool node through ``layer_type(3)(x,
+    pool=(3, 2))``, over x, gamma and beta, at batch 2 and on extents that
+    stride 2 does not divide.  A voxel that wins no window reaches the loss
+    only through the statistics, so some of its gradients are near 1e-6
+    while the loss is near 30: a step of 1e-4 keeps the difference above
+    rounding, and no window's two largest values lie within it."""
+    rng = np.random.default_rng(seed)
+    layer = layer_type(3, dtype=np.float64)
+    x, gamma, beta = _t(rng, 2, 3, 6, 7, 5), _t(rng, 3), _t(rng, 3)
+    proj = Tensor(rng.standard_normal((2, 3, 2, 3, 2)))
+    return gradcheck(lambda xx, g, b: (_with_affine(layer, g, b)(xx, pool=(3, 2)) * proj).sum(),
+                     [x, gamma, beta], eps=1e-4, tol=tol)
 
 
 def _with_affine(layer, gamma, beta):
@@ -208,25 +225,31 @@ def suite_shapes() -> list[CheckResult]:
 
 
 def suite_norms(n_inputs: int = 100, tol: float = 1e-5) -> list[CheckResult]:
-    """batchnorm3d in training mode at batch 1 must match instancenorm3d."""
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(n_inputs):
-        c = int(rng.integers(1, 5))
-        sp = tuple(rng.integers(2, 6, size=3))
-        x = rng.standard_normal((1, c) + sp).astype(np.float32) * rng.uniform(0.5, 3.0)
-        gamma = rng.standard_normal(c).astype(np.float32)
-        beta = rng.standard_normal(c).astype(np.float32)
-        bn = nn.BatchNorm3d(c)
-        inorm = nn.InstanceNorm3d(c)
-        for layer in (bn, inorm):
-            layer.gamma.data[:] = gamma
-            layer.beta.data[:] = beta
-        bn.train()
-        diff = float(np.abs(bn(Tensor(x)).data - inorm(Tensor(x)).data).max())
-        worst = max(worst, diff)
-    return [CheckResult("norms.batchnorm_n1_equals_instancenorm", worst < tol,
-                        f"max abs diff {worst:.2e} over {n_inputs} inputs (tol {tol:g})")]
+    """batchnorm3d in training mode at batch 1 must match instancenorm3d,
+    alone and as the norm-and-max-pool node that ConvNet3D-4 runs."""
+    results = []
+    for pool, seed, low, suffix in ((None, 123, 2, ""), ((3, 2), 124, 3, "_pooled")):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(n_inputs):
+            c = int(rng.integers(1, 5))
+            sp = tuple(rng.integers(low, low + 4, size=3))
+            x = rng.standard_normal((1, c) + sp).astype(np.float32) * rng.uniform(0.5, 3.0)
+            gamma = rng.standard_normal(c).astype(np.float32)
+            beta = rng.standard_normal(c).astype(np.float32)
+            bn = nn.BatchNorm3d(c)
+            inorm = nn.InstanceNorm3d(c)
+            for layer in (bn, inorm):
+                layer.gamma.data[:] = gamma
+                layer.beta.data[:] = beta
+            bn.train()
+            diff = float(np.abs(bn(Tensor(x), pool=pool).data
+                                - inorm(Tensor(x), pool=pool).data).max())
+            worst = max(worst, diff)
+        results.append(CheckResult(f"norms.batchnorm_n1_equals_instancenorm{suffix}",
+                                   worst < tol, f"max abs diff {worst:.2e} over {n_inputs} "
+                                                f"inputs (tol {tol:g})"))
+    return results
 
 
 SUITES = {

@@ -450,6 +450,43 @@ def test_train_metrics_append_on_full_disk_exits_3_naming_the_file(dataset, tmp_
     assert len(read_jsonl(out / TR.METRICS_NAME)) == appends_before
 
 
+class _HalfWrittenFile(_FullDiskFile):
+    """A file whose first write stores half its bytes, then fills the disk."""
+
+    def write(self, b):
+        self.f.write(bytes(b)[:len(b) // 2])
+        super().write(b)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_synth_volume_write_on_full_disk_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                                 capsys, k):
+    """The k-th volume file fills the disk part-way through: synth exits 3
+    with one line naming that volume, and no partial .vox or .tmp is left."""
+    volumes = []
+
+    def full_disk_open(file, *a, **kw):
+        f = open(file, *a, **kw)
+        if ".vox" not in Path(file).name:
+            return f
+        volumes.append(Path(file))
+        return _HalfWrittenFile(f) if len(volumes) == k else f
+
+    monkeypatch.setattr(D, "open", full_disk_open, raising=False)
+    out = tmp_path / "data"
+    capsys.readouterr()
+    rc = cli.main(["synth", "--out", str(out), "--subjects", "4", "--extents", "10"])
+    err = capsys.readouterr().err.strip().splitlines()
+    failed = volumes[k - 1].with_suffix("")            # name.vox.tmp -> name.vox
+    assert rc == cli.EXIT_DATA and len(volumes) == k
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    assert str(failed) in err[0] and "No space left on device" in err[0]
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(v.with_suffix("").name for v in volumes[:k - 1])
+    for name in written:
+        assert D.read_volume(out / name).shape == (10, 10, 10)
+
+
 # ---------------------------------------------------------------------------
 # exit-code table: each subcommand, each failure class it can raise
 

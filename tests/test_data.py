@@ -251,12 +251,30 @@ def test_synth_deterministic_bytes(tmp_path):
         assert f.read_bytes() == (b / f.name).read_bytes(), f.name
 
 
+def signal_region_mask(extents: tuple[int, int, int]) -> np.ndarray:
+    """Voxels of the undeformed class-signal region (the linear-probe oracle's ROI)."""
+    _, bump = D._fields(extents)
+    return bump > 0.5
+
+
+def expected_region_means(cfg: D.SynthConfig) -> tuple[float, float, float]:
+    """(mean_AD, mean_CN, threshold) over the signal region, computed in
+    closed form from the generator fields (no sampling)."""
+    base, bump = D._fields(cfg.extents)
+    mask = bump > 0.5
+    mu_base = float(base[mask].mean())
+    mu_bump = float(bump[mask].mean())
+    mu_ad = mu_base + cfg.atrophy_factor * cfg.signal_amplitude * mu_bump
+    mu_cn = mu_base + cfg.signal_amplitude * mu_bump
+    return mu_ad, mu_cn, 0.5 * (mu_ad + mu_cn)
+
+
 def test_synth_zero_amplitude_removes_class_signal(tmp_path):
     cfg = D.SynthConfig(n_subjects=6, sessions_per_subject=1, extents=(12, 12, 12),
                         seed=2, signal_amplitude=0.0)
     D.synth_generate(tmp_path, cfg)
     records = D.read_manifest(tmp_path / D.MANIFEST_NAME)
-    mask = D.signal_region_mask(cfg.extents)
+    mask = signal_region_mask(cfg.extents)
     means = {"AD": [], "CN": []}
     for r in records:
         means[r.label].append(D.load_record_volume(tmp_path, r)[mask].mean())
@@ -268,8 +286,8 @@ def test_synth_linear_probe_oracle_separates_classes(tmp_path):
     cfg = D.SynthConfig(n_subjects=30, sessions_per_subject=1, extents=(32, 32, 32), seed=7)
     D.synth_generate(tmp_path, cfg)
     records = D.read_manifest(tmp_path / D.MANIFEST_NAME)
-    mask = D.signal_region_mask(cfg.extents)
-    _, _, threshold = D.expected_region_means(cfg)
+    mask = signal_region_mask(cfg.extents)
+    _, _, threshold = expected_region_means(cfg)
     correct = 0
     for r in records:
         vol = D.load_record_volume(tmp_path, r)

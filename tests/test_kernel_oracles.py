@@ -6,10 +6,12 @@ backward, ``oracle_maxpool3d`` the earlier sliding-window argmax kernel,
 per-bin gradient scatter, and ``oracle_norm`` the earlier composite graph
 (mean, sub, mul, mean, add, sqrt, div, then reshape, mul, add for the affine
 part), kept here verbatim in substance; ``_sqrt`` is the square-root node
-that graph used.  The tiled conv and the averaging-matrix pooling must
-match to rounding.  The max-pool must match bit for bit, winners included.
-The fused norm node's forward must too; its closed-form gradients must
-match to rounding.
+that graph used.  ``oracle_bn_eval`` is BatchNorm's earlier eval graph
+(sub, div, mul, add) over its running statistics.  The tiled conv and the
+averaging-matrix pooling must match to rounding.  The max-pool must match
+bit for bit, winners included.  The fused norm node's forward must too; its
+closed-form gradients must match to rounding.  So must the norm-and-max-pool
+node against normalize-then-pool.
 
 ``oracle_trunc_normal`` and ``oracle_kaiming_normal`` draw a whole
 parameter in one float64 call, ``oracle_patchify`` pads the volume and
@@ -31,6 +33,7 @@ from scipy import special
 
 from voxformer import models as M
 from voxformer import nn
+from voxformer import train as TR
 from voxformer.tensor import (ShapeError, Tensor, _node, _unary, add, div, leaky_relu, mul,
                               no_grad, reshape, sub, tmean)
 
@@ -181,6 +184,13 @@ def oracle_norm(x: Tensor, gamma, beta, axes, channel_axis):
     shape = [1] * xhat.ndim
     shape[channel_axis] = gamma.size
     return add(mul(xhat, reshape(gamma, shape)), reshape(beta, shape))
+
+
+def oracle_bn_eval(x: Tensor, gamma, beta, running_mean, running_var):
+    shape = (1, gamma.size, 1, 1, 1)
+    mu = Tensor(running_mean.reshape(shape))
+    sd = Tensor(np.sqrt(running_var.reshape(shape) + x.dtype.type(nn.NORM_EPS)))
+    return add(mul(div(sub(x, mu), sd), reshape(gamma, shape)), reshape(beta, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +544,153 @@ def test_norm_layers_use_the_fused_node(layer):
 
 
 # ---------------------------------------------------------------------------
+# the norm-and-max-pool node against normalize-then-pool
+
+def _norm_pool_case(batch, extents, dtype):
+    """Five channels: gamma < 0 in channel 1, +0 in 2, -0 in 3; one NaN
+    voxel in channel 4 of the last sample, inside the first window."""
+    rng = np.random.default_rng(batch * 100 + extents[0])
+    c = 5
+    x = (rng.standard_normal((batch, c) + extents) * 2.0 + 0.5).astype(dtype)
+    x[-1, 4, 1, 2, 1] = np.nan
+    gamma, beta, running_mean = (rng.standard_normal(c).astype(dtype) for _ in range(3))
+    gamma[1], gamma[2], gamma[3] = -abs(gamma[1]), 0.0, -0.0
+    running_var = rng.uniform(0.5, 2.0, c).astype(dtype)
+    return x, gamma, beta, running_mean, running_var
+
+
+def _norm_pool_both(kind, x, gamma, beta, running_mean, running_var, k, s):
+    """[output, dx, dgamma, dbeta] of the node, through the layer, and of
+    the unfused graph, with the same projection of the output."""
+    results = []
+    for fused in (True, False):
+        xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta))
+        if kind == "in":
+            layer = nn.InstanceNorm3d(x.shape[1], x.dtype)
+        else:
+            layer = nn.BatchNorm3d(x.shape[1], x.dtype)
+            layer.running_mean.data[:], layer.running_var.data[:] = running_mean, running_var
+            layer.train(kind == "bn")
+        layer.gamma, layer.beta = gt, bt
+        if fused:
+            out = layer(xt, pool=(k, s))
+        elif kind == "bn_eval":
+            # the oracle pool routes a NaN window's gradient to the NaN, the
+            # node and maxpool3d to the window's first voxel
+            out = nn.maxpool3d(oracle_bn_eval(xt, gt, bt, running_mean, running_var), k, s)
+        else:
+            axes = (2, 3, 4) if kind == "in" else (0, 2, 3, 4)
+            out = oracle_maxpool3d(oracle_norm(xt, gt, bt, axes, 1), k, s)
+        proj = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
+        (out * Tensor(proj)).sum().backward()
+        results.append([out.data, xt.grad, gt.grad, bt.grad])
+    return results
+
+
+@pytest.mark.parametrize("extents", [(9, 10, 11)])     # neither stride divides them all
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["in", "bn", "bn_eval"])
+def test_norm_max_pool_matches_normalize_then_pool(kind, dtype, batch, stride, extents):
+    x, gamma, beta, running_mean, running_var = _norm_pool_case(batch, extents, dtype)
+    (out, *grads), (ref, *ref_grads) = _norm_pool_both(kind, x, gamma, beta, running_mean,
+                                                       running_var, 3, stride)
+    assert np.isnan(out).any() and not np.isnan(out).all()
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    np.testing.assert_array_equal(out.view(np.uint8), ref.view(np.uint8))
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for g, want in zip(grads, ref_grads):
+        assert g.dtype == want.dtype and g.shape == want.shape
+        np.testing.assert_allclose(g, want, rtol=tol, atol=tol * np.nanmax(np.abs(want)))
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("pool", [None, (3, 2)])
+def test_batchnorm_running_stats_are_the_batch_moments(pool, batch):
+    """The running update reads the mean and variance the node normalizes
+    with; they have the bytes of numpy's mean and var over the batch."""
+    rng = np.random.default_rng(batch)
+    x = (rng.standard_normal((batch, 5, 9, 8, 7)) * 2.0 + 0.5).astype(np.float32)
+    bn = nn.BatchNorm3d(5)
+    bn(Tensor(x, requires_grad=True), pool=pool)
+    count = x.size // 5
+    mean = x.mean(axis=(0, 2, 3, 4))
+    var = x.var(axis=(0, 2, 3, 4)) * count / (count - 1)
+    want_mean = (0.9 * np.zeros(5, np.float32) + 0.1 * mean).astype(np.float32)
+    want_var = (0.9 * np.ones(5, np.float32) + 0.1 * var).astype(np.float32)
+    np.testing.assert_array_equal(bn.running_mean.data, want_mean)
+    np.testing.assert_array_equal(bn.running_var.data, want_var)
+
+
+@pytest.mark.parametrize("kind", ["in", "bn", "bn_eval"])
+def test_recorded_norm_max_pool_node_holds_no_input_sized_array(kind):
+    """Beside its input, the node keeps pooled-size arrays and statistics:
+    no x̂, no normalized volume."""
+    x = Tensor(np.random.default_rng(8).standard_normal((2, 6, 12, 11, 10)),
+               requires_grad=True)
+    layer = nn.InstanceNorm3d(6, np.float64) if kind == "in" else nn.BatchNorm3d(6, np.float64)
+    if kind == "bn_eval":
+        layer.eval()
+    layer.gamma.data[1] = 0.0            # the gamma = 0 path keeps no more
+    out = layer(x, pool=(3, 2))
+    assert out.op == "maxpool3d" and out._parents == (x, layer.gamma, layer.beta)
+    arrays = _reachable_arrays(out._backward_fn)
+    assert any(a is x.data for a in arrays)
+    others = [a for a in arrays if a is not x.data]
+    assert others and max(a.size for a in others) <= out.size
+
+
+# ---------------------------------------------------------------------------
 # graph memory of one ConvNet3D-4-IN step
 
 def test_convnet_in_32_graph_bytes_bound():
     """Bytes held by the recorded non-leaf nodes of one 32^3 ConvNet3D-4-IN
     loss graph (what the benchmark reports as graph_mb).  The composite norm
-    graph held 124.7 MB; the fused node holds 45.6 MB.  The bound is that
-    figure plus 10%."""
+    graph held 124.7 MB, the fused norm node 45.6 MB; with the norm and the
+    max-pool in one node, 25.8 MB (block 1's conv output is 16.8 MB of it).
+    The bound is that figure plus 10%."""
     cfg = M.build_config("convnet3d4", norm="in", extents=(32, 32, 32), pool_stride=2)
     model = M.build_model(cfg, seed=0)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 32, 32, 32)).astype(np.float32))
     loss = nn.cross_entropy(model(x), [1])
     held = sum(t.data.nbytes for t in loss._toposort() if t._backward_fn is not None)
-    assert held < 45.6e6 * 1.1, held / 1e6
+    assert held < 25.8e6 * 1.1, held / 1e6
+
+
+def _unfused_block_forward(self, x):
+    """ConvNet3D-4's block before the norm-and-max-pool node: the norm, then
+    a separate max-pool."""
+    h = nn.maxpool3d(self.norm(self.conv(x)), M.CONVNET_POOL_KERNEL, self.pool_stride)
+    return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("norm", ["in", "bn"])
+def test_convnet_81_stride3_train_step_peak(norm, monkeypatch):
+    """One 81^3 batch-1 train step (forward and backward) of ConvNet3D-4
+    with stride-3 pools.  With the unfused block it peaked at 2.07 GB of
+    tracemalloc: block 1's 128x81^3 conv output, x̂, the normalized volume
+    and the pool's float64 scatter buffer.  With the norm-and-max-pool node
+    it peaks at 0.711 GB; the bound is 1.25x that.  The loss must equal the
+    unfused block's, computed without a graph."""
+    cfg = M.build_config("convnet3d4", norm=norm, extents=(81, 81, 81), pool_stride=3)
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 81, 81, 81)).astype(np.float32))
+    with monkeypatch.context() as m:
+        m.setattr(M._ConvBlock, "forward", _unfused_block_forward)
+        with no_grad():
+            ref = nn.cross_entropy(M.build_model(cfg, seed=0)(x), [1])
+    model = M.build_model(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        loss = nn.cross_entropy(model(x), [1])
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(loss.data, ref.data, rtol=1e-6)
+    assert all(np.isfinite(p.grad).all() for p in model.parameters())
+    assert peak < 1.25 * 0.711e9, peak / 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +773,26 @@ def test_vvit_tiny_full_size_build_peak_is_its_parameters():
         tracemalloc.stop()
     params = sum(t.data.nbytes for _, t in model.named_tensors())
     assert peak <= 1.25 * params, (peak / 1e6, params / 1e6)
+
+
+def test_vvit_tiny_checkpoint_load_peak_is_its_parameters(tmp_path):
+    """Loading reads each tensor straight into the model's own buffer: the
+    whole-file read plus a copy per tensor peaked at 2.0x the parameters."""
+    cfg = M.build_config("vvit", "tiny", extents=M.FULL_EXTENTS)
+    path = tmp_path / "vvit.ckpt"
+    source = M.build_model(cfg, seed=3)
+    M.save_checkpoint(path, source, {"model_config": M.config_to_dict(cfg), "run": {"seed": 0},
+                                     "normalization": {"mean": 0.0, "std": 1.0}})
+    params = sum(t.data.nbytes for _, t in source.named_tensors())
+    tracemalloc.start()
+    try:
+        model, _ = TR.load_model_from_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * params, (peak / 1e6, params / 1e6)
+    for (name, t), (_, want) in zip(model.named_tensors(), source.named_tensors()):
+        assert t.data.tobytes() == want.data.tobytes(), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

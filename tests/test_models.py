@@ -403,6 +403,18 @@ def test_load_skips_the_random_init_and_restores_every_tensor(tmp_path):
     assert nn.trunc_normal(np.random.default_rng(0), (3,)).any()     # draws again after
 
 
+def test_float64_checkpoint_loads_into_a_float32_model(tmp_path):
+    cfg = M.build_config("cvvt", "tiny", extents=(12, 12, 12))
+    net = M.build_model(cfg, seed=2, dtype=np.float64)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, net, {"model_config": M.config_to_dict(cfg), "run": {"seed": 2},
+                                  "normalization": {"mean": 0.0, "std": 1.0}})
+    loaded, _ = TR.load_model_from_checkpoint(path)
+    for (name, t), (_, want) in zip(loaded.named_tensors(), net.named_tensors()):
+        assert t.dtype == np.float32, name
+        np.testing.assert_array_equal(t.data, want.data.astype(np.float32))
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path):
     p = tmp_path / "junk.ckpt"
     p.write_bytes(b"NOTMODEL" + b"\x00" * 32)
