@@ -256,12 +256,12 @@ def cmd_grid(args) -> int:
     # each row is appended as its run returns, in grid order, so a stopped
     # grid keeps the rows before it; a finished one is rewritten ranked
     grid_path = out_dir / "grid.jsonl"
+    D.write_atomic(grid_path)
     rows = []
     pool = ProcessPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
-    with open(grid_path, "w") as f, pool or contextlib.nullcontext():
+    with pool or contextlib.nullcontext():
         for row in (pool.map if pool else map)(_grid_worker, payloads):
-            f.write(json.dumps(row, sort_keys=True) + "\n")
-            f.flush()
+            D.append_text(grid_path, json.dumps(row, sort_keys=True) + "\n")
             rows.append(row)
     rows.sort(key=lambda r: (-r["best_test_acc"], r["index"]))
     D.write_atomic(grid_path, *(json.dumps(r, sort_keys=True).encode() + b"\n" for r in rows))

@@ -95,8 +95,9 @@ CVVT_GRID = (10, 10, 10)
 CVVT_SLOPE = 0.2        # LeakyReLU after every embedding conv, fused into the conv node
 
 
-def _conv_out(extent: int, kernel: int = 3, stride: int = 1, padding: int = 1) -> int:
-    return (extent + 2 * padding - kernel) // stride + 1
+def _conv_out(extents: tuple[int, ...], stride: int) -> tuple[int, ...]:
+    """Output extents of a model conv (``nn.Conv3d``'s kernel and padding)."""
+    return nn.conv3d_output_extents(extents, (nn.CONV_KERNEL,) * 3, stride, nn.CONV_PADDING)
 
 
 def default_embed_stack(extents: tuple[int, int, int]) -> tuple[StageSpec, ...]:
@@ -111,7 +112,7 @@ def default_embed_stack(extents: tuple[int, int, int]) -> tuple[StageSpec, ...]:
     e = tuple(extents)
     ch = 1
     for c in CVVT_CHANNEL_LADDER:
-        nxt = tuple(_conv_out(x, stride=2) for x in e)
+        nxt = _conv_out(e, 2)
         if min(nxt) < CVVT_GRID[0]:
             break
         stages.append((ch, c, 2))
@@ -157,6 +158,8 @@ class ConvNet3D4Config:
     def __post_init__(self):
         if self.norm not in ("bn", "in"):
             raise ValueError(f"unknown norm {self.norm!r} (expected bn or in)")
+        if self.pool_stride < 1:
+            raise ValueError(f"pool_stride must be >= 1, got {self.pool_stride}")
 
 
 ModelConfig = VViTConfig | CVVTConfig | ConvNet3D4Config
@@ -189,10 +192,7 @@ def shape_infer(cfg: ModelConfig) -> ShapeTrace:
     if isinstance(cfg, CVVTConfig):
         cur = e
         for i, (cin, cout, stride) in enumerate(cfg.embed_stack):
-            nxt = tuple(_conv_out(x, stride=stride) for x in cur)
-            if min(nxt) < 1:
-                raise ShapeUnderflowError(f"embed.stage{i}",
-                                          f"conv output underflows: {cur} -> {nxt}")
+            nxt = _conv_out(cur, stride)
             trace.append((f"embed.stage{i}", (1, cout) + nxt))
             cur = nxt
         if min(cur) < CVVT_GRID[0]:
@@ -208,17 +208,13 @@ def shape_infer(cfg: ModelConfig) -> ShapeTrace:
 
     if isinstance(cfg, ConvNet3D4Config):
         cur = e
-        k = CONVNET_POOL_KERNEL
         for i, c in enumerate(CONVNET_CHANNELS[1:]):
-            conv = tuple(_conv_out(x) for x in cur)
-            if min(conv) < 1:
-                raise ShapeUnderflowError(f"block{i + 1}.conv",
-                                          f"conv output underflows: {cur} -> {conv}")
+            conv = _conv_out(cur, 1)
             trace.append((f"block{i + 1}.conv", (1, c) + conv))
-            pooled = tuple((x - k) // cfg.pool_stride + 1 for x in conv)
-            if min(conv) < k or min(pooled) < 1:
-                raise ShapeUnderflowError(f"block{i + 1}.pool",
-                                          f"pool window {k} does not fit extents {conv}")
+            try:
+                pooled = nn.maxpool3d_output_extents(conv, CONVNET_POOL_KERNEL, cfg.pool_stride)
+            except ShapeError as err:
+                raise ShapeUnderflowError(f"block{i + 1}.pool", str(err)) from None
             trace.append((f"block{i + 1}.pool", (1, c) + pooled))
             cur = pooled
         flat = CONVNET_CHANNELS[-1] * int(np.prod(cur))

@@ -5,13 +5,13 @@ Layers are small ``Module`` objects holding parameter Tensors.  The heavy
 kernels are single recorded graph nodes rather than per-voxel graphs:
 conv3d is tiled im2col + BLAS with an optional fused leaky ReLU,
 maxpool3d a separable max over W, H and D, adaptive pooling three
-averaging-matrix products, and the instance, batch and layer norms share
-one fused ``normalize`` node.  An instance or batch norm followed by a
-max-pool is one ``maxpool3d(..., norm=...)`` node that pools the input and
-normalizes only the pooled values.  One tap iterator, ``_windows``, yields
-every strided kernel window that conv3d and both max-pool passes read;
-conv3d's zero padding is never materialized: each window is clipped to the
-input.
+averaging-matrix products, and layer norm one fused ``normalize`` node.
+An instance or batch norm, in every mode, is one ``maxpool3d(..., norm=...)``
+node that pools the input and normalizes only the pooled values; without a
+pool it is the same node with a 1^3 pool.  One tap iterator, ``_windows``,
+yields every strided kernel window that conv3d and both max-pool passes
+read; conv3d's zero padding is never materialized: each window is clipped
+to the input.
 """
 
 from __future__ import annotations
@@ -415,7 +415,8 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
 
     The forward is ``_window_max`` and keeps nothing but its output.  The
-    backward scans the k^3 taps once for the winners: gradient goes to the
+    backward scans the k^3 taps once for the winners and scatters the
+    gradient to them with one float64 ``bincount``: gradient goes to the
     argmax voxel, and ties go to the first element of the window in (d,h,w)
     row-major order.  A window holding a NaN outputs NaN, and its gradient
     goes to the window's first voxel.
@@ -438,13 +439,8 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     def backward(g: np.ndarray) -> None:
         base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
         lin = (base + _pool_winners(x.data, out, k, s)).reshape(-1)
-        if s >= k:      # windows do not overlap: each voxel wins at most once
-            dx = np.zeros(x.shape, x.dtype)
-            dx.reshape(-1)[lin] = g.reshape(-1) + g.dtype.type(0)   # -0 + 0 is +0, as in bincount
-        else:
-            dx = np.bincount(lin, weights=g.reshape(-1).astype(np.float64),
-                             minlength=x.size).reshape(x.shape).astype(x.dtype)
-        x._accumulate(dx)
+        dx = np.bincount(lin, weights=g.reshape(-1).astype(np.float64), minlength=x.size)
+        x._accumulate(dx.reshape(x.shape).astype(x.dtype))
 
     return _node(out, (x,), backward, "maxpool3d")
 
@@ -460,16 +456,15 @@ def _norm_max_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
     estimates).  Per channel the affine map is monotone, increasing where
     gamma > 0 and decreasing where gamma < 0, so it commutes with the max:
     the node pools sign(gamma) * x, a few channels at a time, and maps the
-    pooled values only.  The output has the bytes of the unfused
-    normalize-then-pool (where gamma and beta are both zero, up to the sign
-    of a zero).  The gradient goes to the first voxel holding the window's
-    max of sign(gamma) * x (the first voxel of every window when gamma is
-    ±0).
+    pooled values only.  The output has the bytes of normalizing x, then
+    pooling (where gamma and beta are both zero, up to the sign of a zero).
+    The gradient goes to the first voxel holding the window's max of
+    sign(gamma) * x (the first voxel of every window when gamma is ±0).
 
     When recorded, the node keeps, beside x, only pooled-size arrays (the
     output, the flat winner indices and x̂ at the winners) and the
-    statistics.  The backward takes dgamma, dbeta and the two means of
-    normalize's closed form from pooled-size sums, then writes dx in one
+    statistics.  The backward takes dgamma, dbeta and the two means of the
+    normalization's closed form from pooled-size sums, then writes dx in one
     full-size pass over x, (x - mean) * (-mean(ĝ·x̂)/sd^2) - mean(ĝ)/sd with
     ĝ = g·gamma, and adds ĝ/sd at the winners.
     """
@@ -574,8 +569,9 @@ def _channel_chunks(x: np.ndarray) -> list[slice]:
 
 def moments(x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Mean and biased variance of [N,C,D,H,W] ``x`` over ``axes``, kept as
-    length-1 axes: ``normalize``'s arithmetic and bytes, computed a few
-    channels at a time so that no temporary is the size of x."""
+    length-1 axes, with the bytes of numpy's mean and var over the whole
+    array, computed a few channels at a time so that no temporary is the
+    size of x."""
     shape = tuple(1 if ax in axes else e for ax, e in enumerate(x.shape))
     mean, var = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
     for ch in _channel_chunks(x):
@@ -586,35 +582,31 @@ def moments(x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarra
     return mean, var
 
 
-def normalize(x: Tensor, gamma: Tensor, beta: Tensor,
-              axes: tuple[int, ...], channel_axis: int) -> Tensor:
-    """x̂ = (x - mean) / sqrt(var + NORM_EPS) over ``axes`` (biased variance),
-    then gamma * x̂ + beta along ``channel_axis``.
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """x̂ = (x - mean) / sqrt(var + NORM_EPS) over the trailing axis (biased
+    variance), then gamma * x̂ + beta: LayerNorm's node.
 
     One graph node that keeps only x̂ and 1/σ; its backward is the closed
     form dx = (ĝ - mean(ĝ) - x̂·mean(ĝ·x̂)) / σ with ĝ = g·gamma,
     dgamma = Σ g·x̂ and dbeta = Σ g.
     """
     xd = x.data
-    xc = xd - xd.mean(axis=axes, keepdims=True)
-    sd = np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + xd.dtype.type(NORM_EPS))
+    xc = xd - xd.mean(axis=-1, keepdims=True)
+    sd = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + xd.dtype.type(NORM_EPS))
     xhat = np.divide(xc, sd, out=xc)
     inv = 1 / sd
-    shape = [1] * x.ndim
-    shape[channel_axis] = x.shape[channel_axis]
-    others = tuple(ax for ax in range(x.ndim) if ax != channel_axis)
-    scale = gamma.data.reshape(shape)
-    out = xhat * scale + beta.data.reshape(shape)
+    others = tuple(range(x.ndim - 1))
+    out = xhat * gamma.data + beta.data
 
     def backward(g: np.ndarray) -> None:
         if gamma.requires_grad:
             gamma._accumulate((g * xhat).sum(axis=others))
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=others))
-        g = g * scale
+        g = g * gamma.data
         if x.requires_grad:
-            dx = g - g.mean(axis=axes, keepdims=True)
-            dx -= xhat * (g * xhat).mean(axis=axes, keepdims=True)
+            dx = g - g.mean(axis=-1, keepdims=True)
+            dx -= xhat * (g * xhat).mean(axis=-1, keepdims=True)
             dx *= inv
             x._accumulate(dx)
 
@@ -631,22 +623,22 @@ class InstanceNorm3d(Module):
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor, pool: tuple[int, int] | None = None) -> Tensor:
-        """The normalized x; with ``pool=(kernel, stride)``, its max-pool as
-        one ``maxpool3d`` node that never builds the normalized volume."""
+        """The max-pool of the normalized x with ``pool=(kernel, stride)``,
+        as one ``maxpool3d`` node that never builds the normalized volume;
+        without ``pool`` the same node with a 1^3 pool, the normalized x."""
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
         axes = (2, 3, 4)
-        if pool is None:
-            return normalize(x, self.gamma, self.beta, axes, 1)
-        return maxpool3d(x, *pool, norm=(self.gamma, self.beta, *moments(x.data, axes), axes))
+        stats = moments(x.data, axes)
+        return maxpool3d(x, *(pool or (1, 1)), norm=(self.gamma, self.beta, *stats, axes))
 
 
 class BatchNorm3d(Module):
     """Per-channel normalization over (N,D,H,W) with running statistics.
 
     Training uses batch statistics (biased variance) and updates the running
-    estimates; eval normalizes with the running estimates.  ``pool`` is as
-    in ``InstanceNorm3d``; eval without it is a 1^3 pool, the identity.
+    estimates; eval normalizes with the running estimates.  Both are one
+    ``maxpool3d`` node, with ``pool`` as in ``InstanceNorm3d``.
     """
 
     def __init__(self, num_features: int, dtype=np.float32):
@@ -660,16 +652,14 @@ class BatchNorm3d(Module):
     def forward(self, x: Tensor, pool: tuple[int, int] | None = None) -> Tensor:
         if x.shape[1] != self.num_features:
             raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
+        pool = pool or (1, 1)
         if not self.training:
             shape = (1, self.num_features, 1, 1, 1)
             stats = (self.running_mean.data.reshape(shape), self.running_var.data.reshape(shape))
-            return maxpool3d(x, *(pool or (1, 1)), norm=(self.gamma, self.beta, *stats, None))
+            return maxpool3d(x, *pool, norm=(self.gamma, self.beta, *stats, None))
         axes = (0, 2, 3, 4)
         mean, var = moments(x.data, axes)
-        if pool is None:
-            out = normalize(x, self.gamma, self.beta, axes, 1)
-        else:
-            out = maxpool3d(x, *pool, norm=(self.gamma, self.beta, mean, var, axes))
+        out = maxpool3d(x, *pool, norm=(self.gamma, self.beta, mean, var, axes))
         count = x.size // self.num_features
         mean, var = mean.reshape(-1), var.reshape(-1)
         if count > 1:
@@ -692,7 +682,7 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.normalized_dim:
             raise ShapeError(f"expected trailing extent {self.normalized_dim}, got {x.shape}")
-        return normalize(x, self.gamma, self.beta, (x.ndim - 1,), x.ndim - 1)
+        return normalize(x, self.gamma, self.beta)
 
 
 # ---------------------------------------------------------------------------

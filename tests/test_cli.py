@@ -151,6 +151,16 @@ def test_convnet_underflow_reported_before_compute(dataset, tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_convnet_pool_stride_below_one_exits_2_naming_it(dataset, tmp_path, capsys, stride):
+    capsys.readouterr()
+    rc = cli.main(["train", "--model", "convnet3d4", "--data", str(dataset),
+                   "--out", str(tmp_path / "run"), "--epochs", "1", "--pool-stride", stride])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_CONFIG
+    assert len(err) == 1 and "pool_stride" in err[0] and stride in err[0], err
+
+
 def test_train_writes_metrics_and_checkpoint(dataset, tmp_path):
     out = tmp_path / "run"
     rc = cli.main(["train", "--model", "cvvt", "--size", "tiny", "--data", str(dataset),
@@ -448,6 +458,30 @@ def test_train_metrics_append_on_full_disk_exits_3_naming_the_file(dataset, tmp_
     assert len(err) == 1 and err[0].startswith("data error: "), err
     assert str(out / TR.METRICS_NAME) in err[0] and "No space left on device" in err[0]
     assert len(read_jsonl(out / TR.METRICS_NAME)) == appends_before
+
+
+@pytest.mark.parametrize("rows_before", [0, 1], ids=["first_row", "second_row"])
+def test_grid_row_append_on_full_disk_exits_3_naming_the_file(dataset, tmp_path, monkeypatch,
+                                                              capsys, rows_before):
+    appended = []
+
+    def full_disk_open(file, *a, **k):
+        f = open(file, *a, **k)
+        if Path(file).name != "grid.jsonl":
+            return f
+        appended.append(file)
+        return _FullDiskFile(f) if len(appended) > rows_before else f
+
+    monkeypatch.setattr(D, "open", full_disk_open, raising=False)
+    out = tmp_path / "grid"
+    capsys.readouterr()
+    rc = cli.main(["grid", "--model", "cvvt", "--data", str(dataset), "--out", str(out),
+                   "--epochs", "0", "--limit", "3", "--seed", "0"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_DATA
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    assert str(out / "grid.jsonl") in err[0] and "No space left on device" in err[0]
+    assert [r["index"] for r in read_jsonl(out / "grid.jsonl")] == list(range(rows_before))
 
 
 class _HalfWrittenFile(_FullDiskFile):

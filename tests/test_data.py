@@ -1,5 +1,7 @@
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +362,42 @@ def test_load_dataset_peak_is_near_what_it_returns(tmp_path):
     assert ds.train_volumes.dtype == ds.test_volumes.dtype == np.float32
     returned = ds.train_volumes.nbytes + ds.test_volumes.nbytes
     assert peak <= 1.8 * returned, peak / returned
+
+
+def _file_writes(source: str) -> list[tuple[int, str]]:
+    """(line, call) of each call in ``source`` that may write a file: an
+    ``open`` whose mode is not a read-only literal, or ``write_text`` or
+    ``write_bytes``.  The mode is ``open``'s second argument (``io.open``'s,
+    ``os.open``'s flags) and a method ``.open``'s first (``Path.open``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            module = isinstance(f, ast.Name) or (isinstance(f.value, ast.Name)
+                                                 and f.value.id in ("io", "os", "builtins"))
+            pos = 1 if module else 0
+            mode = next((k.value for k in node.keywords if k.arg in ("mode", "flags")),
+                        node.args[pos] if len(node.args) > pos else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and set(mode.value) <= set("rbt")):
+                found.append((node.lineno, name))
+    return found
+
+
+def test_every_file_write_goes_through_the_data_helpers():
+    """Outside data.py no module opens a file for writing: each write goes
+    through ``write_atomic`` or ``append_text``, which name the file on a
+    failure and never leave a partial one."""
+    assert [line for line, _ in _file_writes(
+        "open(p)\nopen(p, 'rb')\np.open()\n"
+        "open(p, 'w')\nopen(p, mode='a')\nopen(p, m)\np.open('r+')\nio.open(p, 'x')\n"
+        "os.open(p, os.O_WRONLY)\np.write_text(s)\np.write_bytes(b)\n")] == list(range(4, 12))
+    src = Path(D.__file__).parent
+    writes = {m.name: _file_writes(m.read_text()) for m in sorted(src.glob("*.py"))}
+    assert len(writes) > 5 and writes["data.py"]
+    assert {name: w for name, w in writes.items() if w and name != "data.py"} == {}

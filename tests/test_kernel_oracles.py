@@ -494,34 +494,30 @@ def test_adaptive_pool_matches_prefix_sum_oracle(shape, output, dtype):
 
 
 # ---------------------------------------------------------------------------
-# fused normalization against the composite graph
+# fused layer normalization against the composite graph
 
-def _norm_case(kind, dtype):
+def _norm_case(dtype):
     rng = np.random.default_rng(7)
-    if kind == "ln":
-        shape, axes, ch = (3, 5, 16), (2,), 2
-    else:
-        shape, ch = (2, 4, 5, 6, 3), 1
-        axes = (2, 3, 4) if kind == "in" else (0, 2, 3, 4)
+    shape = (3, 5, 16)
     x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
-    params = [rng.standard_normal(shape[ch]).astype(dtype) for _ in range(2)]
+    params = [rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2)]
     proj = rng.standard_normal(shape).astype(dtype)
-    return x, params, axes, ch, proj
+    return x, params, proj
 
 
-def _run_norm(fn, x, params, axes, ch, proj):
+def _run_norm(fn, x, params, proj):
     xt, gt, bt = (Tensor(a, requires_grad=True) for a in [x] + params)
-    out = fn(xt, gt, bt, axes, ch)
+    out = fn(xt, gt, bt)
     (out * Tensor(proj)).sum().backward()
     return out.data, [xt.grad, gt.grad, bt.grad]
 
 
 @pytest.mark.parametrize("affine", [True])      # every norm layer is affine
-@pytest.mark.parametrize("kind", ["in", "bn", "ln"])
+@pytest.mark.parametrize("kind", ["ln"])        # in and bn: the 1^3 norm-and-max-pool cases
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_normalize_matches_composite_oracle(kind, affine, dtype):
-    case = _norm_case(kind, dtype)
-    ref_out, ref_grads = _run_norm(oracle_norm, *case)
+    case = _norm_case(dtype)
+    ref_out, ref_grads = _run_norm(lambda x, g, b: oracle_norm(x, g, b, (2,), 2), *case)
     out, grads = _run_norm(nn.normalize, *case)
     # the forward is the composite's arithmetic in the composite's order
     np.testing.assert_array_equal(out.view(np.uint8), ref_out.view(np.uint8))
@@ -538,9 +534,11 @@ def test_norm_layers_use_the_fused_node(layer):
                requires_grad=True)
     if layer == "ln":
         out = nn.LayerNorm(4)(x)
+        assert out.op == "normalize" and out._parents[0] is x
     else:
-        out = (nn.InstanceNorm3d(3) if layer == "in" else nn.BatchNorm3d(3))(x)
-    assert out.op == "normalize" and out._parents[0] is x
+        norm = nn.InstanceNorm3d(3) if layer == "in" else nn.BatchNorm3d(3)
+        out = norm(x)
+        assert out.op == "maxpool3d" and out._parents == (x, norm.gamma, norm.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +571,7 @@ def _norm_pool_both(kind, x, gamma, beta, running_mean, running_var, k, s):
             layer.train(kind == "bn")
         layer.gamma, layer.beta = gt, bt
         if fused:
-            out = layer(xt, pool=(k, s))
+            out = layer(xt) if (k, s) == (1, 1) else layer(xt, pool=(k, s))
         elif kind == "bn_eval":
             # the oracle pool routes a NaN window's gradient to the NaN, the
             # node and maxpool3d to the window's first voxel
@@ -588,14 +586,15 @@ def _norm_pool_both(kind, x, gamma, beta, running_mean, running_var, k, s):
 
 
 @pytest.mark.parametrize("extents", [(9, 10, 11)])     # neither stride divides them all
-@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("kernel,stride", [(3, 2), (3, 3), (1, 1)],
+                         ids=["2", "3", "unpooled"])    # the 1^3 pool: the layers' default
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["in", "bn", "bn_eval"])
-def test_norm_max_pool_matches_normalize_then_pool(kind, dtype, batch, stride, extents):
+def test_norm_max_pool_matches_normalize_then_pool(kind, dtype, batch, kernel, stride, extents):
     x, gamma, beta, running_mean, running_var = _norm_pool_case(batch, extents, dtype)
     (out, *grads), (ref, *ref_grads) = _norm_pool_both(kind, x, gamma, beta, running_mean,
-                                                       running_var, 3, stride)
+                                                       running_var, kernel, stride)
     assert np.isnan(out).any() and not np.isnan(out).all()
     assert out.dtype == ref.dtype and out.shape == ref.shape
     np.testing.assert_array_equal(out.view(np.uint8), ref.view(np.uint8))
