@@ -239,6 +239,9 @@ def _grid_worker(payload) -> dict:
 
 
 def cmd_grid(args) -> int:
+    for flag, value in (("--limit", args.limit), ("--threads", args.threads)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     data_dir = Path(args.data)
     D.read_split(data_dir / D.SPLIT_NAME)      # every run shares it: check it once
     configs = grid_enumerate(total_epochs=args.epochs, batch_size=args.batch)

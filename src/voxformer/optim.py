@@ -4,6 +4,7 @@ the hyper-parameter grid."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ class TrainConfig:
         for name in ("step_size", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.total_epochs < 0:
+            raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
+        # a negative lr is gradient ascent, a negative weight decay grows weights
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -2,7 +2,8 @@
 
 Tensors hold row-major numpy buffers (float32 or float64, at most 5 axes).
 Every operation on grad-enabled tensors records a node so that
-``backward()`` on a scalar result fills ``.grad`` on all reachable leaves.
+``backward()`` on a scalar result fills ``.grad`` on all reachable leaves,
+consuming the recorded graph as it goes.
 Recording is disabled inside the ``no_grad()`` context (inference mode).
 """
 
@@ -116,27 +117,34 @@ class Tensor:
     # -- graph mechanics -----------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar root.
+        """Reverse-mode sweep from a scalar root that consumes the graph.
 
-        Populates ``.grad`` on every grad-enabled tensor in the recorded
-        graph.  Calling twice on the same root without rebuilding the graph
-        is an error, as is calling on a tensor with no recorded history.
+        Each node's backward closure and parent links are dropped as soon as
+        it has run, so every array a node saved is freed once no later node
+        needs it, and an interior tensor nobody else holds is freed with its
+        gradient.  Leaves and the tensors the caller still holds (the root,
+        logits, ...) keep ``.data`` and ``.grad``.  Gradients accumulate into
+        ``.grad``: clear parameter gradients before each forward pass.
+        Calling twice on the same root is an error (the graph is gone; rerun
+        the forward pass), as is calling on a tensor with no recorded history.
         """
         if self.size != 1:
             raise AutodiffError(f"backward() requires a scalar root, got shape {self.shape}")
-        if self._backward_fn is None and not self._parents:
-            raise AutodiffError("backward() on a tensor with no recorded graph "
-                                "(detached, or created under no_grad)")
         if self._backward_done:
             raise AutodiffError("backward() already ran for this root; rebuild the "
                                 "graph (rerun the forward pass) before calling again")
+        if self._backward_fn is None and not self._parents:
+            raise AutodiffError("backward() on a tensor with no recorded graph "
+                                "(detached, or created under no_grad)")
         self._backward_done = True
 
         order = self._toposort()
         self.grad = np.ones_like(self.data)
-        for node in order:
+        for i, node in enumerate(order):
+            order[i] = None     # the sweep list must not keep a finished node alive
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            node._backward_fn, node._parents = None, ()
 
     def _toposort(self) -> list["Tensor"]:
         # Iterative DFS: graphs from deep models overflow the recursion limit.

@@ -175,9 +175,10 @@ def run_training(run: RunConfig, data_dir, out_dir) -> list[dict]:
                 idx = order[i:i + tc.batch_size]
                 x = Tensor(ds.train_volumes[idx][:, None])
                 y = ds.train_labels[idx]
+                # the last step's gradients must not stay alive through this forward
+                opt.zero_grad()
                 logits = model(x)
                 loss = cross_entropy(logits, y)
-                opt.zero_grad()
                 loss.backward()
                 opt.step()
                 losses.append(loss.item())

@@ -665,6 +665,21 @@ _EXIT_TABLE = {
     "grid-OSError": (OSError, 3, lambda d, t, m: _run_argv("grid", d, _a_file(t) / "grid")),
 }
 
+# case: (raised class, subcommand, flags after _run_argv's, the parameter its
+# one stderr line names); each exits 2 before a run directory is made
+_BAD_TRAINING_NUMBERS = {
+    "train-ValueError-epochs": (ValueError, "train", ("--epochs", "-1"), "total_epochs"),
+    "train-ValueError-lr": (ValueError, "train", ("--lr", "-1"), "lr"),
+    "train-ValueError-lr-nan": (ValueError, "train", ("--lr", "nan"), "lr"),
+    "train-ValueError-wd": (ValueError, "train", ("--wd", "-1"), "weight_decay"),
+    "grid-ValueError-epochs": (ValueError, "grid", ("--epochs", "-1"), "total_epochs"),
+    "grid-ConfigError-limit": (cli.ConfigError, "grid", ("--limit", "-1"), "--limit"),
+    "grid-ConfigError-threads": (cli.ConfigError, "grid", ("--threads", "0"), "--threads"),
+}
+_EXIT_TABLE.update({
+    case: (raised, 2, lambda d, t, m, c=command, e=extra: _run_argv(c, d, t / "run", *e))
+    for case, (raised, command, extra, _) in _BAD_TRAINING_NUMBERS.items()})
+
 
 @pytest.mark.parametrize("case", sorted(_EXIT_TABLE))
 def test_exit_code_table(dataset, tmp_path, monkeypatch, capsys, case):
@@ -683,6 +698,15 @@ def test_exit_code_table(dataset, tmp_path, monkeypatch, capsys, case):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TRAINING_NUMBERS))
+def test_bad_training_number_names_the_parameter(dataset, tmp_path, capsys, case):
+    _, command, extra, name = _BAD_TRAINING_NUMBERS[case]
+    assert cli.main(_run_argv(command, dataset, tmp_path / "run", *extra)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {name} must be "), err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("fault", sorted(_SELECTION_FAULTS))

@@ -31,11 +31,13 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
+from voxformer import data as D
 from voxformer import models as M
 from voxformer import nn
 from voxformer import train as TR
-from voxformer.tensor import (ShapeError, Tensor, _node, _unary, add, div, leaky_relu, mul,
-                              no_grad, reshape, sub, tmean)
+from voxformer.optim import TrainConfig
+from voxformer.tensor import (AutodiffError, ShapeError, Tensor, _node, _unary, add, div,
+                              leaky_relu, mul, no_grad, reshape, sub, tmean)
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +659,54 @@ def test_convnet_in_32_graph_bytes_bound():
     assert held < 25.8e6 * 1.1, held / 1e6
 
 
+def test_backward_consumes_the_convnet_graph():
+    """With the model, x, logits and loss still held, what a 32^3
+    ConvNet3D-4-IN forward and backward leave allocated is the parameter
+    gradients (23.2 MB) and little else.  When backward kept the graph
+    alive, 81.0 MB stayed.  The bound is 1.05x the parameter bytes."""
+    cfg = M.build_config("convnet3d4", norm="in", extents=(32, 32, 32), pool_stride=2)
+    model = M.build_model(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 32, 32, 32)).astype(np.float32))
+    param_bytes = sum(p.data.nbytes for p in model.parameters())
+    tracemalloc.start()
+    try:
+        logits = model(x)
+        loss = nn.cross_entropy(logits, [1])
+        loss.backward()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.05 * param_bytes, (held / 1e6, param_bytes / 1e6)
+    assert logits.grad is not None and logits.grad.shape == logits.shape
+    assert all(p.grad is not None for p in model.parameters())
+    with pytest.raises(AutodiffError, match="already ran"):
+        loss.backward()
+
+
+def test_convnet_in_32_run_training_peak(tmp_path):
+    """Tracemalloc peak of a whole 32^3 ConvNet3D-4-IN ``run_training``
+    (4 train steps, evaluation and checkpoint included).  It was 191.0 MB
+    while each step's graph and gradients lived on through the next
+    forward; with backward consuming the graph and the gradients cleared
+    before the forward, 143.4 MB.  The bound is that figure plus 10%."""
+    D.synth_generate(tmp_path / "d", D.SynthConfig(n_subjects=6, sessions_per_subject=1,
+                                                   extents=(32, 32, 32), seed=1))
+    records = D.read_manifest(tmp_path / "d" / D.MANIFEST_NAME)
+    split = D.subject_split(records, test_per_class=1, seed=0)
+    (tmp_path / "d" / D.SPLIT_NAME).write_text(split.to_json())
+    run = TR.RunConfig(model="convnet3d4", norm="in", pool_stride=2, seed=0,
+                       train=TrainConfig(0.001, 0.001, 25, 0.3, total_epochs=1))
+    tracemalloc.start()
+    try:
+        rows = TR.run_training(run, tmp_path / "d", tmp_path / "run")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r["event"] for r in rows] == ["config", "init", "epoch", "done"]
+    assert len(split.train_subjects) == 4     # one scan each, batch 1: 4 steps
+    assert peak <= 1.1 * 143.4e6, peak / 1e6
+
+
 def _unfused_block_forward(self, x):
     """ConvNet3D-4's block before the norm-and-max-pool node: the norm, then
     a separate max-pool."""
@@ -671,8 +721,9 @@ def test_convnet_81_stride3_train_step_peak(norm, monkeypatch):
     with stride-3 pools.  With the unfused block it peaked at 2.07 GB of
     tracemalloc: block 1's 128x81^3 conv output, x̂, the normalized volume
     and the pool's float64 scatter buffer.  With the norm-and-max-pool node
-    it peaks at 0.711 GB; the bound is 1.25x that.  The loss must equal the
-    unfused block's, computed without a graph."""
+    it peaked at 0.711 GB, and with backward freeing each node's saved
+    arrays as it goes, 0.628 GB; the bound is 1.25x that.  The loss must
+    equal the unfused block's, computed without a graph."""
     cfg = M.build_config("convnet3d4", norm=norm, extents=(81, 81, 81), pool_stride=3)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 81, 81, 81)).astype(np.float32))
     with monkeypatch.context() as m:
@@ -689,7 +740,7 @@ def test_convnet_81_stride3_train_step_peak(norm, monkeypatch):
         tracemalloc.stop()
     np.testing.assert_allclose(loss.data, ref.data, rtol=1e-6)
     assert all(np.isfinite(p.grad).all() for p in model.parameters())
-    assert peak < 1.25 * 0.711e9, peak / 1e9
+    assert peak < 1.25 * 0.628e9, peak / 1e9
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,19 @@ def test_train_config_rejects_counts_below_one(field):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("total_epochs", -1), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
+    ("weight_decay", -1e-3), ("weight_decay", float("nan"))])
+def test_train_config_rejects_negative_or_non_finite(field, value):
+    kwargs = {"lr": 0.01, "weight_decay": 0.0, "step_size": 25, "gamma": 0.3, field: value}
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_accepts_zero_epochs_and_zero_rates():
+    TrainConfig(lr=0.0, weight_decay=0.0, step_size=25, gamma=0.3, total_epochs=0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0.01, 0.001, 0.0001]), st.sampled_from([25, 40, 80]),
        st.sampled_from([0.3, 0.5, 0.9]))
