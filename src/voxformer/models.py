@@ -339,7 +339,9 @@ class CVVT(nn.Module):
 
 
 class _ConvBlock(nn.Module):
-    """Conv -> norm -> max-pool -> leaky ReLU -> channel dropout."""
+    """Conv -> norm -> max-pool -> leaky ReLU -> channel dropout; the first
+    three are one node of the norm layer, which never holds the conv output
+    whole."""
 
     def __init__(self, cfg: ConvNet3D4Config, cin: int, cout: int,
                  rng: np.random.Generator, drop_rng: np.random.Generator, dtype):
@@ -353,7 +355,7 @@ class _ConvBlock(nn.Module):
         self.drop = nn.Dropout3d(CONVNET_DROPOUT, rng=drop_rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.norm(self.conv(x), pool=(CONVNET_POOL_KERNEL, self.pool_stride))
+        h = self.norm(x, pool=(CONVNET_POOL_KERNEL, self.pool_stride), weight=self.conv.weight)
         return self.drop(leaky_relu(h, CONVNET_SLOPE))
 
 

@@ -7,11 +7,14 @@ conv3d is tiled im2col + BLAS with an optional fused leaky ReLU,
 maxpool3d a separable max over W, H and D, adaptive pooling three
 averaging-matrix products, and layer norm one fused ``normalize`` node.
 An instance or batch norm, in every mode, is one ``maxpool3d(..., norm=...)``
-node that pools the input and normalizes only the pooled values; without a
-pool it is the same node with a 1^3 pool.  One tap iterator, ``_windows``,
-yields every strided kernel window that conv3d and both max-pool passes
-read; conv3d's zero padding is never materialized: each window is clipped
-to the input.
+node that pools its input and normalizes only the pooled values; without a
+pool it is the same node with a 1^3 pool.  Given a conv weight, that node
+also runs the conv before it, over the same im2col tiles as conv3d, so that
+ConvNet3D-4's conv -> norm -> max-pool never holds the conv output whole:
+the statistics are gathered tile by tile, and the backward recomputes each
+tile.  One tap iterator, ``_windows``, yields every strided kernel window
+that the im2col tiles and both max-pool passes read; the conv's zero
+padding is never materialized: each window is clipped to the input.
 """
 
 from __future__ import annotations
@@ -254,9 +257,103 @@ def _zero_outside(a: np.ndarray, inside) -> None:
 # 2.4, OpenBLAS), the five CVVT-tiny stage convs of one 169x208x179 scan took
 # (best of 3) 425 ms at 2**18, 384 at 2**20, 358 at 2**21, 410 at 2**22,
 # 424 at 2**23 and 459 at 2**24; the whole matrix at once took 591 ms.
-# ``moments`` and the norm-and-max-pool node work on channel chunks of about
-# the same size.
+# The conv-norm-pool node bounds its conv output tiles by the same count,
+# and ``moments`` works on channel chunks of about that size.
 _TILE = 1 << 21
+
+
+def _im2col(x: Tensor, weight: Tensor, stride: int, padding: int):
+    """The tiled im2col of a conv of [N,Cin,D,H,W] ``x`` with
+    [Cout,Cin,kd,kh,kw] ``weight``: its output extents, its column rows
+    (Cin*kd*kh*kw) and two closures.  ``fill(buf, i, z0, z1)`` builds
+    sample i's columns for output planes z0..z1 in ``buf``: row (ci, tap) is
+    tap's window of channel ci, zero where it reads the padding, which is
+    never built: each tap copies its window clipped to the input and zeroes
+    only the border slabs of its rows.  ``scatter(dx_i, dcols, z0, z1)``
+    adds a column gradient back into sample i's input gradient through the
+    same clipped windows."""
+    if x.ndim != 5 or weight.ndim != 5:
+        raise ShapeError(f"conv3d needs 5-D input and weight, got {x.shape} and {weight.shape}")
+    n, cin, d, h, w = x.shape
+    cout, cw, kd, kh, kw = weight.shape
+    if cin != cw:
+        raise ShapeError(f"conv3d channel mismatch: input has {cin}, weight expects {cw}")
+    kernel = (kd, kh, kw)
+    out_sp = conv3d_output_extents((d, h, w), kernel, stride, padding)
+    rows = cin * kd * kh * kw
+
+    def windows(a: np.ndarray, z0: int, z1: int):
+        return _windows(a, kernel, (stride,) * 3, (z1 - z0,) + out_sp[1:], padding, z0)
+
+    def fill(buf: np.ndarray, i: int, z0: int, z1: int) -> np.ndarray:
+        taps = buf[:rows * (z1 - z0) * out_sp[1] * out_sp[2]].reshape(
+            (cin, -1, z1 - z0) + out_sp[1:])
+        for t, (inside, window) in enumerate(windows(x.data[i], z0, z1)):
+            taps[(slice(None), t) + inside] = window
+            _zero_outside(taps[:, t], inside)
+        return taps.reshape(rows, -1)
+
+    def scatter(dx_i: np.ndarray, dcols: np.ndarray, z0: int, z1: int) -> None:
+        dtaps = dcols.reshape((cin, -1, z1 - z0) + out_sp[1:])
+        for t, (inside, window) in enumerate(windows(dx_i, z0, z1)):
+            window += dtaps[(slice(None), t) + inside]
+
+    return out_sp, rows, fill, scatter
+
+
+def _spans(n: int, depth: int, planes: int) -> list[tuple[int, int, int]]:
+    """(sample, first plane, end plane) of each tile of at most ``planes``
+    output depth planes, sample by sample."""
+    return [(i, z0, min(z0 + planes, depth)) for i in range(n) for z0 in range(0, depth, planes)]
+
+
+def _conv_grads(x: Tensor, weight: Tensor, wm: np.ndarray, spans, plane: int,
+                fill, scatter, grad_tile) -> None:
+    """Accumulate the weight and input gradients of a tiled conv without
+    bias.  Per span (i, z0, z1) the columns are refilled and
+    ``grad_tile(i, z0, z1, cols)`` gives the tile's output gradient
+    [Cout, (z1-z0)*plane].  The first tile's weight gradient is written
+    straight into the gradient, each later one into one reused scratch of
+    its size and added; the column gradient is written over the columns,
+    and no buffer for it exists when x needs no gradient."""
+    if not (x.requires_grad or weight.requires_grad):
+        return
+    dt = np.result_type(wm, x.data)
+    cols = np.empty(wm.shape[1] * (spans[0][2] - spans[0][1]) * plane, dt)
+    gw = scratch = None
+    dx = np.zeros(x.shape, dt) if x.requires_grad else None
+    for i, z0, z1 in spans:
+        c = fill(cols, i, z0, z1)
+        gt = grad_tile(i, z0, z1, c)
+        if weight.requires_grad:
+            if gw is None:
+                gw = np.matmul(gt, c.T)
+            else:
+                scratch = np.matmul(gt, c.T, out=scratch)
+                gw += scratch
+        if dx is not None:
+            scatter(dx[i], np.matmul(wm.T, gt, out=c), z0, z1)
+    if gw is not None:
+        weight._accumulate(gw.reshape(weight.shape))
+    if dx is not None:
+        x._accumulate(dx)
+
+
+def _conv_tiles(wm: np.ndarray, fill, spans, out_sp: tuple[int, int, int], planes: int,
+                dt: np.dtype):
+    """Each span's conv output (i, z0, z1, y): y is [Cout, z1-z0, Ho, Wo]
+    in one reused buffer, built from column tiles of at most ``planes``
+    planes and valid until the next span."""
+    plane = out_sp[1] * out_sp[2]
+    widest = max(z1 - z0 for _, z0, z1 in spans)
+    cols = np.empty(wm.shape[1] * min(planes, widest) * plane, dt)
+    ys = np.empty(wm.shape[0] * widest * plane, dt)
+    for i, z0, z1 in spans:
+        y = ys[:wm.shape[0] * (z1 - z0) * plane].reshape(wm.shape[0], -1)
+        for c0 in range(z0, z1, planes):
+            c1 = min(c0 + planes, z1)
+            np.matmul(wm, fill(cols, i, c0, c1), out=y[:, (c0 - z0) * plane:(c1 - z0) * plane])
+        yield i, z0, z1, y.reshape((wm.shape[0], z1 - z0) + out_sp[1:])
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -264,47 +361,25 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """Cross-correlation of [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw], zero
     padding, then leaky_relu(., slope) when a slope is given.
 
-    Tiled im2col: the [Cin*k3, P] column matrix of one sample is built a few
-    output depth planes at a time in one reused ``_TILE``-sized buffer and
-    multiplied by the weight matrix there.  The padding is never built: each
-    tap copies its window clipped to the input and zeroes only the border
-    slabs of its rows.  The bias and the slope's max(o, slope*o) are applied
-    to each output tile while it is in cache.  The node keeps its output, the
-    input and, with a slope, a ``bool`` mask of pre-activation >= 0; no
-    columns and no pre-activation.  The backward pass multiplies the gradient
-    by 1 or slope through the mask, refills each tile from the input, adds
-    the tile's weight gradient, and scatters the tile's input gradient back
-    through the same clipped windows.
+    Tiled im2col (``_im2col``): the [Cin*k3, P] column matrix of one sample
+    is built a few output depth planes at a time in one reused
+    ``_TILE``-sized buffer and multiplied by the weight matrix there.  The
+    bias and the slope's max(o, slope*o) are applied to each output tile
+    while it is in cache.  The node keeps its output, the input and, with a
+    slope, a ``bool`` mask of pre-activation >= 0; no columns and no
+    pre-activation.  The backward pass multiplies the gradient by 1 or slope
+    through the mask, then ``_conv_grads`` refills each tile from the input,
+    adds the tile's weight gradient, and scatters the tile's input gradient
+    back through the same clipped windows.
     """
-    if x.ndim != 5 or weight.ndim != 5:
-        raise ShapeError(f"conv3d needs 5-D input and weight, got {x.shape} and {weight.shape}")
     if slope is not None and not 0.0 < slope < 1.0:
         raise ValueError(f"conv3d slope must lie in (0, 1), got {slope}")
-    n, cin, d, h, w = x.shape
-    cout, cw, kd, kh, kw = weight.shape
-    if cin != cw:
-        raise ShapeError(f"conv3d channel mismatch: input has {cin}, weight expects {cw}")
-    kernel = (kd, kh, kw)
-    do, ho, wo = conv3d_output_extents((d, h, w), kernel, stride, padding)
-    rows, plane = cin * kd * kh * kw, ho * wo
-    planes = max(1, min(do, _TILE // (rows * plane)))
-    spans = [(i, z0, min(z0 + planes, do)) for i in range(n) for z0 in range(0, do, planes)]
-
-    def windows(a: np.ndarray, z0: int, z1: int):
-        return _windows(a, kernel, (stride,) * 3, (z1 - z0, ho, wo), padding, z0)
-
-    def fill(buf: np.ndarray, i: int, z0: int, z1: int) -> np.ndarray:
-        """Sample i's columns for output planes z0..z1 in ``buf``: row (ci, tap)
-        is tap's window of channel ci, zero where it reads the padding."""
-        taps = buf[:rows * (z1 - z0) * plane].reshape(cin, -1, z1 - z0, ho, wo)
-        for t, (inside, window) in enumerate(windows(x.data[i], z0, z1)):
-            taps[(slice(None), t) + inside] = window
-            _zero_outside(taps[:, t], inside)
-        return taps.reshape(rows, -1)
-
+    (do, ho, wo), rows, fill, scatter = _im2col(x, weight, stride, padding)
+    n, cout, plane = x.shape[0], weight.shape[0], ho * wo
+    spans = _spans(n, do, max(1, _TILE // (rows * plane)))
     wm = weight.data.reshape(cout, -1)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    tile = np.empty(rows * planes * plane, x.dtype)
+    tile = np.empty(rows * (spans[0][2] - spans[0][1]) * plane, x.dtype)
     out = np.empty((n, cout, do * plane), np.result_type(wm, x.data))
     kk = None if slope is None else out.dtype.type(slope)
     mask = np.empty(out.shape, bool) if kk is not None and _records(parents) else None
@@ -326,23 +401,8 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             np.copyto(gm, g.reshape(gm.shape), where=mask)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gm.sum(axis=(0, 2)))
-        gw = np.zeros(wm.shape, np.result_type(gm, x.data)) if weight.requires_grad else None
-        dx = np.zeros(x.shape, g.dtype) if x.requires_grad else None
-        cols = np.empty(rows * planes * plane, x.dtype)
-        dcols = np.empty(rows * planes * plane, np.result_type(wm, gm))
-        for i, z0, z1 in spans:
-            gt = gm[i, :, z0 * plane:z1 * plane]
-            if gw is not None:
-                gw += gt @ fill(cols, i, z0, z1).T
-            if dx is not None:
-                dt = np.matmul(wm.T, gt, out=dcols[:rows * gt.shape[1]].reshape(rows, -1))
-                dtaps = dt.reshape(cin, -1, z1 - z0, ho, wo)
-                for t, (inside, window) in enumerate(windows(dx[i], z0, z1)):
-                    window += dtaps[(slice(None), t) + inside]
-        if gw is not None:
-            weight._accumulate(gw.reshape(weight.shape))
-        if dx is not None:
-            x._accumulate(dx)
+        _conv_grads(x, weight, wm, spans, plane, fill, scatter,
+                    lambda i, z0, z1, cols: gm[i, :, z0 * plane:z1 * plane])
 
     return _node(out, parents, backward, "conv3d")
 
@@ -411,7 +471,7 @@ def _window_max(a: np.ndarray, k: int, s: int) -> np.ndarray:
 
 
 def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
-              norm: tuple | None = None) -> Tensor:
+              norm: tuple | None = None, weight: Tensor | None = None) -> Tensor:
     """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
 
     The forward is ``_window_max`` and keeps nothing but its output.  The
@@ -421,9 +481,11 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     row-major order.  A window holding a NaN outputs NaN, and its gradient
     goes to the window's first voxel.
 
-    With ``norm=(gamma, beta, mean, var, axes)`` the node is instead
-    max-pool(gamma * (x - mean) / sd + beta), sd = sqrt(var + NORM_EPS), with
-    ``mean`` and ``var`` shaped to broadcast against x (see ``_norm_max_pool``).
+    With ``norm=(gamma, beta, stats)`` the node is instead
+    max-pool(gamma * (y - mean) / sd + beta), sd = sqrt(var + NORM_EPS), of
+    y = x or, given a conv ``weight``, of y = conv3d(x, weight,
+    padding=CONV_PADDING); ``stats`` is a ``NormStats`` (see
+    ``_conv_norm_pool``).
     """
     k = int(kernel)
     s = k if stride is None else int(stride)
@@ -432,7 +494,9 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     if s < 1:
         raise ValueError(f"stride must be >= 1, got {s}")
     if norm is not None:
-        return _norm_max_pool(x, k, s, *norm)
+        return _conv_norm_pool(x, k, s, *norm, weight)
+    if weight is not None:
+        raise ValueError("maxpool3d runs a conv weight only together with a norm")
     n, c, d, h, w = x.shape
     out = _window_max(x.data, k, s)
 
@@ -445,55 +509,119 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     return _node(out, (x,), backward, "maxpool3d")
 
 
-def _norm_max_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
-                   mean: np.ndarray, var: np.ndarray, axes: tuple[int, ...] | None) -> Tensor:
-    """max-pool(gamma * x̂ + beta), x̂ = (x - mean) / sd, as one node that
-    never builds x̂ or the normalized volume.
+class NormStats:
+    """The per-channel statistics a batch or instance norm normalizes with.
+    Given ``mean`` and ``var`` (BatchNorm's running estimates in eval), they
+    are fixed.  Given ``axes``, the norm's node gathers the mean and the
+    biased variance of its input over those axes and stores them here, with
+    ``count``, the number of values behind each."""
 
-    ``axes`` names the axes ``mean`` and ``var`` were taken over (the
-    instance or batch statistics of x, from ``moments``), so the gradient
-    flows through them; None marks fixed statistics (BatchNorm's running
-    estimates).  Per channel the affine map is monotone, increasing where
-    gamma > 0 and decreasing where gamma < 0, so it commutes with the max:
-    the node pools sign(gamma) * x, a few channels at a time, and maps the
-    pooled values only.  The output has the bytes of normalizing x, then
-    pooling (where gamma and beta are both zero, up to the sign of a zero).
-    The gradient goes to the first voxel holding the window's max of
-    sign(gamma) * x (the first voxel of every window when gamma is ±0).
+    def __init__(self, axes: tuple[int, ...] | None = None,
+                 mean: np.ndarray | None = None, var: np.ndarray | None = None):
+        self.axes, self.mean, self.var, self.count = axes, mean, var, 0
 
-    When recorded, the node keeps, beside x, only pooled-size arrays (the
-    output, the flat winner indices and x̂ at the winners) and the
-    statistics.  The backward takes dgamma, dbeta and the two means of the
-    normalization's closed form from pooled-size sums, then writes dx in one
-    full-size pass over x, (x - mean) * (-mean(ĝ·x̂)/sd^2) - mean(ĝ)/sd with
-    ĝ = g·gamma, and adds ĝ/sd at the winners.
+
+def _conv_norm_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
+                    stats: NormStats, weight: Tensor | None) -> Tensor:
+    """max-pool(gamma * ŷ + beta), ŷ = (y - mean) / sd, of y = x or, given
+    ``weight``, of y = conv(x, weight) (stride 1, padding CONV_PADDING, no
+    bias), as one node that never holds y whole, ŷ or the normalized volume.
+
+    y comes in tiles: all of x without a weight; with one, sample by sample,
+    whole pool windows of conv output planes at a time, at most ``_TILE``
+    values (but one window's k planes), from column tiles of at most
+    ``_TILE`` values (but one plane).  Tiles that share windows overlap by
+    k - s planes, which are computed twice.  Per tile the node:
+
+    - adds the tile's planes (the overlap once, and planes no window reads)
+      to the statistics (with ``stats.axes``): per-tile ``moments`` merged
+      in float64 by Chan, Golub and LeVeque's pairwise update; a single tile
+      keeps the bytes of ``moments`` of the whole input;
+    - pools sign(gamma) * y: per channel the affine map is monotone, so it
+      commutes with the max.  The output has the bytes of normalizing y,
+      then pooling; the gradient goes to the first voxel holding the
+      window's max of sign(gamma) * y (the window's first voxel where gamma
+      is ±0).
+
+    When recorded, the node keeps, beside its parents, only pooled-size
+    arrays (the output, the flat winner indices and ŷ at the winners) and
+    the statistics.  The backward takes dgamma, dbeta and the two means of
+    the normalization's closed form from pooled-size sums.  Then, per tile
+    of at most ``_TILE`` conv outputs and columns, it recomputes y from the
+    refilled columns with one GEMM (none for fixed statistics), writes
+    dy = (y - mean) * (-mean(ĝ·ŷ)/sd) - mean(ĝ) with ĝ = g·gamma, adds ĝ/sd
+    at the winners in the tile, and hands dy to ``_conv_grads``.  Without a
+    weight, dy is x's gradient, in one pass over x.
     """
-    xd, dt = x.data, x.dtype
-    n, c, d, h, w = x.shape
-    out_sp = maxpool3d_output_extents((d, h, w), k, s)
+    axes, xd = stats.axes, x.data
+    n = x.shape[0]
+    if weight is None:
+        dt, c, sp = x.dtype, x.shape[1], x.shape[2:]
+        tiles = [(slice(None), 0, sp[0], xd)]      # (samples, first plane, end of counted planes, y)
+        wm = rows = fill = scatter = None
+    else:
+        sp, rows, fill, scatter = _im2col(x, weight, 1, CONV_PADDING)
+        c, dt = weight.shape[0], np.result_type(weight.data, x.data)
+        wm = weight.data.reshape(c, -1)
+    plane = sp[1] * sp[2]
+    out_sp = maxpool3d_output_extents(sp, k, s)
+    if weight is not None:
+        per = max(1, (_TILE // (c * plane) - k) // s + 1)     # pool planes per tile
+        # pool planes j0..j1 read conv planes s*j0 .. s*(j1-1)+k-1; a tile
+        # counts the planes up to the next tile's first (s*j1), and the last
+        # one all planes to the end, so that every plane is counted once
+        spans = [(i, j0 * s, sp[0] if j1 == out_sp[0] else j1 * s + max(0, k - s))
+                 for i, j0, j1 in _spans(n, out_sp[0], per)]
+        tiles = ((slice(i, i + 1), z0, z1 if z1 == sp[0] else z0 + per * s, y[None])
+                 for i, z0, z1, y in
+                 _conv_tiles(wm, fill, spans, sp, max(1, _TILE // (rows * plane)), dt))
     shape = (1, c, 1, 1, 1)
     scale, shift = gamma.data.reshape(shape), beta.data.reshape(shape)
     sign = np.sign(scale)
-    sd = np.sqrt(var + dt.type(NORM_EPS))
-    parents = (x, gamma, beta)
-    z = np.empty((n, c) + out_sp, dt)       # the max of sign*x, then sign times it: x at the max
-    lin = np.empty(z.shape, np.int64) if _records(parents) else None
-    base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
-    for ch in _channel_chunks(xd):
-        sg = sign[:, ch]
-        xs = xd[:, ch] if (sg == 1).all() else xd[:, ch] * sg
-        z[:, ch] = _window_max(xs, k, s)
-        if lin is not None:
-            lin[:, ch] = base[:, ch] + _pool_winners(xs, z[:, ch], k, s)
-    z *= sign
+    zero = sign.reshape(-1) == 0
+    parents = (x, gamma, beta) if weight is None else (x, weight, gamma, beta)
+    record = _records(parents)
+    z = np.empty((n, c) + out_sp, dt)       # y at each window's max
+    win = np.empty(z.shape, np.int64) if record or zero.any() else None
+    if axes is not None:
+        rows_of = n if 0 not in axes else 1
+        total = np.zeros((rows_of, 1, 1, 1, 1))
+        acc_mean, acc_m2 = np.zeros((rows_of, c, 1, 1, 1)), np.zeros((rows_of, c, 1, 1, 1))
+    for samples, z0, end, y in tiles:
+        if axes is not None:
+            m, v = moments(y[:, :, :end - z0], axes)
+            r = samples if rows_of > 1 else slice(None)
+            size = np.float64(y[:, :, :end - z0].size // m.size)
+            merged = total[r] + size
+            delta = m - acc_mean[r]
+            acc_mean[r] += delta * (size / merged)
+            acc_m2[r] += v * size + delta * delta * (total[r] * size / merged)
+            total[r] = merged
+        raw = y[:, zero] if zero.any() else None
+        ys = y if (sign == 1).all() else np.multiply(y, sign, out=y if weight is not None else None)
+        zt = _window_max(ys, k, s)
+        part = (samples, slice(None), slice(z0 // s, z0 // s + zt.shape[2]))
+        if win is not None:
+            wt = _pool_winners(ys, zt, k, s)
+            win[part] = wt + z0 * plane
+        zt *= sign
+        if raw is not None:     # gamma = ±0 pools zeros: y at each window's first voxel
+            at = wt[:, zero]
+            first = np.take_along_axis(raw.reshape(raw.shape[:2] + (-1,)),
+                                       at.reshape(at.shape[:2] + (-1,)), axis=2)
+            zt[:, zero] = np.where(np.isnan(zt[:, zero]), zt[:, zero], first.reshape(at.shape))
+        z[part] = zt
+    del y, ys                               # the last tile's buffer
+    if axes is not None:
+        stats.mean, stats.var = acc_mean.astype(dt), (acc_m2 / total).astype(dt)
+        stats.count = int(total.flat[0])
+    mean, count = stats.mean, stats.count
+    sd = np.sqrt(stats.var + dt.type(NORM_EPS))
     xhat = np.divide(np.subtract(z, mean, out=z), sd, out=z)
-    out = xhat * scale + shift
-    if lin is None:
+    out = xhat * scale if record else np.multiply(xhat, scale, out=xhat)  # backward reads xhat
+    out += shift
+    if not record:
         return _node(out, parents, None, "maxpool3d")
-    if not sign.all():      # gamma = ±0: x̂ of each window's first voxel, for dgamma
-        zero = sign.reshape(-1) == 0
-        first = (xd.reshape(-1)[lin[:, zero]] - mean[:, zero]) / sd[:, zero]
-        xhat[:, zero] = np.where(np.isnan(xhat[:, zero]), xhat[:, zero], first)
     inv = 1 / sd
     others = (0, 2, 3, 4)
 
@@ -502,20 +630,47 @@ def _norm_max_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
             gamma._accumulate((g * xhat).sum(axis=others))
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=others))
-        if not x.requires_grad:
-            return
         gs = g * scale * inv                # ĝ/sd at the winners
-        if axes is None:
-            dx = np.zeros(x.shape, dt)
-        else:
-            count = math.prod(x.shape[ax] for ax in axes)
+        if axes is not None:
             m1 = gs.sum(axis=axes, keepdims=True) / count
             m2 = (gs * xhat).sum(axis=axes, keepdims=True) / count
-            dx = np.subtract(xd, mean)
-            dx *= -m2 * inv
-            dx -= m1
-        np.add.at(dx.reshape(-1), lin.reshape(-1), gs.reshape(-1))
-        x._accumulate(dx)
+            slope = -m2 * inv
+        if weight is None:
+            if not x.requires_grad:
+                return
+            if axes is None:
+                dx = np.zeros(x.shape, dt)
+            else:
+                dx = np.subtract(xd, mean)
+                dx *= slope
+                dx -= m1
+            base = (np.arange(n * c) * (sp[0] * plane)).reshape(n, c, 1, 1, 1)
+            np.add.at(dx.reshape(-1), (base + win).reshape(-1), gs.reshape(-1))
+            x._accumulate(dx)
+            return
+        spans = _spans(n, sp[0], max(1, _TILE // (max(rows, c) * plane)))
+        dys = np.empty(c * (spans[0][2] - spans[0][1]) * plane, dt)
+        channel = np.arange(c).reshape(c, 1, 1, 1)
+
+        def grad_tile(i: int, z0: int, z1: int, cols: np.ndarray) -> np.ndarray:
+            dy = dys[:c * (z1 - z0) * plane].reshape(c, -1)
+            if axes is None:
+                dy[...] = 0
+            else:
+                r = i % len(mean)           # IN: sample i's statistics; BN: the batch's
+                np.matmul(wm, cols, out=dy)
+                dy -= mean[r].reshape(c, 1)
+                dy *= slope[r].reshape(c, 1)
+                dy -= m1[r].reshape(c, 1)
+            # the windows that read planes z0..z1, and their winners there
+            j = slice(max(0, (z0 - k) // s + 1), min(out_sp[0], -(-z1 // s)))
+            at = win[i, :, j]
+            inside = (at >= z0 * plane) & (at < z1 * plane)
+            flat = at + (channel * dy.shape[1] - z0 * plane)      # index into dy
+            np.add.at(dy.reshape(-1), flat[inside], gs[i, :, j][inside])
+            return dy
+
+        _conv_grads(x, weight, wm, spans, plane, fill, scatter, grad_tile)
 
     return _node(out, parents, backward, "maxpool3d")
 
@@ -613,6 +768,13 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _node(out, (x, gamma, beta), backward, "normalize")
 
 
+def _norm_channels(layer: Module, x: Tensor, weight: Tensor | None) -> None:
+    c = x.shape[1] if weight is None else weight.shape[0]
+    if c != layer.num_features:
+        raise ShapeError(f"expected {layer.num_features} channels, got shape "
+                         f"{x.shape if weight is None else weight.shape}")
+
+
 class InstanceNorm3d(Module):
     """Per (sample, channel) normalization over (D,H,W); identical train/eval."""
 
@@ -622,15 +784,16 @@ class InstanceNorm3d(Module):
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
 
-    def forward(self, x: Tensor, pool: tuple[int, int] | None = None) -> Tensor:
+    def forward(self, x: Tensor, pool: tuple[int, int] | None = None,
+                weight: Tensor | None = None) -> Tensor:
         """The max-pool of the normalized x with ``pool=(kernel, stride)``,
         as one ``maxpool3d`` node that never builds the normalized volume;
-        without ``pool`` the same node with a 1^3 pool, the normalized x."""
-        if x.shape[1] != self.num_features:
-            raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
-        axes = (2, 3, 4)
-        stats = moments(x.data, axes)
-        return maxpool3d(x, *(pool or (1, 1)), norm=(self.gamma, self.beta, *stats, axes))
+        without ``pool`` the same node with a 1^3 pool, the normalized x.
+        Given a conv ``weight`` (no bias), the node normalizes conv(x,
+        weight) instead, and never holds the conv output whole."""
+        _norm_channels(self, x, weight)
+        return maxpool3d(x, *(pool or (1, 1)), norm=(self.gamma, self.beta, NormStats((2, 3, 4))),
+                         weight=weight)
 
 
 class BatchNorm3d(Module):
@@ -638,7 +801,7 @@ class BatchNorm3d(Module):
 
     Training uses batch statistics (biased variance) and updates the running
     estimates; eval normalizes with the running estimates.  Both are one
-    ``maxpool3d`` node, with ``pool`` as in ``InstanceNorm3d``.
+    ``maxpool3d`` node, with ``pool`` and ``weight`` as in ``InstanceNorm3d``.
     """
 
     def __init__(self, num_features: int, dtype=np.float32):
@@ -649,21 +812,20 @@ class BatchNorm3d(Module):
         self.running_mean = Tensor(np.zeros(num_features, dtype=dtype))
         self.running_var = Tensor(np.ones(num_features, dtype=dtype))
 
-    def forward(self, x: Tensor, pool: tuple[int, int] | None = None) -> Tensor:
-        if x.shape[1] != self.num_features:
-            raise ShapeError(f"expected {self.num_features} channels, got shape {x.shape}")
+    def forward(self, x: Tensor, pool: tuple[int, int] | None = None,
+                weight: Tensor | None = None) -> Tensor:
+        _norm_channels(self, x, weight)
         pool = pool or (1, 1)
         if not self.training:
             shape = (1, self.num_features, 1, 1, 1)
-            stats = (self.running_mean.data.reshape(shape), self.running_var.data.reshape(shape))
-            return maxpool3d(x, *pool, norm=(self.gamma, self.beta, *stats, None))
-        axes = (0, 2, 3, 4)
-        mean, var = moments(x.data, axes)
-        out = maxpool3d(x, *pool, norm=(self.gamma, self.beta, mean, var, axes))
-        count = x.size // self.num_features
-        mean, var = mean.reshape(-1), var.reshape(-1)
-        if count > 1:
-            var = var * count / (count - 1)
+            stats = NormStats(None, self.running_mean.data.reshape(shape),
+                              self.running_var.data.reshape(shape))
+            return maxpool3d(x, *pool, norm=(self.gamma, self.beta, stats), weight=weight)
+        stats = NormStats((0, 2, 3, 4))
+        out = maxpool3d(x, *pool, norm=(self.gamma, self.beta, stats), weight=weight)
+        mean, var = stats.mean.reshape(-1), stats.var.reshape(-1)
+        if stats.count > 1:
+            var = var * stats.count / (stats.count - 1)
         m = BN_MOMENTUM
         self.running_mean.data = ((1 - m) * self.running_mean.data + m * mean).astype(x.dtype)
         self.running_var.data = ((1 - m) * self.running_var.data + m * var).astype(x.dtype)

@@ -34,8 +34,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.total_epochs < 0:
             raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
-        # a negative lr is gradient ascent, a negative weight decay grows weights
-        for name in ("lr", "weight_decay"):
+        # a negative lr is gradient ascent, a negative weight decay grows
+        # weights, a negative gamma flips the rate's sign every step period
+        for name in ("lr", "weight_decay", "gamma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")

@@ -146,12 +146,13 @@ def _conv3d_tiles_check(tol: float, slope: float | None = None, seed: int = 17):
 
 
 def _norm_pool_check(layer_type, tol: float, seed: int = 21):
-    """Check of the norm-and-max-pool node through ``layer_type(3)(x,
-    pool=(3, 2))``, over x, gamma and beta, at batch 2 and on extents that
-    stride 2 does not divide.  A voxel that wins no window reaches the loss
-    only through the statistics, so some of its gradients are near 1e-6
-    while the loss is near 30: a step of 1e-4 keeps the difference above
-    rounding, and no window's two largest values lie within it."""
+    """Check of the conv-norm-pool node, without a conv, through
+    ``layer_type(3)(x, pool=(3, 2))``, over x, gamma and beta, at batch 2
+    and on extents that stride 2 does not divide.  A voxel that wins no
+    window reaches the loss only through the statistics, so some of its
+    gradients are near 1e-6 while the loss is near 30: a step of 1e-4 keeps
+    the difference above rounding, and no window's two largest values lie
+    within it."""
     rng = np.random.default_rng(seed)
     layer = layer_type(3, dtype=np.float64)
     x, gamma, beta = _t(rng, 2, 3, 6, 7, 5), _t(rng, 3), _t(rng, 3)
@@ -226,7 +227,7 @@ def suite_shapes() -> list[CheckResult]:
 
 def suite_norms(n_inputs: int = 100, tol: float = 1e-5) -> list[CheckResult]:
     """batchnorm3d in training mode at batch 1 must match instancenorm3d,
-    alone and as the norm-and-max-pool node that ConvNet3D-4 runs."""
+    alone and pooled, as the conv-norm-pool node runs them without a conv."""
     results = []
     for pool, seed, low, suffix in ((None, 123, 2, ""), ((3, 2), 124, 3, "_pooled")):
         rng = np.random.default_rng(seed)

@@ -672,6 +672,8 @@ _BAD_TRAINING_NUMBERS = {
     "train-ValueError-lr": (ValueError, "train", ("--lr", "-1"), "lr"),
     "train-ValueError-lr-nan": (ValueError, "train", ("--lr", "nan"), "lr"),
     "train-ValueError-wd": (ValueError, "train", ("--wd", "-1"), "weight_decay"),
+    "train-ValueError-gamma": (ValueError, "train", ("--gamma", "-1"), "gamma"),
+    "train-ValueError-gamma-nan": (ValueError, "train", ("--gamma", "nan"), "gamma"),
     "grid-ValueError-epochs": (ValueError, "grid", ("--epochs", "-1"), "total_epochs"),
     "grid-ConfigError-limit": (cli.ConfigError, "grid", ("--limit", "-1"), "--limit"),
     "grid-ConfigError-threads": (cli.ConfigError, "grid", ("--threads", "0"), "--threads"),

@@ -7,11 +7,16 @@ per-bin gradient scatter, and ``oracle_norm`` the earlier composite graph
 (mean, sub, mul, mean, add, sqrt, div, then reshape, mul, add for the affine
 part), kept here verbatim in substance; ``_sqrt`` is the square-root node
 that graph used.  ``oracle_bn_eval`` is BatchNorm's earlier eval graph
-(sub, div, mul, add) over its running statistics.  The tiled conv and the
+(sub, div, mul, add) over its running statistics.  ``oracle_norm_max_pool``
+is the earlier norm-and-max-pool node, which read a whole conv output, and
+``oracle_norm_pool`` the norm layers' forward that fed it; with
+``nn.conv3d`` before them they are the unfused ConvNet3D-4 block that the
+conv-norm-pool node replaced.  The tiled conv and the
 averaging-matrix pooling must match to rounding.  The max-pool must match
 bit for bit, winners included.  The fused norm node's forward must too; its
 closed-form gradients must match to rounding.  So must the norm-and-max-pool
-node against normalize-then-pool.
+node against normalize-then-pool, and the conv-norm-pool node (its tiled
+statistics change low bits) against the unfused block, forward included.
 
 ``oracle_trunc_normal`` and ``oracle_kaiming_normal`` draw a whole
 parameter in one float64 call, ``oracle_patchify`` pads the volume and
@@ -35,6 +40,7 @@ from voxformer import data as D
 from voxformer import models as M
 from voxformer import nn
 from voxformer import train as TR
+from voxformer.gradcheck import gradcheck
 from voxformer.optim import TrainConfig
 from voxformer.tensor import (AutodiffError, ShapeError, Tensor, _node, _unary, add, div,
                               leaky_relu, mul, no_grad, reshape, sub, tmean)
@@ -193,6 +199,80 @@ def oracle_bn_eval(x: Tensor, gamma, beta, running_mean, running_var):
     mu = Tensor(running_mean.reshape(shape))
     sd = Tensor(np.sqrt(running_var.reshape(shape) + x.dtype.type(nn.NORM_EPS)))
     return add(mul(div(sub(x, mu), sd), reshape(gamma, shape)), reshape(beta, shape))
+
+
+def oracle_norm_max_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
+                         mean: np.ndarray, var: np.ndarray, axes) -> Tensor:
+    """max-pool(gamma * x̂ + beta), x̂ = (x - mean) / sd, over a whole x:
+    pools sign(gamma) * x a few channels at a time, keeps x, and writes dx
+    in one full-size pass."""
+    xd, dt = x.data, x.dtype
+    n, c, d, h, w = x.shape
+    out_sp = nn.maxpool3d_output_extents((d, h, w), k, s)
+    shape = (1, c, 1, 1, 1)
+    scale, shift = gamma.data.reshape(shape), beta.data.reshape(shape)
+    sign = np.sign(scale)
+    sd = np.sqrt(var + dt.type(nn.NORM_EPS))
+    z = np.empty((n, c) + out_sp, dt)
+    base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
+    lin = np.empty(z.shape, np.int64)
+    for ch in nn._channel_chunks(xd):
+        xs = xd[:, ch] * sign[:, ch]
+        z[:, ch] = nn._window_max(xs, k, s)
+        lin[:, ch] = base[:, ch] + nn._pool_winners(xs, z[:, ch], k, s)
+    z *= sign
+    xhat = np.divide(np.subtract(z, mean, out=z), sd, out=z)
+    out = xhat * scale + shift
+    if not sign.all():
+        zero = sign.reshape(-1) == 0
+        first = (xd.reshape(-1)[lin[:, zero]] - mean[:, zero]) / sd[:, zero]
+        xhat[:, zero] = np.where(np.isnan(xhat[:, zero]), xhat[:, zero], first)
+    inv = 1 / sd
+    others = (0, 2, 3, 4)
+
+    def backward(g: np.ndarray) -> None:
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=others))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=others))
+        if not x.requires_grad:
+            return
+        gs = g * scale * inv
+        if axes is None:
+            dx = np.zeros(x.shape, dt)
+        else:
+            count = math.prod(x.shape[ax] for ax in axes)
+            m1 = gs.sum(axis=axes, keepdims=True) / count
+            m2 = (gs * xhat).sum(axis=axes, keepdims=True) / count
+            dx = np.subtract(xd, mean)
+            dx *= -m2 * inv
+            dx -= m1
+        np.add.at(dx.reshape(-1), lin.reshape(-1), gs.reshape(-1))
+        x._accumulate(dx)
+
+    return _node(out, (x, gamma, beta), backward, "maxpool3d")
+
+
+def oracle_norm_pool(layer, y: Tensor, k: int, s: int) -> Tensor:
+    """An ``InstanceNorm3d`` or ``BatchNorm3d`` layer's pooled forward on a
+    whole input y: ``nn.moments`` of y, the node above, and BatchNorm's
+    running update."""
+    if isinstance(layer, nn.BatchNorm3d) and not layer.training:
+        shape = (1, layer.num_features, 1, 1, 1)
+        return oracle_norm_max_pool(y, k, s, layer.gamma, layer.beta,
+                                    layer.running_mean.data.reshape(shape),
+                                    layer.running_var.data.reshape(shape), None)
+    axes = (0, 2, 3, 4) if isinstance(layer, nn.BatchNorm3d) else (2, 3, 4)
+    mean, var = nn.moments(y.data, axes)
+    out = oracle_norm_max_pool(y, k, s, layer.gamma, layer.beta, mean, var, axes)
+    if 0 in axes:
+        count = y.size // layer.num_features
+        var = var.reshape(-1) * count / (count - 1)
+        m = nn.BN_MOMENTUM
+        layer.running_mean.data = ((1 - m) * layer.running_mean.data
+                                   + m * mean.reshape(-1)).astype(y.dtype)
+        layer.running_var.data = ((1 - m) * layer.running_var.data + m * var).astype(y.dtype)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,20 +723,168 @@ def test_recorded_norm_max_pool_node_holds_no_input_sized_array(kind):
 
 
 # ---------------------------------------------------------------------------
+# the conv-norm-pool node against conv3d, then the norm-and-max-pool node
+
+def _conv_norm_pool_case(batch, dtype):
+    """A 3 -> 5 channel conv on 11x6x7 (a stride-3 pool reads no window
+    from the last two planes), gamma < 0 in channel 1, +0 in 2 and -0 in 3."""
+    rng = np.random.default_rng(batch * 7 + np.dtype(dtype).itemsize)
+    x = (rng.standard_normal((batch, 3, 11, 6, 7)) * 2.0 + 0.5).astype(dtype)
+    w = (rng.standard_normal((5, 3, 3, 3, 3)) * 0.3).astype(dtype)
+    gamma, beta, running_mean = (rng.standard_normal(5).astype(dtype) for _ in range(3))
+    gamma[1], gamma[2], gamma[3] = -abs(gamma[1]), 0.0, -0.0
+    running_var = rng.uniform(0.5, 2.0, 5).astype(dtype)
+    return x, w, gamma, beta, running_mean, running_var
+
+
+def _conv_norm_pool_both(kind, x, w, gamma, beta, running_mean, running_var, k, s):
+    """[output, dx, dw, dgamma, dbeta, running mean, running var] of the
+    node and of the unfused block, with the same projection of the output."""
+    results = []
+    for fused in (True, False):
+        xt, wt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, gamma, beta))
+        if kind == "in":
+            layer = nn.InstanceNorm3d(w.shape[0], x.dtype)
+        else:
+            layer = nn.BatchNorm3d(w.shape[0], x.dtype)
+            layer.running_mean.data[:], layer.running_var.data[:] = running_mean, running_var
+            layer.train(kind == "bn")
+        layer.gamma, layer.beta = gt, bt
+        if fused:
+            out = layer(xt, pool=(k, s), weight=wt)
+        else:
+            out = oracle_norm_pool(layer, nn.conv3d(xt, wt, padding=nn.CONV_PADDING), k, s)
+        proj = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
+        (out * Tensor(proj)).sum().backward()
+        running = [] if kind == "in" else [layer.running_mean.data, layer.running_var.data]
+        results.append([out.data, xt.grad, wt.grad, gt.grad, bt.grad] + running)
+    return results
+
+
+@pytest.mark.parametrize("planes", [3, 7])     # conv output planes per tile
+@pytest.mark.parametrize("kernel,stride", [(3, 2), (3, 3)], ids=["2", "3"])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["in", "bn", "bn_eval"])
+def test_conv_norm_pool_matches_unfused_block(kind, dtype, batch, kernel, stride, planes,
+                                              monkeypatch):
+    """With ``_TILE`` cut to a few output planes, every sample runs in
+    several tiles (overlapping by one plane at stride 2) and the backward
+    in one-plane tiles, below one column plane (Cin*27*Ho*Wo = 3402)."""
+    case = _conv_norm_pool_case(batch, dtype)
+    monkeypatch.setattr(nn, "_TILE", planes * 5 * 6 * 7)
+    (out, *grads), (ref, *ref_grads) = _conv_norm_pool_both(kind, *case, kernel, stride)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for a, want in [(out, ref)] + list(zip(grads, ref_grads)):
+        assert a.dtype == want.dtype and a.shape == want.shape
+        np.testing.assert_allclose(a, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["in", "bn"])
+def test_conv_norm_pool_gradcheck_with_small_tiles(kind, monkeypatch):
+    """Finite differences over x, the conv weight, gamma and beta, with
+    three conv output planes per tile (three tiles per sample, overlapping
+    by one plane) and one per backward tile.  The central difference's
+    error falls as eps^2 here (1.3e-6 of the worst coordinate at eps 1e-3,
+    1.3e-8 at 1e-4), so the step is 1e-5."""
+    monkeypatch.setattr(nn, "_TILE", 3 * 3 * 4 * 5)
+    rng = np.random.default_rng(31)
+    layer = nn.InstanceNorm3d(3, np.float64) if kind == "in" else nn.BatchNorm3d(3, np.float64)
+    x = Tensor(rng.standard_normal((2, 1, 7, 4, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 1, 3, 3, 3)) * 0.3, requires_grad=True)
+    gamma, beta = (Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(2))
+    layer.gamma, layer.beta = gamma, beta
+    proj = Tensor(rng.standard_normal((2, 3, 3, 1, 2)))
+    report = gradcheck(lambda xx, ww, g, b: (layer(xx, pool=(3, 2), weight=ww) * proj).sum(),
+                       [x, w, gamma, beta], eps=1e-5, tol=1e-5)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("kind", ["in", "bn", "bn_eval"])
+def test_recorded_conv_norm_pool_node_holds_no_conv_output_sized_array(kind, monkeypatch):
+    """Beside its parents, the node keeps pooled-size arrays and statistics:
+    nothing the size of the conv output or of one conv output tile."""
+    monkeypatch.setattr(nn, "_TILE", 4 * 6 * 12 * 10)
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((2, 3, 12, 12, 10)), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 3, 3, 3, 3)), requires_grad=True)
+    layer = nn.InstanceNorm3d(6, np.float64) if kind == "in" else nn.BatchNorm3d(6, np.float64)
+    if kind == "bn_eval":
+        layer.eval()
+    layer.gamma.data[1] = 0.0
+    out = layer(x, pool=(3, 2), weight=w)
+    assert out.op == "maxpool3d" and out._parents == (x, w, layer.gamma, layer.beta)
+    arrays = _reachable_arrays(out._backward_fn)
+    assert any(a is x.data for a in arrays)
+    others = [a for a in arrays if a is not x.data and a.base is not w.data]
+    assert others and max(a.size for a in others) <= out.size < 2 * 6 * 12 * 12 * 10 / 8
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["conv3d", "conv_norm_pool"])
+def test_block4_backward_peak_is_weight_gradient_and_one_tile(fused):
+    """Block 4 of a 32^3 ConvNet3D-4 convolves 256 into 512 channels at 3^3.
+    Its backward holds the 14.2 MB weight gradient and one 0.75 MB column
+    tile, whose buffer also takes the column gradient; the input gradient,
+    the output-gradient tile and the pooled arrays fit in half a tile more.
+    Summing the gradient from zeros through a fresh product per tile, with
+    a separate column-gradient buffer, peaked at 29.9 MB."""
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((1, 256, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    w = Tensor((rng.standard_normal((512, 256, 3, 3, 3)) * 0.02).astype(np.float32),
+               requires_grad=True)
+    if fused:
+        out = nn.InstanceNorm3d(512)(x, pool=(3, 2), weight=w)
+    else:
+        out = nn.conv3d(x, w, padding=1)
+    loss = (out * Tensor(rng.standard_normal(out.shape).astype(np.float32))).sum()
+    tile = 256 * 27 * 27 * 4                    # Cin*27 rows by 3^3 output positions
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == w.shape and x.grad.shape == x.shape
+    assert peak <= w.data.nbytes + 1.5 * tile, (peak / 1e6, w.data.nbytes / 1e6)
+
+
+def test_convnet_in_32_loss_and_gradients_match_unfused_block(monkeypatch):
+    """One 32^3 ConvNet3D-4-IN step with the conv-norm-pool node and with
+    conv3d, then the norm-and-max-pool node: same loss and gradients."""
+    cfg = M.build_config("convnet3d4", norm="in", extents=(32, 32, 32), pool_stride=2)
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 32, 32, 32)).astype(np.float32))
+    steps = []
+    for fused in (True, False):
+        with monkeypatch.context() as m:
+            if not fused:
+                m.setattr(M._ConvBlock, "forward", _oracle_block_forward)
+            model = M.build_model(cfg, seed=0)
+            loss = nn.cross_entropy(model(x), [1])
+            loss.backward()
+        steps.append((loss.data, [p.grad for p in model.parameters()]))
+    (loss, grads), (ref, ref_grads) = steps
+    np.testing.assert_allclose(loss, ref, rtol=1e-6)
+    for g, want in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
 # graph memory of one ConvNet3D-4-IN step
 
 def test_convnet_in_32_graph_bytes_bound():
     """Bytes held by the recorded non-leaf nodes of one 32^3 ConvNet3D-4-IN
     loss graph (what the benchmark reports as graph_mb).  The composite norm
     graph held 124.7 MB, the fused norm node 45.6 MB; with the norm and the
-    max-pool in one node, 25.8 MB (block 1's conv output is 16.8 MB of it).
-    The bound is that figure plus 10%."""
+    max-pool in one node, 25.8 MB (block 1's conv output was 16.8 MB of
+    it); with the conv in that node too, 6.07 MB.  The bound is that figure
+    plus 10%."""
     cfg = M.build_config("convnet3d4", norm="in", extents=(32, 32, 32), pool_stride=2)
     model = M.build_model(cfg, seed=0)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 32, 32, 32)).astype(np.float32))
     loss = nn.cross_entropy(model(x), [1])
     held = sum(t.data.nbytes for t in loss._toposort() if t._backward_fn is not None)
-    assert held < 25.8e6 * 1.1, held / 1e6
+    assert held < 6.07e6 * 1.1, held / 1e6
 
 
 def test_backward_consumes_the_convnet_graph():
@@ -688,7 +916,8 @@ def test_convnet_in_32_run_training_peak(tmp_path):
     (4 train steps, evaluation and checkpoint included).  It was 191.0 MB
     while each step's graph and gradients lived on through the next
     forward; with backward consuming the graph and the gradients cleared
-    before the forward, 143.4 MB.  The bound is that figure plus 10%."""
+    before the forward, 143.4 MB; with each block's conv output never held
+    whole, 119.4 MB.  The bound is that figure plus 10%."""
     D.synth_generate(tmp_path / "d", D.SynthConfig(n_subjects=6, sessions_per_subject=1,
                                                    extents=(32, 32, 32), seed=1))
     records = D.read_manifest(tmp_path / "d" / D.MANIFEST_NAME)
@@ -704,7 +933,14 @@ def test_convnet_in_32_run_training_peak(tmp_path):
         tracemalloc.stop()
     assert [r["event"] for r in rows] == ["config", "init", "epoch", "done"]
     assert len(split.train_subjects) == 4     # one scan each, batch 1: 4 steps
-    assert peak <= 1.1 * 143.4e6, peak / 1e6
+    assert peak <= 1.1 * 119.4e6, peak / 1e6
+
+
+def _oracle_block_forward(self, x):
+    """ConvNet3D-4's block before the conv moved into the norm's node:
+    conv3d, then the norm-and-max-pool node."""
+    h = oracle_norm_pool(self.norm, self.conv(x), M.CONVNET_POOL_KERNEL, self.pool_stride)
+    return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
 
 
 def _unfused_block_forward(self, x):
@@ -721,9 +957,11 @@ def test_convnet_81_stride3_train_step_peak(norm, monkeypatch):
     with stride-3 pools.  With the unfused block it peaked at 2.07 GB of
     tracemalloc: block 1's 128x81^3 conv output, x̂, the normalized volume
     and the pool's float64 scatter buffer.  With the norm-and-max-pool node
-    it peaked at 0.711 GB, and with backward freeing each node's saved
-    arrays as it goes, 0.628 GB; the bound is 1.25x that.  The loss must
-    equal the unfused block's, computed without a graph."""
+    it peaked at 0.711 GB, with backward freeing each node's saved arrays
+    as it goes 0.628 GB, and with the conv inside the node, which never
+    holds the 272 MB conv output whole, 0.111 GB; the bound is 1.25x that.
+    The loss must equal the unfused block's, computed without a graph, and
+    loss and gradients must match conv3d, then the norm-and-max-pool node."""
     cfg = M.build_config("convnet3d4", norm=norm, extents=(81, 81, 81), pool_stride=3)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 81, 81, 81)).astype(np.float32))
     with monkeypatch.context() as m:
@@ -740,7 +978,64 @@ def test_convnet_81_stride3_train_step_peak(norm, monkeypatch):
         tracemalloc.stop()
     np.testing.assert_allclose(loss.data, ref.data, rtol=1e-6)
     assert all(np.isfinite(p.grad).all() for p in model.parameters())
-    assert peak < 1.25 * 0.628e9, peak / 1e9
+    assert peak < 1.25 * 0.111e9, peak / 1e9
+    with monkeypatch.context() as m:
+        m.setattr(M._ConvBlock, "forward", _oracle_block_forward)
+        oracle = M.build_model(cfg, seed=0)
+        ref = nn.cross_entropy(oracle(x), [1])
+        ref.backward()
+    np.testing.assert_allclose(loss.data, ref.data, rtol=1e-6)
+    for p, want in zip(model.parameters(), oracle.parameters()):
+        np.testing.assert_allclose(p.grad, want.grad, rtol=1e-4,
+                                   atol=1e-4 * np.abs(want.grad).max())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("norm", ["in", "bn"])
+def test_convnet_paper_size_forward_peak(norm):
+    """A 169x208x179 batch-1 ConvNet3D-4 forward under no_grad, IN and BN in
+    eval.  Block 1's conv output alone is 3.22 GB, so with the norm reading
+    a whole conv output this could not run on a 7 GB host.  Beside the
+    25 MB scan, the peak is 0.239 GB for IN and for BN: block 1's 117 MB
+    pooled output and its leaky-ReLU copy; its tiles (57 MB of conv output,
+    8 MB of columns) peak earlier.  The bound is 1.25x that."""
+    cfg = M.build_config("convnet3d4", norm=norm, pool_stride=3)
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 1) + cfg.extents)
+               .astype(np.float32))
+    model = M.build_model(cfg, seed=0).eval()
+    tracemalloc.start()
+    try:
+        with no_grad():
+            logits = model(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (1, M.NUM_CLASSES) and np.isfinite(logits.data).all()
+    assert peak < 1.25 * 0.239e9, peak / 1e9
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("norm", ["in", "bn"])
+def test_convnet_paper_size_train_step_peak(norm):
+    """One 169x208x179 batch-1 ConvNet3D-4 train step (forward and
+    backward).  It peaked at 0.964 GB of tracemalloc for IN and for BN,
+    most of it block 1's pooled-size arrays (output, x̂ at the winners,
+    int64 winners, leaky ReLU and dropout outputs, 117-234 MB each); the
+    bound is 1.25x that."""
+    cfg = M.build_config("convnet3d4", norm=norm, pool_stride=3)
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 1) + cfg.extents)
+               .astype(np.float32))
+    model = M.build_model(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        loss = nn.cross_entropy(model(x), [1])
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.data)
+    assert all(np.isfinite(p.grad).all() for p in model.parameters())
+    assert peak < 1.25 * 0.964e9, peak / 1e9
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,33 @@ def test_cvvt_too_small_extents_underflow():
     assert err.value.layer == "embed.adaptive_pool"
 
 
-# the calls whose outputs are recorded, each with the shape_infer entries it produces
-_RECORDED = {"conv3d": (nn, r"block\d\.conv|embed\.stage\d"),
+# the calls whose outputs are recorded, each with the shape_infer entries it
+# produces; a ConvNet3D-4 block's conv runs inside its norm-and-pool node,
+# whose conv output tiles (``nn._conv_tiles``) are recorded instead
+_RECORDED = {"conv3d": (nn, r"embed\.stage\d"),
+             "_conv_tiles": (nn, r"block\d\.conv"),
              "maxpool3d": (nn, r"block\d\.pool"),
              "adaptive_avg_pool3d": (nn, r"embed\.adaptive_pool"),
              "vvit_patchify": (M, r"patchify")}
+
+
+def _recorder(name, call, executed):
+    def record(*args, **kw):
+        out = call(*args, **kw)
+        executed.append((name, out.shape))
+        return out
+
+    def record_tiles(*args, **kw):
+        # (samples, Cout, planes, Ho, Wo) of the conv output the tiles cover
+        entry, samples, planes = len(executed), set(), set()
+        executed.append(None)
+        for i, z0, z1, y in call(*args, **kw):
+            samples.add(i)
+            planes.update(range(z0, z1))
+            executed[entry] = (name, (len(samples), y.shape[0], len(planes)) + y.shape[2:])
+            yield i, z0, z1, y
+
+    return record_tiles if name == "_conv_tiles" else record
 
 
 # CVVT at 24^3 has a stride-2 stage, (1, 32, 2), before the stride-1 one
@@ -152,11 +174,7 @@ def test_executed_shapes_equal_inferred(model, extents, kwargs, monkeypatch):
     net.eval()
     executed = []
     for name, (owner, _) in _RECORDED.items():
-        def record(*args, _call=getattr(owner, name), _name=name, **kw):
-            out = _call(*args, **kw)
-            executed.append((_name, out.shape))
-            return out
-        monkeypatch.setattr(owner, name, record)
+        monkeypatch.setattr(owner, name, _recorder(name, getattr(owner, name), executed))
     with no_grad():
         logits = net(rand_volume(extents, seed=5))
     inferred = M.shape_infer(cfg)

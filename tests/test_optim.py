@@ -62,7 +62,8 @@ def test_train_config_rejects_counts_below_one(field):
 
 @pytest.mark.parametrize("field,value", [
     ("total_epochs", -1), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
-    ("weight_decay", -1e-3), ("weight_decay", float("nan"))])
+    ("weight_decay", -1e-3), ("weight_decay", float("nan")), ("gamma", -1.0),
+    ("gamma", float("nan")), ("gamma", float("inf"))])
 def test_train_config_rejects_negative_or_non_finite(field, value):
     kwargs = {"lr": 0.01, "weight_decay": 0.0, "step_size": 25, "gamma": 0.3, field: value}
     with pytest.raises(ValueError, match=field):
