@@ -355,7 +355,7 @@ class _ConvBlock(nn.Module):
         self.drop = nn.Dropout3d(CONVNET_DROPOUT, rng=drop_rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.norm(x, pool=(CONVNET_POOL_KERNEL, self.pool_stride), weight=self.conv.weight)
+        h = self.norm(x, self.conv.weight, (CONVNET_POOL_KERNEL, self.pool_stride))
         return self.drop(leaky_relu(h, CONVNET_SLOPE))
 
 

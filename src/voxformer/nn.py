@@ -7,12 +7,11 @@ conv3d is tiled im2col + BLAS with an optional fused leaky ReLU,
 maxpool3d a separable max over W, H and D, adaptive pooling three
 averaging-matrix products, and layer norm one fused ``normalize`` node.
 An instance or batch norm, in every mode, is one ``maxpool3d(..., norm=...)``
-node that pools its input and normalizes only the pooled values; without a
-pool it is the same node with a 1^3 pool.  Given a conv weight, that node
-also runs the conv before it, over the same im2col tiles as conv3d, so that
-ConvNet3D-4's conv -> norm -> max-pool never holds the conv output whole:
-the statistics are gathered tile by tile, and the backward recomputes each
-tile.  One tap iterator, ``_windows``, yields every strided kernel window
+node: ConvNet3D-4's conv -> norm -> max-pool.  It runs the conv over the
+same im2col tiles as conv3d, pools each conv output tile and normalizes only
+the pooled values, so it never holds the conv output whole: the statistics
+are gathered tile by tile, and the backward recomputes each tile.  One tap
+iterator, ``_windows``, yields every strided kernel window
 that the im2col tiles and both max-pool passes read; the conv's zero
 padding is never materialized: each window is clipped to the input.
 """
@@ -471,7 +470,7 @@ def _window_max(a: np.ndarray, k: int, s: int) -> np.ndarray:
 
 
 def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
-              norm: tuple | None = None, weight: Tensor | None = None) -> Tensor:
+              norm: tuple | None = None) -> Tensor:
     """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
 
     The forward is ``_window_max`` and keeps nothing but its output.  The
@@ -481,9 +480,9 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     row-major order.  A window holding a NaN outputs NaN, and its gradient
     goes to the window's first voxel.
 
-    With ``norm=(gamma, beta, stats)`` the node is instead
-    max-pool(gamma * (y - mean) / sd + beta), sd = sqrt(var + NORM_EPS), of
-    y = x or, given a conv ``weight``, of y = conv3d(x, weight,
+    With ``norm=(weight, gamma, beta, stats)`` the node is instead
+    ConvNet3D-4's conv -> norm -> max-pool: max-pool(gamma * (y - mean) / sd
+    + beta), sd = sqrt(var + NORM_EPS), of y = conv3d(x, weight,
     padding=CONV_PADDING); ``stats`` is a ``NormStats`` (see
     ``_conv_norm_pool``).
     """
@@ -494,9 +493,7 @@ def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
     if s < 1:
         raise ValueError(f"stride must be >= 1, got {s}")
     if norm is not None:
-        return _conv_norm_pool(x, k, s, *norm, weight)
-    if weight is not None:
-        raise ValueError("maxpool3d runs a conv weight only together with a norm")
+        return _conv_norm_pool(x, k, s, *norm)
     n, c, d, h, w = x.shape
     out = _window_max(x.data, k, s)
 
@@ -513,30 +510,30 @@ class NormStats:
     """The per-channel statistics a batch or instance norm normalizes with.
     Given ``mean`` and ``var`` (BatchNorm's running estimates in eval), they
     are fixed.  Given ``axes``, the norm's node gathers the mean and the
-    biased variance of its input over those axes and stores them here, with
-    ``count``, the number of values behind each."""
+    biased variance of its conv output over those axes and stores them here,
+    with ``count``, the number of values behind each."""
 
     def __init__(self, axes: tuple[int, ...] | None = None,
                  mean: np.ndarray | None = None, var: np.ndarray | None = None):
         self.axes, self.mean, self.var, self.count = axes, mean, var, 0
 
 
-def _conv_norm_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
-                    stats: NormStats, weight: Tensor | None) -> Tensor:
-    """max-pool(gamma * ŷ + beta), ŷ = (y - mean) / sd, of y = x or, given
-    ``weight``, of y = conv(x, weight) (stride 1, padding CONV_PADDING, no
-    bias), as one node that never holds y whole, ŷ or the normalized volume.
+def _conv_norm_pool(x: Tensor, k: int, s: int, weight: Tensor, gamma: Tensor, beta: Tensor,
+                    stats: NormStats) -> Tensor:
+    """max-pool(gamma * ŷ + beta), ŷ = (y - mean) / sd, of y = conv(x,
+    weight) (stride 1, padding CONV_PADDING, no bias), as one node that
+    never holds y whole, ŷ or the normalized volume.
 
-    y comes in tiles: all of x without a weight; with one, sample by sample,
-    whole pool windows of conv output planes at a time, at most ``_TILE``
-    values (but one window's k planes), from column tiles of at most
-    ``_TILE`` values (but one plane).  Tiles that share windows overlap by
-    k - s planes, which are computed twice.  Per tile the node:
+    y comes in tiles, sample by sample, whole pool windows of conv output
+    planes at a time, at most ``_TILE`` values (but one window's k planes),
+    from column tiles of at most ``_TILE`` values (but one plane).  Tiles
+    that share windows overlap by k - s planes, which are computed twice.
+    Per tile the node:
 
     - adds the tile's planes (the overlap once, and planes no window reads)
       to the statistics (with ``stats.axes``): per-tile ``moments`` merged
-      in float64 by Chan, Golub and LeVeque's pairwise update; a single tile
-      keeps the bytes of ``moments`` of the whole input;
+      in float64 by Chan, Golub and LeVeque's pairwise update; a sample in
+      one tile keeps the bytes of ``moments`` of its conv output;
     - pools sign(gamma) * y: per channel the affine map is monotone, so it
       commutes with the max.  The output has the bytes of normalizing y,
       then pooling; the gradient goes to the first voxel holding the
@@ -544,63 +541,55 @@ def _conv_norm_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
       is ±0).
 
     When recorded, the node keeps, beside its parents, only pooled-size
-    arrays (the output, the flat winner indices and ŷ at the winners) and
-    the statistics.  The backward takes dgamma, dbeta and the two means of
-    the normalization's closed form from pooled-size sums.  Then, per tile
-    of at most ``_TILE`` conv outputs and columns, it recomputes y from the
-    refilled columns with one GEMM (none for fixed statistics), writes
-    dy = (y - mean) * (-mean(ĝ·ŷ)/sd) - mean(ĝ) with ĝ = g·gamma, adds ĝ/sd
-    at the winners in the tile, and hands dy to ``_conv_grads``.  Without a
-    weight, dy is x's gradient, in one pass over x.
+    arrays (the output, the flat int32 winner indices, each below D*H*W,
+    and ŷ at the winners) and the statistics.  The backward takes dgamma,
+    dbeta and the two means of the normalization's closed form from
+    pooled-size sums.  Then, per tile of at most ``_TILE`` conv outputs and
+    columns, it recomputes y from the refilled columns with one GEMM (none
+    for fixed statistics), writes dy = (y - mean) * (-mean(ĝ·ŷ)/sd) -
+    mean(ĝ) with ĝ = g·gamma, adds ĝ/sd at the winners in the tile, and
+    hands dy to ``_conv_grads``.
     """
-    axes, xd = stats.axes, x.data
-    n = x.shape[0]
-    if weight is None:
-        dt, c, sp = x.dtype, x.shape[1], x.shape[2:]
-        tiles = [(slice(None), 0, sp[0], xd)]      # (samples, first plane, end of counted planes, y)
-        wm = rows = fill = scatter = None
-    else:
-        sp, rows, fill, scatter = _im2col(x, weight, 1, CONV_PADDING)
-        c, dt = weight.shape[0], np.result_type(weight.data, x.data)
-        wm = weight.data.reshape(c, -1)
+    axes, n = stats.axes, x.shape[0]
+    sp, rows, fill, scatter = _im2col(x, weight, 1, CONV_PADDING)
+    c, dt = weight.shape[0], np.result_type(weight.data, x.data)
+    wm = weight.data.reshape(c, -1)
     plane = sp[1] * sp[2]
     out_sp = maxpool3d_output_extents(sp, k, s)
-    if weight is not None:
-        per = max(1, (_TILE // (c * plane) - k) // s + 1)     # pool planes per tile
-        # pool planes j0..j1 read conv planes s*j0 .. s*(j1-1)+k-1; a tile
-        # counts the planes up to the next tile's first (s*j1), and the last
-        # one all planes to the end, so that every plane is counted once
-        spans = [(i, j0 * s, sp[0] if j1 == out_sp[0] else j1 * s + max(0, k - s))
-                 for i, j0, j1 in _spans(n, out_sp[0], per)]
-        tiles = ((slice(i, i + 1), z0, z1 if z1 == sp[0] else z0 + per * s, y[None])
-                 for i, z0, z1, y in
-                 _conv_tiles(wm, fill, spans, sp, max(1, _TILE // (rows * plane)), dt))
+    per = max(1, (_TILE // (c * plane) - k) // s + 1)     # pool planes per tile
+    # pool planes j0..j1 read conv planes s*j0 .. s*(j1-1)+k-1
+    spans = [(i, j0 * s, sp[0] if j1 == out_sp[0] else j1 * s + max(0, k - s))
+             for i, j0, j1 in _spans(n, out_sp[0], per)]
     shape = (1, c, 1, 1, 1)
     scale, shift = gamma.data.reshape(shape), beta.data.reshape(shape)
     sign = np.sign(scale)
     zero = sign.reshape(-1) == 0
-    parents = (x, gamma, beta) if weight is None else (x, weight, gamma, beta)
+    parents = (x, weight, gamma, beta)
     record = _records(parents)
     z = np.empty((n, c) + out_sp, dt)       # y at each window's max
-    win = np.empty(z.shape, np.int64) if record or zero.any() else None
+    win = np.empty(z.shape, np.int32) if record or zero.any() else None
     if axes is not None:
         rows_of = n if 0 not in axes else 1
         total = np.zeros((rows_of, 1, 1, 1, 1))
         acc_mean, acc_m2 = np.zeros((rows_of, c, 1, 1, 1)), np.zeros((rows_of, c, 1, 1, 1))
-    for samples, z0, end, y in tiles:
+    for i, z0, z1, y in _conv_tiles(wm, fill, spans, sp, max(1, _TILE // (rows * plane)), dt):
+        y, sample = y[None], slice(i, i + 1)
         if axes is not None:
-            m, v = moments(y[:, :, :end - z0], axes)
-            r = samples if rows_of > 1 else slice(None)
-            size = np.float64(y[:, :, :end - z0].size // m.size)
+            # a tile counts the planes up to the next tile's first (s*j1), and
+            # the last one all planes to the end: every plane is counted once
+            end = z1 - z0 if z1 == sp[0] else per * s
+            m, v = moments(y[:, :, :end], axes)
+            r = sample if rows_of > 1 else slice(None)
+            size = np.float64(y[:, :, :end].size // m.size)
             merged = total[r] + size
             delta = m - acc_mean[r]
             acc_mean[r] += delta * (size / merged)
             acc_m2[r] += v * size + delta * delta * (total[r] * size / merged)
             total[r] = merged
         raw = y[:, zero] if zero.any() else None
-        ys = y if (sign == 1).all() else np.multiply(y, sign, out=y if weight is not None else None)
+        ys = y if (sign == 1).all() else np.multiply(y, sign, out=y)
         zt = _window_max(ys, k, s)
-        part = (samples, slice(None), slice(z0 // s, z0 // s + zt.shape[2]))
+        part = (sample, slice(None), slice(z0 // s, z0 // s + zt.shape[2]))
         if win is not None:
             wt = _pool_winners(ys, zt, k, s)
             win[part] = wt + z0 * plane
@@ -635,19 +624,6 @@ def _conv_norm_pool(x: Tensor, k: int, s: int, gamma: Tensor, beta: Tensor,
             m1 = gs.sum(axis=axes, keepdims=True) / count
             m2 = (gs * xhat).sum(axis=axes, keepdims=True) / count
             slope = -m2 * inv
-        if weight is None:
-            if not x.requires_grad:
-                return
-            if axes is None:
-                dx = np.zeros(x.shape, dt)
-            else:
-                dx = np.subtract(xd, mean)
-                dx *= slope
-                dx -= m1
-            base = (np.arange(n * c) * (sp[0] * plane)).reshape(n, c, 1, 1, 1)
-            np.add.at(dx.reshape(-1), (base + win).reshape(-1), gs.reshape(-1))
-            x._accumulate(dx)
-            return
         spans = _spans(n, sp[0], max(1, _TILE // (max(rows, c) * plane)))
         dys = np.empty(c * (spans[0][2] - spans[0][1]) * plane, dt)
         channel = np.arange(c).reshape(c, 1, 1, 1)
@@ -768,15 +744,15 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _node(out, (x, gamma, beta), backward, "normalize")
 
 
-def _norm_channels(layer: Module, x: Tensor, weight: Tensor | None) -> None:
-    c = x.shape[1] if weight is None else weight.shape[0]
-    if c != layer.num_features:
-        raise ShapeError(f"expected {layer.num_features} channels, got shape "
-                         f"{x.shape if weight is None else weight.shape}")
+def _norm_channels(layer: Module, weight: Tensor) -> None:
+    if weight.shape[0] != layer.num_features:
+        raise ShapeError(f"expected {layer.num_features} channels, got conv weight shape "
+                         f"{weight.shape}")
 
 
 class InstanceNorm3d(Module):
-    """Per (sample, channel) normalization over (D,H,W); identical train/eval."""
+    """Per (sample, channel) normalization over (D,H,W) of a conv output,
+    then a max-pool; identical train/eval."""
 
     def __init__(self, num_features: int, dtype=np.float32):
         super().__init__()
@@ -784,24 +760,21 @@ class InstanceNorm3d(Module):
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
 
-    def forward(self, x: Tensor, pool: tuple[int, int] | None = None,
-                weight: Tensor | None = None) -> Tensor:
-        """The max-pool of the normalized x with ``pool=(kernel, stride)``,
-        as one ``maxpool3d`` node that never builds the normalized volume;
-        without ``pool`` the same node with a 1^3 pool, the normalized x.
-        Given a conv ``weight`` (no bias), the node normalizes conv(x,
-        weight) instead, and never holds the conv output whole."""
-        _norm_channels(self, x, weight)
-        return maxpool3d(x, *(pool or (1, 1)), norm=(self.gamma, self.beta, NormStats((2, 3, 4))),
-                         weight=weight)
+    def forward(self, x: Tensor, weight: Tensor, pool: tuple[int, int]) -> Tensor:
+        """The max-pool with ``pool=(kernel, stride)`` of the normalized
+        conv(x, weight) (no bias), as one ``maxpool3d`` node that never
+        holds the conv output whole or builds the normalized volume."""
+        _norm_channels(self, weight)
+        return maxpool3d(x, *pool, norm=(weight, self.gamma, self.beta, NormStats((2, 3, 4))))
 
 
 class BatchNorm3d(Module):
-    """Per-channel normalization over (N,D,H,W) with running statistics.
+    """Per-channel normalization over (N,D,H,W) of a conv output, with
+    running statistics, then a max-pool.
 
     Training uses batch statistics (biased variance) and updates the running
     estimates; eval normalizes with the running estimates.  Both are one
-    ``maxpool3d`` node, with ``pool`` and ``weight`` as in ``InstanceNorm3d``.
+    ``maxpool3d`` node, with ``weight`` and ``pool`` as in ``InstanceNorm3d``.
     """
 
     def __init__(self, num_features: int, dtype=np.float32):
@@ -812,17 +785,15 @@ class BatchNorm3d(Module):
         self.running_mean = Tensor(np.zeros(num_features, dtype=dtype))
         self.running_var = Tensor(np.ones(num_features, dtype=dtype))
 
-    def forward(self, x: Tensor, pool: tuple[int, int] | None = None,
-                weight: Tensor | None = None) -> Tensor:
-        _norm_channels(self, x, weight)
-        pool = pool or (1, 1)
+    def forward(self, x: Tensor, weight: Tensor, pool: tuple[int, int]) -> Tensor:
+        _norm_channels(self, weight)
         if not self.training:
             shape = (1, self.num_features, 1, 1, 1)
             stats = NormStats(None, self.running_mean.data.reshape(shape),
                               self.running_var.data.reshape(shape))
-            return maxpool3d(x, *pool, norm=(self.gamma, self.beta, stats), weight=weight)
+            return maxpool3d(x, *pool, norm=(weight, self.gamma, self.beta, stats))
         stats = NormStats((0, 2, 3, 4))
-        out = maxpool3d(x, *pool, norm=(self.gamma, self.beta, stats), weight=weight)
+        out = maxpool3d(x, *pool, norm=(weight, self.gamma, self.beta, stats))
         mean, var = stats.mean.reshape(-1), stats.var.reshape(-1)
         if stats.count > 1:
             var = var * stats.count / (stats.count - 1)

@@ -34,6 +34,15 @@ def _away_from_zero(rng, *shape, margin=0.05) -> Tensor:
     return Tensor(x, dtype=np.float64, requires_grad=True)
 
 
+def delta_weight(channels: int, dtype=np.float32) -> Tensor:
+    """A [C, C, 3, 3, 3] conv weight that is 1 at the centre tap on the
+    channel diagonal and 0 elsewhere: at padding 1 the conv returns x for
+    finite x, so a norm layer given it normalizes x itself."""
+    w = np.zeros((channels, channels) + (nn.CONV_KERNEL,) * 3, dtype)
+    w[np.arange(channels), np.arange(channels), 1, 1, 1] = 1
+    return Tensor(w)
+
+
 def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     """(name, report) for a finite-difference check of every operator."""
     rng = np.random.default_rng(7)
@@ -79,23 +88,13 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     checks.append(("conv3d_lrelu", _conv3d_tiles_check(tol, slope=0.2, seed=19)))
     run("maxpool3d", lambda x: nn.maxpool3d(x, 3, 2).sum(),
         [_t(rng, 1, 2, 6, 6, 6)])
-    checks.append(("maxpool3d_in", _norm_pool_check(nn.InstanceNorm3d, tol)))
-    checks.append(("maxpool3d_bn", _norm_pool_check(nn.BatchNorm3d, tol)))
+    checks.append(("conv_norm_pool_in", _conv_norm_pool_check(nn.InstanceNorm3d, tol)))
+    checks.append(("conv_norm_pool_bn", _conv_norm_pool_check(nn.BatchNorm3d, tol)))
     run("adaptive_avg_pool3d", lambda x: nn.adaptive_avg_pool3d(x, (2, 2, 2)).sum(),
         [_t(rng, 1, 2, 5, 6, 7)])
 
     # norms are checked through a fixed projection: sum(norm(x)^2) is constant
     # by construction, so its true gradient is ~0 and relative error meaningless
-    inorm = nn.InstanceNorm3d(3, dtype=np.float64)
-    proj_i = Tensor(rng.standard_normal((1, 3, 4, 4, 4)))
-    run("instancenorm3d",
-        lambda x, g, bb: (_with_affine(inorm, g, bb)(x) * proj_i).sum(),
-        [_t(rng, 1, 3, 4, 4, 4), inorm.gamma, inorm.beta])
-
-    bnorm = nn.BatchNorm3d(2, dtype=np.float64)
-    proj_b = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
-    run("batchnorm3d", lambda x: (bnorm(x) * proj_b).sum(), [_t(rng, 2, 2, 3, 3, 3)])
-
     lnorm = nn.LayerNorm(8, dtype=np.float64)
     proj_l = Tensor(rng.standard_normal((4, 8)))
     run("layer_norm", lambda x: (lnorm(x) * proj_l).sum(), [_t(rng, 4, 8)], tol=1e-5)
@@ -145,20 +144,28 @@ def _conv3d_tiles_check(tol: float, slope: float | None = None, seed: int = 17):
         nn._TILE = saved
 
 
-def _norm_pool_check(layer_type, tol: float, seed: int = 21):
-    """Check of the conv-norm-pool node, without a conv, through
-    ``layer_type(3)(x, pool=(3, 2))``, over x, gamma and beta, at batch 2
-    and on extents that stride 2 does not divide.  A voxel that wins no
-    window reaches the loss only through the statistics, so some of its
-    gradients are near 1e-6 while the loss is near 30: a step of 1e-4 keeps
-    the difference above rounding, and no window's two largest values lie
-    within it."""
+def _conv_norm_pool_check(layer_type, tol: float, seed: int = 21):
+    """Check of the conv-norm-pool node through ``layer_type(3)`` in
+    training, a 1 -> 3 channel conv and a (3, 2) pool, over x, the conv
+    weight, gamma and beta, at batch 2 and on extents that stride 2 does not
+    divide.  The tile budget is cut to three conv output planes: three
+    tiles per sample, overlapping by one plane, and one plane per backward
+    tile.  The central difference's error falls as eps^2 here, so the step
+    is 1e-5."""
     rng = np.random.default_rng(seed)
     layer = layer_type(3, dtype=np.float64)
-    x, gamma, beta = _t(rng, 2, 3, 6, 7, 5), _t(rng, 3), _t(rng, 3)
-    proj = Tensor(rng.standard_normal((2, 3, 2, 3, 2)))
-    return gradcheck(lambda xx, g, b: (_with_affine(layer, g, b)(xx, pool=(3, 2)) * proj).sum(),
-                     [x, gamma, beta], eps=1e-4, tol=tol)
+    x, w = _t(rng, 2, 1, 7, 4, 5), _t(rng, 3, 1, 3, 3, 3, scale=0.3)
+    gamma, beta = _t(rng, 3), _t(rng, 3)
+    proj = Tensor(rng.standard_normal((2, 3, 3, 1, 2)))
+
+    def loss(xx, ww, g, b):
+        return (_with_affine(layer, g, b)(xx, ww, (3, 2)) * proj).sum()
+
+    saved, nn._TILE = nn._TILE, 3 * 3 * 4 * 5
+    try:
+        return gradcheck(loss, [x, w, gamma, beta], eps=1e-5, tol=tol)
+    finally:
+        nn._TILE = saved
 
 
 def _with_affine(layer, gamma, beta):
@@ -226,10 +233,11 @@ def suite_shapes() -> list[CheckResult]:
 
 
 def suite_norms(n_inputs: int = 100, tol: float = 1e-5) -> list[CheckResult]:
-    """batchnorm3d in training mode at batch 1 must match instancenorm3d,
-    alone and pooled, as the conv-norm-pool node runs them without a conv."""
+    """batchnorm3d in training mode at batch 1 must match instancenorm3d:
+    the normalization alone, through a delta weight and a 1^3 pool, and the
+    ConvNet3D-4 block, through a random conv weight and a (3, 2) pool."""
     results = []
-    for pool, seed, low, suffix in ((None, 123, 2, ""), ((3, 2), 124, 3, "_pooled")):
+    for pooled, seed, low, suffix in ((False, 123, 2, ""), (True, 124, 3, "_pooled")):
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(n_inputs):
@@ -238,14 +246,19 @@ def suite_norms(n_inputs: int = 100, tol: float = 1e-5) -> list[CheckResult]:
             x = rng.standard_normal((1, c) + sp).astype(np.float32) * rng.uniform(0.5, 3.0)
             gamma = rng.standard_normal(c).astype(np.float32)
             beta = rng.standard_normal(c).astype(np.float32)
+            if pooled:
+                w = Tensor(rng.standard_normal((c, c, 3, 3, 3)).astype(np.float32) * 0.3)
+                pool = (3, 2)
+            else:
+                w, pool = delta_weight(c), (1, 1)
             bn = nn.BatchNorm3d(c)
             inorm = nn.InstanceNorm3d(c)
             for layer in (bn, inorm):
                 layer.gamma.data[:] = gamma
                 layer.beta.data[:] = beta
             bn.train()
-            diff = float(np.abs(bn(Tensor(x), pool=pool).data
-                                - inorm(Tensor(x), pool=pool).data).max())
+            diff = float(np.abs(bn(Tensor(x), w, pool).data
+                                - inorm(Tensor(x), w, pool).data).max())
             worst = max(worst, diff)
         results.append(CheckResult(f"norms.batchnorm_n1_equals_instancenorm{suffix}",
                                    worst < tol, f"max abs diff {worst:.2e} over {n_inputs} "

@@ -6,6 +6,7 @@ import pytest
 from voxformer import nn
 from voxformer.gradcheck import gradcheck
 from voxformer.tensor import ShapeError, Tensor
+from voxformer.verify import delta_weight
 
 
 def randt(shape, seed=0, dtype=np.float64, requires_grad=False, scale=1.0):
@@ -138,16 +139,22 @@ def test_maxpool_overlapping_stride_accumulates():
 # ---------------------------------------------------------------------------
 # normalization
 
+def normalized(layer, x):
+    """A batch or instance norm layer's normalization alone: through a
+    delta conv weight and a 1^3 pool."""
+    return layer(x, delta_weight(layer.num_features, x.dtype), (1, 1))
+
+
 def test_batchnorm_constant_input_pre_affine_zeros():
     bn = nn.BatchNorm3d(2)
-    out = bn(Tensor(np.full((2, 2, 3, 3, 3), 7.0, np.float32)))
+    out = normalized(bn, Tensor(np.full((2, 2, 3, 3, 3), 7.0, np.float32)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-4)
 
 
 def test_batchnorm_per_channel_mean_zero():
     bn = nn.BatchNorm3d(3)
     x = randt((2, 3, 4, 4, 4), seed=4, dtype=np.float32)
-    out = bn(Tensor(x.data))
+    out = normalized(bn, Tensor(x.data))
     np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3, 4)), 0.0, atol=1e-5)
 
 
@@ -162,17 +169,17 @@ def test_batchnorm_n1_training_equals_instancenorm():
         for layer in (bn, inorm):
             layer.gamma.data[:] = gamma
             layer.beta.data[:] = beta
-        diff = np.abs(bn(Tensor(x)).data - inorm(Tensor(x)).data).max()
+        diff = np.abs(normalized(bn, Tensor(x)).data - normalized(inorm, Tensor(x)).data).max()
         assert diff < 1e-5
 
 
 def test_batchnorm_eval_uses_running_stats():
     bn = nn.BatchNorm3d(1)
     x = Tensor(np.ones((1, 1, 2, 2, 2), np.float32) * 3.0)
-    bn(x)                       # updates running stats
+    normalized(bn, x)           # updates running stats
     bn.eval()
-    out_a = bn(x).data
-    out_b = bn(Tensor(x.data.copy())).data
+    out_a = normalized(bn, x).data
+    out_b = normalized(bn, Tensor(x.data.copy())).data
     np.testing.assert_array_equal(out_a, out_b)
     assert not np.allclose(out_a, 0.0)   # running mean has not converged to 3
 
@@ -180,7 +187,7 @@ def test_batchnorm_eval_uses_running_stats():
 def test_instancenorm_mean_zero_var_one():
     inorm = nn.InstanceNorm3d(3)
     x = randt((2, 3, 4, 5, 4), seed=5, dtype=np.float32, scale=4.0)
-    out = inorm(Tensor(x.data)).data
+    out = normalized(inorm, Tensor(x.data)).data
     np.testing.assert_allclose(out.mean(axis=(2, 3, 4)), 0.0, atol=1e-4)
     np.testing.assert_allclose(out.var(axis=(2, 3, 4)), 1.0, atol=1e-4)
 
@@ -188,8 +195,8 @@ def test_instancenorm_mean_zero_var_one():
 def test_instancenorm_scale_invariance():
     inorm = nn.InstanceNorm3d(2)
     x = randt((1, 2, 4, 4, 4), seed=6, dtype=np.float32)
-    a = inorm(Tensor(x.data)).data
-    b = inorm(Tensor(x.data * 10.0)).data
+    a = normalized(inorm, Tensor(x.data)).data
+    b = normalized(inorm, Tensor(x.data * 10.0)).data
     np.testing.assert_allclose(a, b, atol=1e-4)
 
 
@@ -198,7 +205,7 @@ def test_instancenorm_gradcheck():
     inorm = nn.InstanceNorm3d(3, dtype=np.float64)
     proj = Tensor(np.random.default_rng(21).standard_normal((1, 3, 4, 4, 4)))
     x = randt((1, 3, 4, 4, 4), seed=7, requires_grad=True)
-    report = gradcheck(lambda t: (inorm(t) * proj).sum(), x, tol=1e-4)
+    report = gradcheck(lambda t: (normalized(inorm, t) * proj).sum(), x, tol=1e-4)
     assert report.passed, report
 
 
