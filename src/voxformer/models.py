@@ -96,7 +96,8 @@ CVVT_SLOPE = 0.2        # LeakyReLU after every embedding conv, fused into the c
 
 
 def _conv_out(extents: tuple[int, ...], stride: int) -> tuple[int, ...]:
-    """Output extents of a model conv (``nn.Conv3d``'s kernel and padding)."""
+    """Output extents of a model conv (kernel ``nn.CONV_KERNEL``, padding
+    ``nn.CONV_PADDING``)."""
     return nn.conv3d_output_extents(extents, (nn.CONV_KERNEL,) * 3, stride, nn.CONV_PADDING)
 
 
@@ -346,7 +347,8 @@ class _ConvBlock(nn.Module):
     def __init__(self, cfg: ConvNet3D4Config, cin: int, cout: int,
                  rng: np.random.Generator, drop_rng: np.random.Generator, dtype):
         super().__init__()
-        self.conv = nn.Conv3d(cin, cout, bias=False, rng=rng, dtype=dtype)
+        self.conv = nn.Module()             # holds the weight: the norm's node runs the conv
+        self.conv.weight = nn.conv_weight(rng, cin, cout, dtype)
         if cfg.norm == "bn":
             self.norm = nn.BatchNorm3d(cout, dtype=dtype)
         else:

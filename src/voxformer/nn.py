@@ -3,17 +3,17 @@ linear/attention/encoder blocks, and the cross-entropy loss.
 
 Layers are small ``Module`` objects holding parameter Tensors.  The heavy
 kernels are single recorded graph nodes rather than per-voxel graphs:
-conv3d is tiled im2col + BLAS with an optional fused leaky ReLU,
-maxpool3d a separable max over W, H and D, adaptive pooling three
-averaging-matrix products, and layer norm one fused ``normalize`` node.
-An instance or batch norm, in every mode, is one ``maxpool3d(..., norm=...)``
-node: ConvNet3D-4's conv -> norm -> max-pool.  It runs the conv over the
-same im2col tiles as conv3d, pools each conv output tile and normalizes only
-the pooled values, so it never holds the conv output whole: the statistics
-are gathered tile by tile, and the backward recomputes each tile.  One tap
-iterator, ``_windows``, yields every strided kernel window
-that the im2col tiles and both max-pool passes read; the conv's zero
-padding is never materialized: each window is clipped to the input.
+conv3d is tiled im2col + BLAS with an optional fused leaky ReLU, adaptive
+pooling three averaging-matrix products, and layer norm one fused
+``normalize`` node.  An instance or batch norm, in every mode, is one
+``maxpool3d`` node: ConvNet3D-4's conv -> norm -> max-pool.  It runs the
+conv over the same im2col tiles as conv3d, pools each conv output tile with
+a separable max over W, H and D and normalizes only the pooled values, so
+it never holds the conv output whole: the statistics are gathered tile by
+tile, and the backward recomputes each tile.  One tap iterator,
+``_windows``, yields every strided kernel window that the im2col tiles, the
+max passes and the winner search read; the conv's zero padding is never
+materialized: each window is clipped to the input.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .tensor import (Tensor, ShapeError, _node, _records, add, gelu, matmul, mul
                      reshape, softmax, transpose)
 
 # Fixed layer settings: every model in this package uses these values.
-CONV_KERNEL = 3         # Conv3d: cubic kernel extent
-CONV_PADDING = 1        # Conv3d: zero padding, which keeps stride-1 extents
-INIT_SLOPE = 0.2        # Conv3d init: Kaiming gain for the LeakyReLU(0.2) after it
+CONV_KERNEL = 3         # every model conv: cubic kernel extent
+CONV_PADDING = 1        # every model conv: zero padding, which keeps stride-1 extents
+INIT_SLOPE = 0.2        # conv_weight: Kaiming gain for the LeakyReLU(0.2) after the conv
 NORM_EPS = 1e-5         # variance floor of every normalization
 BN_MOMENTUM = 0.1       # BatchNorm3d: weight of the newest batch in the running stats
 
@@ -125,9 +125,6 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        return sum(t.size for t in self.parameters())
-
     def modules(self):
         yield self
         for value in vars(self).values():
@@ -158,11 +155,6 @@ class Module:
             if tuple(shapes[name]) != t.shape:
                 raise ShapeError(f"state {name!r}: shape {tuple(shapes[name])} != {t.shape}")
         return {name: t.data for name, t in own.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy arrays into this module's tensors, matched by name."""
-        for name, buf in self.state_buffers({k: a.shape for k, a in arrays.items()}).items():
-            buf[...] = arrays[name]
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -406,23 +398,27 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _node(out, parents, backward, "conv3d")
 
 
+def conv_weight(rng: np.random.Generator, in_channels: int, out_channels: int,
+                dtype=np.float32) -> Tensor:
+    """A Kaiming-initialized [Cout, Cin, CONV_KERNEL^3] conv weight parameter."""
+    shape = (out_channels, in_channels) + (CONV_KERNEL,) * 3
+    return Tensor(kaiming_normal(rng, shape, in_channels * CONV_KERNEL ** 3, dtype=dtype),
+                  requires_grad=True)
+
+
 class Conv3d(Module):
-    """3D convolution layer with a CONV_KERNEL^3 kernel and CONV_PADDING zero padding."""
+    """CVVT's conv layer: a CONV_KERNEL^3 kernel, CONV_PADDING zero padding
+    and a bias, fused with the leaky ReLU after it."""
 
     def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
-                 bias: bool = True, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+                 rng: np.random.Generator | None = None, dtype=np.float32):
         super().__init__()
-        rng = _default_rng(rng)
         self.stride = int(stride)
-        k = (CONV_KERNEL,) * 3
-        self.weight = Tensor(kaiming_normal(rng, (out_channels, in_channels) + k,
-                                            in_channels * CONV_KERNEL ** 3, dtype=dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
+        self.weight = conv_weight(_default_rng(rng), in_channels, out_channels, dtype)
+        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
-    def forward(self, x: Tensor, slope: float | None = None) -> Tensor:
-        """The convolution, fused with leaky_relu(., slope) when a slope is given."""
+    def forward(self, x: Tensor, slope: float) -> Tensor:
+        """leaky_relu(conv(x) + bias, slope), as one conv3d node."""
         return conv3d(x, self.weight, self.bias, stride=self.stride, padding=CONV_PADDING,
                       slope=slope)
 
@@ -469,43 +465,6 @@ def _window_max(a: np.ndarray, k: int, s: int) -> np.ndarray:
     return out
 
 
-def maxpool3d(x: Tensor, kernel: int = 3, stride: int | None = None,
-              norm: tuple | None = None) -> Tensor:
-    """Per-window max over [N,C,D,H,W]; stride defaults to the kernel size.
-
-    The forward is ``_window_max`` and keeps nothing but its output.  The
-    backward scans the k^3 taps once for the winners and scatters the
-    gradient to them with one float64 ``bincount``: gradient goes to the
-    argmax voxel, and ties go to the first element of the window in (d,h,w)
-    row-major order.  A window holding a NaN outputs NaN, and its gradient
-    goes to the window's first voxel.
-
-    With ``norm=(weight, gamma, beta, stats)`` the node is instead
-    ConvNet3D-4's conv -> norm -> max-pool: max-pool(gamma * (y - mean) / sd
-    + beta), sd = sqrt(var + NORM_EPS), of y = conv3d(x, weight,
-    padding=CONV_PADDING); ``stats`` is a ``NormStats`` (see
-    ``_conv_norm_pool``).
-    """
-    k = int(kernel)
-    s = k if stride is None else int(stride)
-    if k < 1:
-        raise ValueError(f"kernel must be >= 1, got {k}")
-    if s < 1:
-        raise ValueError(f"stride must be >= 1, got {s}")
-    if norm is not None:
-        return _conv_norm_pool(x, k, s, *norm)
-    n, c, d, h, w = x.shape
-    out = _window_max(x.data, k, s)
-
-    def backward(g: np.ndarray) -> None:
-        base = (np.arange(n * c) * (d * h * w)).reshape(n, c, 1, 1, 1)
-        lin = (base + _pool_winners(x.data, out, k, s)).reshape(-1)
-        dx = np.bincount(lin, weights=g.reshape(-1).astype(np.float64), minlength=x.size)
-        x._accumulate(dx.reshape(x.shape).astype(x.dtype))
-
-    return _node(out, (x,), backward, "maxpool3d")
-
-
 class NormStats:
     """The per-channel statistics a batch or instance norm normalizes with.
     Given ``mean`` and ``var`` (BatchNorm's running estimates in eval), they
@@ -518,11 +477,13 @@ class NormStats:
         self.axes, self.mean, self.var, self.count = axes, mean, var, 0
 
 
-def _conv_norm_pool(x: Tensor, k: int, s: int, weight: Tensor, gamma: Tensor, beta: Tensor,
-                    stats: NormStats) -> Tensor:
-    """max-pool(gamma * ŷ + beta), ŷ = (y - mean) / sd, of y = conv(x,
-    weight) (stride 1, padding CONV_PADDING, no bias), as one node that
-    never holds y whole, ŷ or the normalized volume.
+def maxpool3d(x: Tensor, kernel: int, stride: int, weight: Tensor, gamma: Tensor,
+              beta: Tensor, stats: NormStats) -> Tensor:
+    """ConvNet3D-4's conv -> norm -> max-pool: max-pool(gamma * ŷ + beta)
+    with a ``kernel``^3 window and ``stride``, ŷ = (y - mean) / sd,
+    sd = sqrt(var + NORM_EPS), of y = conv(x, weight) (stride 1, padding
+    CONV_PADDING, no bias), as one node that never holds y whole, ŷ or the
+    normalized volume.  ``stats`` gives or gathers mean and var.
 
     y comes in tiles, sample by sample, whole pool windows of conv output
     planes at a time, at most ``_TILE`` values (but one window's k planes),
@@ -538,7 +499,8 @@ def _conv_norm_pool(x: Tensor, k: int, s: int, weight: Tensor, gamma: Tensor, be
       commutes with the max.  The output has the bytes of normalizing y,
       then pooling; the gradient goes to the first voxel holding the
       window's max of sign(gamma) * y (the window's first voxel where gamma
-      is ±0).
+      is ±0).  A window holding a NaN outputs NaN, and its gradient goes to
+      the window's first voxel.
 
     When recorded, the node keeps, beside its parents, only pooled-size
     arrays (the output, the flat int32 winner indices, each below D*H*W,
@@ -550,6 +512,11 @@ def _conv_norm_pool(x: Tensor, k: int, s: int, weight: Tensor, gamma: Tensor, be
     mean(ĝ) with ĝ = g·gamma, adds ĝ/sd at the winners in the tile, and
     hands dy to ``_conv_grads``.
     """
+    k, s = int(kernel), int(stride)
+    if k < 1:
+        raise ValueError(f"kernel must be >= 1, got {k}")
+    if s < 1:
+        raise ValueError(f"stride must be >= 1, got {s}")
     axes, n = stats.axes, x.shape[0]
     sp, rows, fill, scatter = _im2col(x, weight, 1, CONV_PADDING)
     c, dt = weight.shape[0], np.result_type(weight.data, x.data)
@@ -744,15 +711,9 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _node(out, (x, gamma, beta), backward, "normalize")
 
 
-def _norm_channels(layer: Module, weight: Tensor) -> None:
-    if weight.shape[0] != layer.num_features:
-        raise ShapeError(f"expected {layer.num_features} channels, got conv weight shape "
-                         f"{weight.shape}")
-
-
-class InstanceNorm3d(Module):
-    """Per (sample, channel) normalization over (D,H,W) of a conv output,
-    then a max-pool; identical train/eval."""
+class _ConvNorm(Module):
+    """A per-channel affine norm of a conv output, run with the conv and a
+    max-pool as one ``maxpool3d`` node: the base of the two 3-D norms."""
 
     def __init__(self, num_features: int, dtype=np.float32):
         super().__init__()
@@ -760,15 +721,26 @@ class InstanceNorm3d(Module):
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
 
+    def _pooled(self, x: Tensor, weight: Tensor, pool: tuple[int, int],
+                stats: NormStats) -> Tensor:
+        if weight.shape[0] != self.num_features:
+            raise ShapeError(f"expected {self.num_features} channels, got conv weight shape "
+                             f"{weight.shape}")
+        return maxpool3d(x, *pool, weight, self.gamma, self.beta, stats)
+
+
+class InstanceNorm3d(_ConvNorm):
+    """Per (sample, channel) normalization over (D,H,W) of a conv output,
+    then a max-pool; identical train/eval."""
+
     def forward(self, x: Tensor, weight: Tensor, pool: tuple[int, int]) -> Tensor:
         """The max-pool with ``pool=(kernel, stride)`` of the normalized
         conv(x, weight) (no bias), as one ``maxpool3d`` node that never
         holds the conv output whole or builds the normalized volume."""
-        _norm_channels(self, weight)
-        return maxpool3d(x, *pool, norm=(weight, self.gamma, self.beta, NormStats((2, 3, 4))))
+        return self._pooled(x, weight, pool, NormStats((2, 3, 4)))
 
 
-class BatchNorm3d(Module):
+class BatchNorm3d(_ConvNorm):
     """Per-channel normalization over (N,D,H,W) of a conv output, with
     running statistics, then a max-pool.
 
@@ -778,22 +750,18 @@ class BatchNorm3d(Module):
     """
 
     def __init__(self, num_features: int, dtype=np.float32):
-        super().__init__()
-        self.num_features = num_features
-        self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
+        super().__init__(num_features, dtype)
         self.running_mean = Tensor(np.zeros(num_features, dtype=dtype))
         self.running_var = Tensor(np.ones(num_features, dtype=dtype))
 
     def forward(self, x: Tensor, weight: Tensor, pool: tuple[int, int]) -> Tensor:
-        _norm_channels(self, weight)
         if not self.training:
             shape = (1, self.num_features, 1, 1, 1)
             stats = NormStats(None, self.running_mean.data.reshape(shape),
                               self.running_var.data.reshape(shape))
-            return maxpool3d(x, *pool, norm=(weight, self.gamma, self.beta, stats))
+            return self._pooled(x, weight, pool, stats)
         stats = NormStats((0, 2, 3, 4))
-        out = maxpool3d(x, *pool, norm=(weight, self.gamma, self.beta, stats))
+        out = self._pooled(x, weight, pool, stats)
         mean, var = stats.mean.reshape(-1), stats.var.reshape(-1)
         if stats.count > 1:
             var = var * stats.count / (stats.count - 1)

@@ -86,8 +86,6 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
         [_t(rng, 1, 2, 6, 6, 6), _t(rng, 3, 2, 3, 3, 3, scale=0.2)])
     checks.append(("conv3d_tiles", _conv3d_tiles_check(tol)))
     checks.append(("conv3d_lrelu", _conv3d_tiles_check(tol, slope=0.2, seed=19)))
-    run("maxpool3d", lambda x: nn.maxpool3d(x, 3, 2).sum(),
-        [_t(rng, 1, 2, 6, 6, 6)])
     checks.append(("conv_norm_pool_in", _conv_norm_pool_check(nn.InstanceNorm3d, tol)))
     checks.append(("conv_norm_pool_bn", _conv_norm_pool_check(nn.BatchNorm3d, tol)))
     run("adaptive_avg_pool3d", lambda x: nn.adaptive_avg_pool3d(x, (2, 2, 2)).sum(),

@@ -11,9 +11,11 @@ that graph used.  ``oracle_bn_eval`` is BatchNorm's earlier eval graph
 is the earlier norm-and-max-pool node, which read a whole conv output, and
 ``oracle_norm_pool`` the norm layers' forward that fed it; with
 ``nn.conv3d`` before them they are the unfused ConvNet3D-4 block that the
-conv-norm-pool node replaced.  The tiled conv and the
-averaging-matrix pooling must match to rounding.  The max-pool must match
-bit for bit, winners included.  Layer norm's fused node's forward must too;
+conv-norm-pool node replaced; ``nn.conv3d``, ``oracle_norm`` and
+``oracle_maxpool3d`` are the block before that.  The tiled conv and the
+averaging-matrix pooling must match to rounding.  The node's window max
+(``nn._window_max``) and winner search (``nn._pool_winners``) must match
+``oracle_maxpool3d`` bit for bit.  Layer norm's fused node's forward must too;
 its closed-form gradients must match to rounding.  The conv-norm-pool node
 must match normalize-then-pool through a delta weight (the conv returns x),
 forward bit for bit where one tile holds the statistics, and the unfused
@@ -474,19 +476,11 @@ def _pool_input(shape, dtype, kind, seed):
     return rng.standard_normal(shape).astype(dtype)
 
 
-def _pool_both(x, k, s):
-    results = []
-    for pool in (oracle_maxpool3d, nn.maxpool3d):
-        t = Tensor(x.copy(), requires_grad=True)
-        if pool is oracle_maxpool3d:
-            out, idx = pool(t, k, s, return_indices=True)
-        else:
-            out = pool(t, k, s)
-            idx = nn._pool_winners(x, out.data, k, s)
-        g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
-        (out * Tensor(g)).sum().backward()
-        results.append((out.data, idx, t.grad))
-    return results
+def _max_pooled(x: Tensor, k: int, s: int) -> Tensor:
+    """The conv-norm-pool node as a max-pool of finite x scaled by 1/sd: a
+    delta conv weight, and BatchNorm in eval at running mean 0 and var 1."""
+    bn = nn.BatchNorm3d(x.shape[1], x.dtype).eval()
+    return bn(x, delta_weight(x.shape[1], x.dtype), (k, s))
 
 
 @pytest.mark.parametrize("kind", ["normal", "ties", "zeros"])
@@ -494,52 +488,55 @@ def _pool_both(x, k, s):
 @pytest.mark.parametrize("shape", [(2, 3, 7, 8, 9), (1, 2, 9, 5, 11)])
 @pytest.mark.parametrize("k,s", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_maxpool_matches_oracle_bit_for_bit(k, s, shape, dtype, kind):
+    """The node's window max and winner search against the sliding-window
+    argmax; the node's gradient routing is checked against it through a
+    delta weight in ``test_norm_max_pool_matches_normalize_then_pool``."""
     x = _pool_input(shape, dtype, kind, seed=k * 10 + s)
-    (o_out, o_idx, o_grad), (out, idx, grad) = _pool_both(x, k, s)
-    assert out.dtype == o_out.dtype and grad.dtype == o_grad.dtype
-    np.testing.assert_array_equal(out.view(np.uint8), o_out.view(np.uint8))
-    np.testing.assert_array_equal(idx, o_idx)
-    np.testing.assert_array_equal(grad.view(np.uint8), o_grad.view(np.uint8))
+    o_out, o_idx = oracle_maxpool3d(Tensor(x), k, s, return_indices=True)
+    out = nn._window_max(x, k, s)
+    assert out.dtype == o_out.dtype
+    np.testing.assert_array_equal(out.view(np.uint8), o_out.data.view(np.uint8))
+    np.testing.assert_array_equal(nn._pool_winners(x, out, k, s), o_idx)
 
 
 def test_maxpool_no_grad_matches_oracle():
     x = _pool_input((1, 4, 10, 10, 10), np.float32, "ties", seed=5)
     with no_grad():
-        out = nn.maxpool3d(Tensor(x, requires_grad=True), 3, 2)
+        out = _max_pooled(Tensor(x, requires_grad=True), 3, 2)
         ref = oracle_maxpool3d(Tensor(x), 3, 2)
     assert not out.requires_grad and out._backward_fn is None
-    np.testing.assert_array_equal(out.data, ref.data)
+    sd = np.sqrt(np.float32(1) + np.float32(nn.NORM_EPS))     # the node's sd at var 1
+    np.testing.assert_array_equal(out.data, ref.data / sd)
 
 
 def test_maxpool_kernel_out_of_range():
-    with pytest.raises(ValueError):
-        nn.maxpool3d(Tensor(np.zeros((1, 1, 3, 3, 3))), kernel=0)
+    for kernel, stride in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            _max_pooled(Tensor(np.zeros((1, 1, 3, 3, 3))), kernel, stride)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_maxpool_nan_window_outputs_nan_and_routes_to_its_first_voxel(dtype):
+    """At kernel level: a delta weight spreads a NaN voxel to its 3^3
+    neighbourhood, so the node's NaN routing is checked with a conv in
+    ``test_conv_norm_pool_matches_unfused_block``."""
     x = _pool_input((1, 2, 6, 6, 6), dtype, "normal", seed=9)
     x[0, 1, 4, 3, 5] = np.nan               # window (1, 1, 1) of channel 1 at k = s = 3
-    t = Tensor(x, requires_grad=True)
-    out = nn.maxpool3d(t, 3, 3)
-    nan = np.isnan(out.data)
+    out = nn._window_max(x, 3, 3)
+    nan = np.isnan(out)
     assert nan.sum() == 1 and nan[0, 1, 1, 1, 1]
-    out.sum().backward()
-    assert t.grad[0, 1, 3, 3, 3] == 1 and t.grad[0, 1, 3:, 3:, 3:].sum() == 1
+    win = nn._pool_winners(x, out, 3, 3)
+    assert win[0, 1, 1, 1, 1] == (3 * 6 + 3) * 6 + 3      # the window's first voxel
     # every other window still routes to its max
-    ref = Tensor(np.nan_to_num(x, nan=-np.inf), requires_grad=True)
-    oracle_maxpool3d(ref, 3, 3).sum().backward()
-    keep = np.ones(x.shape, bool)
-    keep[0, 1, 3:, 3:, 3:] = False
-    np.testing.assert_array_equal(t.grad[keep], ref.grad[keep])
+    _, ref = oracle_maxpool3d(Tensor(np.nan_to_num(x, nan=-np.inf)), 3, 3, return_indices=True)
+    np.testing.assert_array_equal(win[~nan], ref[~nan])
 
 
 def test_pool_winners_peak_is_a_fraction_of_the_input():
     """The winner search holds output-sized arrays only: at 1x32x45^3 and
     stride 3 the three-stage search peaked at 0.90x the input bytes."""
     x = np.random.default_rng(12).standard_normal((1, 32, 45, 45, 45)).astype(np.float32)
-    with no_grad():
-        out = nn.maxpool3d(Tensor(x), 3, 3).data
+    out = nn._window_max(x, 3, 3)
     tracemalloc.start()
     try:
         nn._pool_winners(x, out, 3, 3)
@@ -952,7 +949,8 @@ def test_convnet_in_32_run_training_peak(tmp_path):
 def _oracle_block_forward(self, x):
     """ConvNet3D-4's block before the conv moved into the norm's node:
     conv3d, then the norm-and-max-pool node."""
-    h = oracle_norm_pool(self.norm, self.conv(x), M.CONVNET_POOL_KERNEL, self.pool_stride)
+    y = nn.conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
+    h = oracle_norm_pool(self.norm, y, M.CONVNET_POOL_KERNEL, self.pool_stride)
     return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
 
 
@@ -960,8 +958,9 @@ def _unfused_block_forward(self, x):
     """ConvNet3D-4's block before the norm-and-max-pool node: conv3d, the
     composite norm graph, then a separate max-pool."""
     axes = (0, 2, 3, 4) if isinstance(self.norm, nn.BatchNorm3d) else (2, 3, 4)
-    y = oracle_norm(self.conv(x), self.norm.gamma, self.norm.beta, axes, 1)
-    h = nn.maxpool3d(y, M.CONVNET_POOL_KERNEL, self.pool_stride)
+    y = nn.conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
+    y = oracle_norm(y, self.norm.gamma, self.norm.beta, axes, 1)
+    h = oracle_maxpool3d(y, M.CONVNET_POOL_KERNEL, self.pool_stride)
     return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
 
 

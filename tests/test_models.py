@@ -16,7 +16,7 @@ from voxformer import nn
 from voxformer import train as TR
 from voxformer.gradcheck import sampled_gradcheck
 from voxformer.nn import cross_entropy
-from voxformer.tensor import Tensor, _unary, no_grad
+from voxformer.tensor import ShapeError, Tensor, _unary, no_grad
 
 RNG = np.random.default_rng(0)
 
@@ -212,11 +212,18 @@ def test_cvvt_tiny_embedding_band_and_imbalance_ratios():
 def test_convnet_full_size_parameter_count_exact(norm, n_tensors):
     # pins the paper's fixed ConvNet3D-4 architecture (channels, 3^3 bias-free
     # convs, affine norms, 512-d embedding); BN adds two running statistics
-    # per block
+    # per block.  The checkpoint layout is pinned too: each block holds its
+    # conv weight, and no Conv3d layer, since its norm's node runs the conv
     model = M.build_model(M.build_config("convnet3d4", norm=norm))
     assert M.param_count(model) == {"blocks": 5_535_232, "embedding": 2_097_664,
                                     "head": 1_026, "total": 7_633_922}
-    assert len(list(model.named_tensors())) == n_tensors
+    norm_names = ["gamma", "beta"] + (["running_mean", "running_var"] if norm == "bn" else [])
+    want = [f"blocks.{i}.{name}" for i in range(4)
+            for name in ["conv.weight"] + [f"norm.{n}" for n in norm_names]]
+    want += ["embed.weight", "embed.bias", "head.weight", "head.bias"]
+    assert [name for name, _ in model.named_tensors()] == want
+    assert len(want) == n_tensors
+    assert not any(isinstance(m, nn.Conv3d) for m in model.modules())
 
 
 def test_param_count_zero_layer_model():
@@ -230,7 +237,7 @@ def test_param_count_totals_are_consistent():
     model = M.build_model(M.build_config("convnet3d4", extents=(32, 32, 32),
                                          pool_stride=2))
     counts = M.param_count(model)
-    assert counts["total"] == model.num_parameters()
+    assert counts["total"] == sum(p.size for p in model.parameters())
     assert counts["total"] == counts["blocks"] + counts["embedding"] + counts["head"]
 
 
@@ -390,9 +397,14 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
     net = M.build_model(cfg, seed=9)
     path = tmp_path / "model.ckpt"
     M.save_checkpoint(path, net, {"model_config": M.config_to_dict(cfg), "note": 1})
-    config, arrays = M.load_checkpoint(path)
-    rebuilt = M.build_model(M.config_from_dict(config["model_config"]), seed=0)
-    rebuilt.load_state(arrays)
+    built = []
+
+    def build(config):
+        built.append(M.build_model(M.config_from_dict(config["model_config"]), seed=0))
+        return built[0]
+
+    config, _ = M.load_checkpoint(path, build=build)
+    rebuilt, = built
     path2 = tmp_path / "model2.ckpt"
     M.save_checkpoint(path2, rebuilt, config)
     assert path.read_bytes() == path2.read_bytes()
@@ -612,8 +624,8 @@ def test_cli_write_on_full_disk_exits_3_with_one_line(tmp_path, monkeypatch, cap
 
 def test_load_state_shape_mismatch_rejected():
     net = M.build_model(M.build_config("cvvt", "tiny", extents=(16, 16, 16)))
-    state = {k: v.data for k, v in net.named_tensors()}
-    first = next(iter(state))
-    state[first] = np.zeros((1, 2, 3), np.float32)
-    with pytest.raises(Exception):
-        net.load_state(state)
+    shapes = {k: v.shape for k, v in net.named_tensors()}
+    first = next(iter(shapes))
+    shapes[first] = (1, 2, 3)
+    with pytest.raises(ShapeError):
+        net.state_buffers(shapes)

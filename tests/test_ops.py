@@ -105,20 +105,30 @@ def test_maxpool_extent_169():
     assert nn.maxpool3d_output_extents((169,), 3, 3) == (56,)
 
 
+def max_pooled(x, k, s):
+    """The conv-norm-pool node as a max-pool of finite x scaled by 1/sd: a
+    delta conv weight, and BatchNorm in eval at running mean 0 and var 1."""
+    bn = nn.BatchNorm3d(x.shape[1], x.dtype).eval()
+    return bn(x, delta_weight(x.shape[1], x.dtype), (k, s))
+
+
+INV_SD = 1 / np.sqrt(1 + nn.NORM_EPS)      # the float64 node's 1/sd at var 1
+
+
 def test_maxpool_constant_routes_to_first_voxel():
     x = Tensor(np.ones((1, 1, 3, 3, 3)), requires_grad=True)
-    out = nn.maxpool3d(x, 3, 3)
-    idx = nn._pool_winners(x.data, out.data, 3, 3)
-    np.testing.assert_array_equal(out.data, np.ones((1, 1, 1, 1, 1)))
+    out = max_pooled(x, 3, 3)
+    idx = nn._pool_winners(x.data, nn._window_max(x.data, 3, 3), 3, 3)
+    np.testing.assert_array_equal(out.data, np.full((1, 1, 1, 1, 1), INV_SD))
     assert idx.ravel()[0] == 0          # tie -> first element in (d,h,w) order
     out.sum().backward()
     grad = x.grad.ravel()
-    assert grad[0] == 1.0 and grad[1:].sum() == 0.0
+    assert grad[0] == INV_SD and grad[1:].sum() == 0.0
 
 
 def test_maxpool_window_too_large():
     with pytest.raises(ShapeError):
-        nn.maxpool3d(randt((1, 1, 2, 2, 2)), kernel=3)
+        max_pooled(randt((1, 1, 2, 2, 2)), 3, 3)
 
 
 def test_maxpool_gradient_finite_difference():
@@ -126,14 +136,14 @@ def test_maxpool_gradient_finite_difference():
     rng = np.random.default_rng(8)
     vals = rng.permutation(6 ** 3).astype(np.float64) * 0.1
     x = Tensor(vals.reshape(1, 1, 6, 6, 6), requires_grad=True)
-    assert gradcheck(lambda t: nn.maxpool3d(t, 3, 2).sum(), x, tol=1e-5).passed
+    assert gradcheck(lambda t: max_pooled(t, 3, 2).sum(), x, tol=1e-5).passed
 
 
 def test_maxpool_overlapping_stride_accumulates():
     x = Tensor(np.zeros((1, 1, 4, 3, 3)), requires_grad=True)
     x.data[0, 0, 2, 1, 1] = 5.0       # max of both overlapping windows
-    nn.maxpool3d(x, 3, 1).sum().backward()
-    assert x.grad[0, 0, 2, 1, 1] == 2.0
+    max_pooled(x, 3, 1).sum().backward()
+    assert x.grad[0, 0, 2, 1, 1] == 2 * INV_SD and x.grad.sum() == 2 * INV_SD
 
 
 # ---------------------------------------------------------------------------
