@@ -19,8 +19,11 @@ materialized: each window is clipped to the input.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import math
+import os
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -347,42 +350,143 @@ def _conv_tiles(wm: np.ndarray, fill, spans, out_sp: tuple[int, int, int], plane
         yield i, z0, z1, y.reshape((wm.shape[0], z1 - z0) + out_sp[1:])
 
 
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions in numpy's wheel, found
+    through numpy's core extension, which links it; None where they are
+    missing."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS_THREADS = _openblas_threads()
+
+# Lanes of conv3d's forward tile loop.  numpy releases the GIL in the
+# GEMM, the copies and the ufuncs, so two lanes at one BLAS thread each keep
+# both cores busy through the fill and the activation too.  On a 2-vCPU Xeon
+# VM the five CVVT-tiny stage convs of one 169x208x179 scan took 245-305 ms
+# in two half-tile lanes against 337-385 ms in one lane at two BLAS threads.
+# The tiles are planned for this many lanes also where fewer run: at small
+# tiles a GEMM's bytes depend on how its columns are split, so a plan that
+# followed the lanes at hand would make the output depend on the machine.
+# Two: ``_in_lanes`` starts one thread beside the calling one.
+_LANES = 2
+
+
+def _lanes() -> int:
+    """The lanes conv3d's forward runs in: ``_LANES``, or 1 where
+    OpenBLAS's thread count cannot be set or the process may run on one
+    core only."""
+    if _BLAS_THREADS is None or len(os.sched_getaffinity(0)) < 2:
+        return 1
+    return _LANES
+
+
+def _in_lanes(lane, spans: list) -> None:
+    """Run ``spans`` in ``_lanes()`` lanes (one for a single span).  On the
+    calling thread, ``lane()`` is called once per lane and returns that
+    lane's ``work(todo)``, where ``todo`` yields the next span no lane has
+    taken, so every span runs once.  One lane runs inline.  Two run on the
+    calling thread and one thread started for this call, with OpenBLAS at
+    one thread, its count restored afterwards; the thread is joined before
+    this returns.  The first exception a lane raises is raised here again,
+    as itself, and the other lane takes no span after it.
+
+    ``lane()`` runs on the calling thread so that the lanes' buffers come
+    from its malloc arena: allocated in the started thread, they stayed
+    resident in that thread's arena, and the peak RSS of a 4-scan
+    CVVT-tiny eval at 169x208x179 rose from 418 to 435 MB (2-vCPU VM)."""
+    works = [lane() for _ in range(_lanes() if len(spans) > 1 else 1)]
+    if len(works) == 1:
+        works[0](iter(spans))
+        return
+    lock, pending, errors = threading.Lock(), iter(spans), []
+
+    def todo():
+        while not errors:
+            with lock:
+                span = next(pending, None)
+            if span is None:
+                return
+            yield span
+
+    def run(work):
+        try:
+            work(todo())
+        except BaseException as e:     # raised again once both lanes are done
+            errors.append(e)
+
+    get, put = _BLAS_THREADS
+    before = get()
+    put(1)
+    try:
+        second = threading.Thread(target=run, args=(works[1],), name="conv3d-lane")
+        second.start()
+        run(works[0])
+        second.join()
+    finally:
+        put(before)
+    if errors:
+        raise errors[0]
+
+
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0, slope: float | None = None) -> Tensor:
     """Cross-correlation of [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw], zero
     padding, then leaky_relu(., slope) when a slope is given.
 
     Tiled im2col (``_im2col``): the [Cin*k3, P] column matrix of one sample
-    is built a few output depth planes at a time in one reused
-    ``_TILE``-sized buffer and multiplied by the weight matrix there.  The
-    bias and the slope's max(o, slope*o) are applied to each output tile
-    while it is in cache.  The node keeps its output, the input and, with a
-    slope, a ``bool`` mask of pre-activation >= 0; no columns and no
-    pre-activation.  The backward pass multiplies the gradient by 1 or slope
-    through the mask, then ``_conv_grads`` refills each tile from the input,
-    adds the tile's weight gradient, and scatters the tile's input gradient
-    back through the same clipped windows.
+    is built a few output depth planes at a time and multiplied by the
+    weight matrix there.  The bias and the slope's max(o, slope*o) are
+    applied to each output tile while it is in cache.  The forward runs its
+    tiles in ``_in_lanes``: each lane reuses one column buffer and one slope
+    scratch, sized for tiles of ``_TILE // _LANES`` elements (but one
+    plane), and each tile writes only its own slices of the output and the
+    mask, so the bytes do not depend on the lane that ran it or on the
+    lane count.  The node keeps its output, the input and, with a slope, a
+    ``bool`` mask of pre-activation >= 0; no columns and no pre-activation.
+    The backward pass multiplies the gradient by 1 or slope through the
+    mask, then ``_conv_grads`` refills each ``_TILE``-sized tile from the
+    input, adds the tile's weight gradient, and scatters the tile's input
+    gradient back through the same clipped windows.
     """
     if slope is not None and not 0.0 < slope < 1.0:
         raise ValueError(f"conv3d slope must lie in (0, 1), got {slope}")
     (do, ho, wo), rows, fill, scatter = _im2col(x, weight, stride, padding)
     n, cout, plane = x.shape[0], weight.shape[0], ho * wo
-    spans = _spans(n, do, max(1, _TILE // (rows * plane)))
+    spans = _spans(n, do, max(1, _TILE // _LANES // (rows * plane)))
     wm = weight.data.reshape(cout, -1)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    tile = np.empty(rows * (spans[0][2] - spans[0][1]) * plane, x.dtype)
     out = np.empty((n, cout, do * plane), np.result_type(wm, x.data))
     kk = None if slope is None else out.dtype.type(slope)
     mask = np.empty(out.shape, bool) if kk is not None and _records(parents) else None
-    for i, z0, z1 in spans:
-        part = (i, slice(None), slice(z0 * plane, z1 * plane))
-        o = np.matmul(wm, fill(tile, i, z0, z1), out=out[part])
-        if bias is not None:
-            o += bias.data[:, None]
-        if mask is not None:
-            np.greater_equal(o, 0, out=mask[part])
-        if kk is not None:
-            np.maximum(o, o * kk, out=o)
+    width = (spans[0][2] - spans[0][1]) * plane
+
+    def lane():
+        tile = np.empty(rows * width, x.dtype)
+        scratch = None if kk is None else np.empty(cout * width, out.dtype)
+
+        def work(todo) -> None:
+            for i, z0, z1 in todo:
+                part = (i, slice(None), slice(z0 * plane, z1 * plane))
+                o = np.matmul(wm, fill(tile, i, z0, z1), out=out[part])
+                if bias is not None:
+                    o += bias.data[:, None]
+                if mask is not None:
+                    np.greater_equal(o, 0, out=mask[part])
+                if kk is not None:
+                    np.maximum(o, np.multiply(o, kk, out=scratch[:o.size].reshape(o.shape)),
+                               out=o)
+
+        return work
+
+    _in_lanes(lane, spans)
     out = out.reshape(n, cout, do, ho, wo)
 
     def backward(g: np.ndarray) -> None:
@@ -392,8 +496,8 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             np.copyto(gm, g.reshape(gm.shape), where=mask)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gm.sum(axis=(0, 2)))
-        _conv_grads(x, weight, wm, spans, plane, fill, scatter,
-                    lambda i, z0, z1, cols: gm[i, :, z0 * plane:z1 * plane])
+        _conv_grads(x, weight, wm, _spans(n, do, max(1, _TILE // (rows * plane))), plane,
+                    fill, scatter, lambda i, z0, z1, cols: gm[i, :, z0 * plane:z1 * plane])
 
     return _node(out, parents, backward, "conv3d")
 

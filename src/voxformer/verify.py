@@ -43,85 +43,95 @@ def delta_weight(channels: int, dtype=np.float32) -> Tensor:
     return Tensor(w)
 
 
+def _rng(name: str) -> np.random.Generator:
+    """The generator of the check ``name``, seeded from the name alone:
+    adding or removing a check leaves every other check's inputs as they
+    were."""
+    return np.random.default_rng(list(name.encode()))
+
+
 def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
-    """(name, report) for a finite-difference check of every operator."""
-    rng = np.random.default_rng(7)
+    """(name, report) for a finite-difference check of every operator.
+    ``inputs(rng)`` draws a check's inputs from its own generator."""
     checks: list[tuple[str, object]] = []
 
-    def run(name, f, xs, tol=tol, **kw):
-        checks.append((name, gradcheck(f, xs, tol=tol, **kw)))
+    def run(name, f, inputs, tol=tol, **kw):
+        checks.append((name, gradcheck(f, inputs(_rng(name)), tol=tol, **kw)))
 
-    a, b = _t(rng, 3, 4), _t(rng, 3, 4)
-    run("add", lambda x, y: (x + y).sum(), [a, b])
-    run("sub", lambda x, y: (x - y).sum(), [_t(rng, 3, 4), _t(rng, 3, 4)])
-    run("mul", lambda x, y: (x * y).sum(), [_t(rng, 3, 4), _t(rng, 3, 4)])
-    run("mul_broadcast", lambda x, y: (x * y).sum(), [_t(rng, 2, 3, 4), _t(rng, 1, 3, 1)])
-    run("div", lambda x, y: (x / y).sum(), [_t(rng, 3, 4), _away_from_zero(rng, 3, 4, margin=0.5)])
-    run("leaky_relu", lambda x: T.leaky_relu(x, 0.2).sum(), [_away_from_zero(rng, 4, 5)],
+    def pair(*shape):
+        return lambda r: [_t(r, *shape), _t(r, *shape)]
+
+    run("add", lambda x, y: (x + y).sum(), pair(3, 4))
+    run("sub", lambda x, y: (x - y).sum(), pair(3, 4))
+    run("mul", lambda x, y: (x * y).sum(), pair(3, 4))
+    run("mul_broadcast", lambda x, y: (x * y).sum(), lambda r: [_t(r, 2, 3, 4), _t(r, 1, 3, 1)])
+    run("div", lambda x, y: (x / y).sum(),
+        lambda r: [_t(r, 3, 4), _away_from_zero(r, 3, 4, margin=0.5)])
+    run("leaky_relu", lambda x: T.leaky_relu(x, 0.2).sum(), lambda r: [_away_from_zero(r, 4, 5)],
         tol=1e-6)
-    run("gelu", lambda x: T.gelu(x).sum(), [_t(rng, 4, 5)])
-    run("matmul", lambda x, y: T.matmul(x, y).sum(), [_t(rng, 4, 5), _t(rng, 5, 3)],
+    run("gelu", lambda x: T.gelu(x).sum(), lambda r: [_t(r, 4, 5)])
+    run("matmul", lambda x, y: T.matmul(x, y).sum(), lambda r: [_t(r, 4, 5), _t(r, 5, 3)],
         tol=1e-5)
-    run("matmul_batched", lambda x, y: T.matmul(x, y).sum(), [_t(rng, 2, 4, 5), _t(rng, 5, 3)])
-    run("reshape", lambda x: (T.reshape(x, (6, 2)) * 2.0).sum(), [_t(rng, 3, 4)])
-    run("flatten", lambda x: T.flatten(x).sum(), [_t(rng, 2, 3, 2)])
-    run("transpose", lambda x: (T.transpose(x, (1, 0)) * 3.0).sum(), [_t(rng, 3, 4)])
-    run("concat", lambda x, y: T.concat([x, y], axis=1).sum(), [_t(rng, 2, 3), _t(rng, 2, 2)])
-    run("getitem", lambda x: x[:, 1:3].sum(), [_t(rng, 2, 4)])
-    run("sum_axis", lambda x: (x.sum(axis=1) * 2.0).sum(), [_t(rng, 3, 4)])
-    run("mean_axis", lambda x: (x.mean(axis=(1, 2)) * 2.0).sum(), [_t(rng, 2, 3, 4)])
-    run("softmax", lambda x: (T.softmax(x) * T.softmax(x)).sum(), [_t(rng, 3, 5)])
-
-    w = _t(rng, 4, 8, scale=0.3)
-    bias = _t(rng, 4, scale=0.1)
-    run("linear", lambda x, ww, bb: nn.linear(x, ww, bb).sum(), [_t(rng, 5, 8), w, bias],
-        tol=1e-5)
-
-    cw = _t(rng, 2, 2, 3, 3, 3, scale=0.2)
-    cb = _t(rng, 2, scale=0.1)
+    run("matmul_batched", lambda x, y: T.matmul(x, y).sum(),
+        lambda r: [_t(r, 2, 4, 5), _t(r, 5, 3)])
+    run("reshape", lambda x: (T.reshape(x, (6, 2)) * 2.0).sum(), lambda r: [_t(r, 3, 4)])
+    run("flatten", lambda x: T.flatten(x).sum(), lambda r: [_t(r, 2, 3, 2)])
+    run("transpose", lambda x: (T.transpose(x, (1, 0)) * 3.0).sum(), lambda r: [_t(r, 3, 4)])
+    run("concat", lambda x, y: T.concat([x, y], axis=1).sum(),
+        lambda r: [_t(r, 2, 3), _t(r, 2, 2)])
+    run("getitem", lambda x: x[:, 1:3].sum(), lambda r: [_t(r, 2, 4)])
+    run("sum_axis", lambda x: (x.sum(axis=1) * 2.0).sum(), lambda r: [_t(r, 3, 4)])
+    run("mean_axis", lambda x: (x.mean(axis=(1, 2)) * 2.0).sum(), lambda r: [_t(r, 2, 3, 4)])
+    run("softmax", lambda x: (T.softmax(x) * T.softmax(x)).sum(), lambda r: [_t(r, 3, 5)])
+    run("linear", lambda x, ww, bb: nn.linear(x, ww, bb).sum(),
+        lambda r: [_t(r, 5, 8), _t(r, 4, 8, scale=0.3), _t(r, 4, scale=0.1)], tol=1e-5)
     run("conv3d", lambda x, ww, bb: nn.conv3d(x, ww, bb, stride=1, padding=1).sum(),
-        [_t(rng, 1, 2, 5, 5, 5), cw, cb])
+        lambda r: [_t(r, 1, 2, 5, 5, 5), _t(r, 2, 2, 3, 3, 3, scale=0.2), _t(r, 2, scale=0.1)])
     run("conv3d_stride2",
         lambda x, ww: nn.conv3d(x, ww, stride=2, padding=1).sum(),
-        [_t(rng, 1, 2, 6, 6, 6), _t(rng, 3, 2, 3, 3, 3, scale=0.2)])
+        lambda r: [_t(r, 1, 2, 6, 6, 6), _t(r, 3, 2, 3, 3, 3, scale=0.2)])
     checks.append(("conv3d_tiles", _conv3d_tiles_check(tol)))
     checks.append(("conv3d_lrelu", _conv3d_tiles_check(tol, slope=0.2, seed=19)))
     checks.append(("conv_norm_pool_in", _conv_norm_pool_check(nn.InstanceNorm3d, tol)))
     checks.append(("conv_norm_pool_bn", _conv_norm_pool_check(nn.BatchNorm3d, tol)))
     run("adaptive_avg_pool3d", lambda x: nn.adaptive_avg_pool3d(x, (2, 2, 2)).sum(),
-        [_t(rng, 1, 2, 5, 6, 7)])
+        lambda r: [_t(r, 1, 2, 5, 6, 7)])
 
     # norms are checked through a fixed projection: sum(norm(x)^2) is constant
-    # by construction, so its true gradient is ~0 and relative error meaningless
+    # by construction, so its true gradient is ~0 and relative error
+    # meaningless.  A projection comes from its own generator: gradcheck
+    # perturbs every input it is given.
     lnorm = nn.LayerNorm(8, dtype=np.float64)
-    proj_l = Tensor(rng.standard_normal((4, 8)))
-    run("layer_norm", lambda x: (lnorm(x) * proj_l).sum(), [_t(rng, 4, 8)], tol=1e-5)
+    proj_l = Tensor(_rng("layer_norm.proj").standard_normal((4, 8)))
+    run("layer_norm", lambda x: (lnorm(x) * proj_l).sum(), lambda r: [_t(r, 4, 8)], tol=1e-5)
 
     attn = nn.MultiHeadAttention(4, 2, rng=np.random.default_rng(3), dtype=np.float64)
-    run("multi_head_attention", lambda x: (attn(x) * attn(x)).sum(), [_t(rng, 1, 3, 4)])
+    run("multi_head_attention", lambda x: (attn(x) * attn(x)).sum(), lambda r: [_t(r, 1, 3, 4)])
 
     enc = nn.TransformerEncoder(4, 2, depth=1, rng=np.random.default_rng(4), dtype=np.float64)
-    proj_e = Tensor(rng.standard_normal((1, 3, 4)))
-    run("transformer_encoder", lambda x: (enc(x) * proj_e).sum(), [_t(rng, 1, 3, 4)],
+    proj_e = Tensor(_rng("transformer_encoder.proj").standard_normal((1, 3, 4)))
+    run("transformer_encoder", lambda x: (enc(x) * proj_e).sum(), lambda r: [_t(r, 1, 3, 4)],
         tol=1e-4)
 
     labels = np.array([0, 1, 0])
-    run("cross_entropy", lambda x: nn.cross_entropy(x, labels), [_t(rng, 3, 2)], tol=1e-6)
+    run("cross_entropy", lambda x: nn.cross_entropy(x, labels), lambda r: [_t(r, 3, 2)],
+        tol=1e-6)
 
     def dropout_frozen(x):
         # identical mask every evaluation: the rng is re-seeded inside the closure
         return (nn.dropout3d(x, 0.4, True, np.random.default_rng(11)) * 2.0).sum()
 
-    run("dropout3d_frozen_mask", dropout_frozen, [_t(rng, 1, 6, 2, 2, 2)])
+    run("dropout3d_frozen_mask", dropout_frozen, lambda r: [_t(r, 1, 6, 2, 2, 2)])
     run("vvit_patchify", lambda x: (M.vvit_patchify(x, 2) * 2.0).sum(),
-        [_t(rng, 1, 1, 3, 4, 3)])
+        lambda r: [_t(r, 1, 1, 3, 4, 3)])
     return checks
 
 
 def _conv3d_tiles_check(tol: float, slope: float | None = None, seed: int = 17):
     """Sampled check of conv3d, batch 2, at stride 1 and 2 on non-cubic
     extents, with the tile budget cut to two 324-element output planes
-    (Cin*27*Ho*Wo): each sample's columns span 4 tiles, the last partial.
+    (Cin*27*Ho*Wo): each sample's columns span 4 backward tiles, the last
+    partial, and 7 one-plane forward tiles of ``nn._TILE // nn._LANES``.
     With a slope, the conv is fused with leaky_relu(., slope).  Inputs come
     from ``seed`` and the samples from ``seed + 1``."""
     rng = np.random.default_rng(seed)

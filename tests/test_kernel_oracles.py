@@ -28,11 +28,16 @@ tensor's bytes in one ``bytearray``.  Their blocked and one-copy successors
 must give the same bits, the same generator state and the same file bytes.
 """
 
+import ast
+import contextlib
 import itertools
 import json
 import math
+import multiprocessing
 import struct
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +467,194 @@ def test_fused_conv3d_leaky_relu_matches_composite(extents, stride, padding, bat
         assert got.tobytes() == want.tobytes()
         tol = 1e-5 if dtype == np.float32 else 1e-12
         np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.nanmax(np.abs(ref)))
+
+
+# ---------------------------------------------------------------------------
+# conv3d's forward lanes
+
+two_lanes = pytest.mark.skipif(nn._lanes() < 2, reason="two lanes need OpenBLAS's thread-count "
+                                                       "setter and two usable cores")
+
+
+def _lane_conv(x, w, b, stride, slope, record, lanes, monkeypatch):
+    """conv3d in ``lanes`` lanes: the bytes of its output, its mask and,
+    when ``record``, the input, weight and bias gradients."""
+    monkeypatch.setattr(nn, "_lanes", lambda: lanes)
+    xt, wt, bt = (Tensor(a.copy(), requires_grad=record) for a in (x, w, b))
+    with contextlib.nullcontext() if record else no_grad():
+        out = nn.conv3d(xt, wt, bt, stride=stride, padding=1, slope=slope)
+    got = [out.data]
+    if record:
+        got += [a for a in _reachable_arrays(out._backward_fn) if a.dtype == bool]
+        g = np.random.default_rng(2).standard_normal(out.shape).astype(x.dtype)
+        (out * Tensor(g)).sum().backward()
+        got += [xt.grad, wt.grad, bt.grad]
+    return [a.tobytes() for a in got]
+
+
+@two_lanes
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("slope", [None, 0.2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("record", [False, True], ids=["no_grad", "recorded"])
+def test_conv3d_bytes_do_not_depend_on_the_lane_count(record, cin, stride, slope, batch, dtype,
+                                                      monkeypatch):
+    """One lane and two give the same bytes: output, mask and every
+    gradient.  Each sample's 9 output planes make 3 spans, an odd count."""
+    rng = np.random.default_rng(cin * 10 + stride)
+    extents = (9, 5, 6) if stride == 1 else (17, 9, 11)
+    _, ho, wo = nn.conv3d_output_extents(extents, (3, 3, 3), stride, 1)
+    x = rng.standard_normal((batch, cin) + extents).astype(dtype)
+    w = rng.standard_normal((4, cin, 3, 3, 3)).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype)
+    monkeypatch.setattr(nn, "_TILE", 2 * 3 * cin * 27 * ho * wo)
+    ran, in_lanes = [], nn._in_lanes
+
+    def spy(lane, spans):
+        made = []
+        in_lanes(lambda: made.append(1) or lane(), spans)
+        ran.append((len(made), len(spans)))
+
+    monkeypatch.setattr(nn, "_in_lanes", spy)
+    one = _lane_conv(x, w, b, stride, slope, record, 1, monkeypatch)
+    two = _lane_conv(x, w, b, stride, slope, record, 2, monkeypatch)
+    assert ran == [(1, 3 * batch), (2, 3 * batch)]
+    assert len(one) == 1 + (record and slope is not None) + 3 * record
+    assert one == two
+
+
+@contextlib.contextmanager
+def _blas_threads_set_to(count):
+    get, put = nn._BLAS_THREADS
+    before = get()
+    put(count)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@two_lanes
+def test_conv3d_lanes_pin_blas_and_leave_no_thread(monkeypatch):
+    """Inside the lanes OpenBLAS runs one thread; afterwards its count is
+    the one before and the lanes' thread is gone, also when the second
+    lane's fill raises, which conv3d then raises again as itself."""
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((1, 2, 12, 6, 6)).astype(np.float32))
+    w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32))
+    monkeypatch.setattr(nn, "_TILE", 2 * 2 * 27 * 36)       # one plane per span: 12 spans
+    get = nn._BLAS_THREADS[0]
+    caller, boom, raised = threading.get_ident(), RuntimeError("second lane"), threading.Event()
+    counts, failing = [], []
+    im2col = nn._im2col
+
+    def spied_im2col(*args):
+        out_sp, rows, fill, scatter = im2col(*args)
+
+        def spy(buf, i, z0, z1):
+            counts.append(get())
+            if failing and threading.get_ident() != caller:
+                raised.set()
+                raise boom
+            if failing:                 # the second lane takes a span before this one ends
+                assert raised.wait(timeout=60)
+            return fill(buf, i, z0, z1)
+
+        return out_sp, rows, spy, scatter
+
+    monkeypatch.setattr(nn, "_im2col", spied_im2col)
+    with _blas_threads_set_to(2):
+        threads = threading.active_count()
+        nn.conv3d(x, w, padding=1, slope=0.2)
+        assert len(counts) == 12 and set(counts) == {1}
+        assert get() == 2 and threading.active_count() == threads
+        failing.append(True)
+        with pytest.raises(RuntimeError) as info:
+            nn.conv3d(x, w, padding=1, slope=0.2)
+        assert info.value is boom and raised.is_set()
+        assert get() == 2 and threading.active_count() == threads
+
+
+def _conv_in_child(conn, x, w):
+    conn.send_bytes(nn.conv3d(Tensor(x), Tensor(w), padding=1, slope=0.2).data.tobytes())
+    conn.close()
+
+
+@two_lanes
+def test_forked_child_runs_conv3d_after_two_lanes(monkeypatch):
+    """A child forked after the parent ran two lanes (as ``grid --threads``
+    forks its workers) runs the same conv, in two lanes of its own, to the
+    parent's bytes."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 1, 12, 10, 10)).astype(np.float32)
+    w = rng.standard_normal((4, 1, 3, 3, 3)).astype(np.float32)
+    monkeypatch.setattr(nn, "_TILE", 2 * 2 * 27 * 100)      # two planes per span
+    parent = nn.conv3d(Tensor(x), Tensor(w), padding=1, slope=0.2).data.tobytes()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_conv_in_child, args=(send, x, w))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child's conv3d did not finish within 60 s"
+        got = recv.recv_bytes()
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == parent
+
+
+_THREAD_MAKERS = ("Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "start_new_thread",
+                  "start_new")
+
+
+def _thread_starts(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each call in ``source`` that makes a
+    thread (a ``Thread``, a ``Timer``, a thread pool or ``_thread``'s
+    starts), and of each executor, pool, thread or timer made at module
+    level, where the function reads ``<module>``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                made_at_import = where == "<module>" and name.endswith(
+                    ("Executor", "Pool") + _THREAD_MAKERS)
+                if name in _THREAD_MAKERS or made_at_import:
+                    found.append((child.lineno, where))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, "<lambda>" if isinstance(child, ast.Lambda) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_threads_start_only_in_the_lanes_helper():
+    """No module of the package makes a thread outside ``nn._in_lanes``,
+    and none holds an executor, pool or thread made at import: a forked
+    ``grid --threads`` worker would inherit it without its threads."""
+    assert _thread_starts(
+        "import threading\n"
+        "def _in_lanes():\n    threading.Thread(target=f).start()\n"
+        "POOL = ThreadPoolExecutor(2)\n"
+        "class C:\n    pool = multiprocessing.Pool(2)\n"
+        "def grid():\n    ProcessPoolExecutor(2)\n    _thread.start_new_thread(g, ())\n"
+        "late = lambda: threading.Timer(1, g)\n"
+        "EXEC = concurrent.futures.ProcessPoolExecutor()\n") == [
+        (3, "_in_lanes"), (4, "<module>"), (6, "<module>"), (9, "grid"), (10, "<lambda>"),
+        (11, "<module>")]
+    src = Path(nn.__file__).parent
+    found = {m.name: _thread_starts(m.read_text()) for m in sorted(src.glob("*.py"))}
+    assert len(found) > 5
+    assert {name: [w for _, w in f] for name, f in found.items() if f} == {"nn.py": ["_in_lanes"]}
 
 
 # ---------------------------------------------------------------------------
