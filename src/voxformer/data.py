@@ -9,6 +9,7 @@ fastest).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+
+from . import nn
 
 LABELS = ("AD", "CN")
 MANIFEST_NAME = "manifest.jsonl"
@@ -280,6 +283,15 @@ class SynthConfig:
     noise_sigma: float = 0.05
     atrophy_factor: float = 0.2
 
+    def __post_init__(self):
+        for name in ("n_subjects", "sessions_per_subject"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("signal_amplitude", "noise_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 def _coords(extents: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     axes = [np.linspace(-1.0, 1.0, e, dtype=np.float64) for e in extents]
@@ -289,55 +301,99 @@ def _coords(extents: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.n
 _BUMP_CENTER = (0.35, 0.0, 0.0)
 _BUMP_SIGMA = 0.25
 
+# Voxels per depth slab of ``synth_volume`` (but at least one plane): the
+# slab's two float64 buffers stay in cache while a dozen ufuncs pass over them.
+_SLAB = 2 ** 15
 
-def _fields(extents, offsets=(0.0, 0.0, 0.0), scales=(1.0, 1.0, 1.0)):
-    """Base brain blob and the class-signal bump on a (possibly deformed) grid."""
+
+def _fields(extents, offsets=(0.0, 0.0, 0.0), scales=(1.0, 1.0, 1.0), planes=slice(None),
+            out=None):
+    """Base brain blob and the class-signal bump on a (possibly deformed)
+    grid, over the depth planes ``planes``: into ``out``, two float64
+    arrays of the planes' shape, when it is given."""
     zz, yy, xx = _coords(extents)
-    cs = [(c - o) * s for c, o, s in zip((zz, yy, xx), offsets, scales)]
-    r2 = sum(c * c for c in cs)
-    base = 0.8 * np.exp(-2.0 * r2)
-    q = sum((c - b) ** 2 for c, b in zip(cs, _BUMP_CENTER))
-    bump = np.exp(-q / (2.0 * _BUMP_SIGMA ** 2))
+    cs = [(c - o) * s for c, o, s in zip((zz[planes], yy, xx), offsets, scales)]
+    shape = (cs[0].shape[0],) + tuple(extents[1:])
+    base, bump = out if out is not None else (np.empty(shape), np.empty(shape))
+    for f, terms in ((base, [c * c for c in cs]),
+                     (bump, [(c - b) ** 2 for c, b in zip(cs, _BUMP_CENTER)])):
+        # (z + y) + x in this order: every scan file's bytes depend on it
+        np.add(terms[0], terms[1], out=f)
+        f += terms[2]
+    base *= -2.0                                    # 0.8 * exp(-2 r^2)
+    np.exp(base, out=base)
+    base *= 0.8
+    np.negative(bump, out=bump)                     # exp(-q / (2 sigma^2))
+    bump /= 2.0 * _BUMP_SIGMA ** 2
+    np.exp(bump, out=bump)
     return base, bump
 
 
 def synth_volume(cfg: SynthConfig, label: str, subject_rng: np.random.Generator,
-                 session_rng: np.random.Generator) -> np.ndarray:
-    """One pseudo-brain: smooth blob + class-dependent bump + session noise.
+                 session_rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+    """One pseudo-brain into ``out``, a float32 array of ``cfg.extents``:
+    smooth blob + class-dependent bump + session noise.
 
     All sessions of a subject share the subject's deformation (drawn from
-    ``subject_rng``), so record-level splits leak detectably."""
+    ``subject_rng``), so record-level splits leak detectably.  The scan is
+    built in depth slabs of ``scratch``, float64 [2, planes, H, W], by
+    in-place ufuncs, and each slab's float32 values go straight into
+    ``out``.  The noise is drawn slab after slab, so it is the stream one
+    whole-volume draw would give."""
     offsets = subject_rng.uniform(-0.08, 0.08, size=3)
     scales = subject_rng.uniform(0.92, 1.08, size=3)
-    base, bump = _fields(cfg.extents, offsets, scales)
     amp = cfg.signal_amplitude * (cfg.atrophy_factor if label == "AD" else 1.0)
-    vol = base + amp * bump
-    vol = vol + session_rng.normal(0.0, cfg.noise_sigma, size=cfg.extents)
-    return vol.astype(np.float32)
+    for z0 in range(0, cfg.extents[0], scratch.shape[1]):
+        z1 = min(z0 + scratch.shape[1], cfg.extents[0])
+        base, bump = scratch[:, :z1 - z0]
+        _fields(cfg.extents, offsets, scales, slice(z0, z1), out=(base, bump))
+        bump *= amp
+        base += bump
+        noise = session_rng.standard_normal(out=bump)
+        noise *= cfg.noise_sigma
+        base += noise
+        out[z0:z1] = base
 
 
 def synth_generate(out_dir, cfg: SynthConfig) -> Path:
-    """Write volumes plus a manifest; (seed, config) fully determine all bytes."""
+    """Write volumes plus a manifest; (seed, config) fully determine all bytes.
+
+    Scans are built two at a time in ``nn._in_lanes``, each from its own
+    generators into one of two scan buffers, so its bytes do not depend on
+    the lane that built it; the calling thread then writes the pair in
+    manifest order, so a failed write leaves exactly the scans before it.
+    The scan buffers and each lane's slab scratch are allocated once, here."""
     if min(cfg.extents) < 8:
         raise DataError(f"extents {cfg.extents} below the synthetic minimum of 8")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
+    scans = []
     subject_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_subjects)
     for i, sseq in enumerate(subject_seeds):
-        label = LABELS[i % 2]
         subject = f"sub-{i:04d}"
         session_seeds = sseq.spawn(cfg.sessions_per_subject + 1)
         for s in range(cfg.sessions_per_subject):
+            record = VolumeRecord(subject_id=subject, session_id=f"ses-{s + 1:02d}",
+                                  label=LABELS[i % 2], path=f"{subject}_ses-{s + 1:02d}.vox",
+                                  visit_order=s + 1)
             # fresh deformation stream per session: same draw for every session
-            subject_rng = np.random.default_rng(session_seeds[0])
-            session_rng = np.random.default_rng(session_seeds[s + 1])
-            vol = synth_volume(cfg, label, subject_rng, session_rng)
-            name = f"{subject}_ses-{s + 1:02d}.vox"
-            write_volume(out / name, vol)
-            records.append(VolumeRecord(subject_id=subject, session_id=f"ses-{s + 1:02d}",
-                                        label=label, path=name, visit_order=s + 1))
-    write_manifest(out / MANIFEST_NAME, records)
+            scans.append((record, session_seeds[0], session_seeds[s + 1]))
+    d, h, w = cfg.extents
+    vols = np.empty((2, d, h, w), np.float32)
+    scratch = [np.empty((2, min(d, max(1, _SLAB // (h * w))), h, w)) for _ in vols]
+
+    def work(scratch, todo) -> None:
+        for p, (record, subject_seed, session_seed) in todo:
+            synth_volume(cfg, record.label, np.random.default_rng(subject_seed),
+                         np.random.default_rng(session_seed), vols[p], scratch)
+
+    for k in range(0, len(scans), 2):
+        pair = list(enumerate(scans[k:k + 2]))
+        lanes = iter(scratch)
+        nn._in_lanes(lambda: functools.partial(work, next(lanes)), pair)
+        for p, (record, _, _) in pair:
+            write_volume(out / record.path, vols[p])
+    write_manifest(out / MANIFEST_NAME, [record for record, _, _ in scans])
     write_atomic(out / "synth_config.json",
                  json.dumps(asdict(cfg), sort_keys=True, indent=1).encode())
     return out / MANIFEST_NAME

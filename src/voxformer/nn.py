@@ -367,30 +367,34 @@ def _openblas_threads():
 
 _BLAS_THREADS = _openblas_threads()
 
-# Lanes of conv3d's forward tile loop.  numpy releases the GIL in the
-# GEMM, the copies and the ufuncs, so two lanes at one BLAS thread each keep
-# both cores busy through the fill and the activation too.  On a 2-vCPU Xeon
-# VM the five CVVT-tiny stage convs of one 169x208x179 scan took 245-305 ms
-# in two half-tile lanes against 337-385 ms in one lane at two BLAS threads.
-# The tiles are planned for this many lanes also where fewer run: at small
-# tiles a GEMM's bytes depend on how its columns are split, so a plan that
-# followed the lanes at hand would make the output depend on the machine.
-# Two: ``_in_lanes`` starts one thread beside the calling one.
+# Lanes of conv3d's forward tile loop and of ``data.synth_generate``.  numpy
+# releases the GIL in the GEMM, the copies, the ufuncs and a generator's
+# fills, so two lanes at one BLAS thread each keep both cores busy through
+# the im2col fill, the activation and the synthetic scans too.  On a 2-vCPU
+# Xeon VM the five CVVT-tiny stage convs of one 169x208x179 scan took
+# 245-305 ms in two half-tile lanes against 337-385 ms in one lane at two
+# BLAS threads.  The conv tiles are planned for this many lanes also where
+# fewer run: at small tiles a GEMM's bytes depend on how its columns are
+# split, so a plan that followed the lanes at hand would make the output
+# depend on the machine.  Two: ``_in_lanes`` starts one thread beside the
+# calling one.
 _LANES = 2
 
 
 def _lanes() -> int:
-    """The lanes conv3d's forward runs in: ``_LANES``, or 1 where
-    OpenBLAS's thread count cannot be set or the process may run on one
-    core only."""
-    if _BLAS_THREADS is None or len(os.sched_getaffinity(0)) < 2:
+    """The lanes ``_in_lanes`` runs: ``_LANES``, or 1 where OpenBLAS's
+    thread count cannot be set or is already 1 (a user's
+    ``OPENBLAS_NUM_THREADS=1``, or a call made inside another lanes region),
+    or the process may run on one core only."""
+    if _BLAS_THREADS is None or _BLAS_THREADS[0]() < 2 or len(os.sched_getaffinity(0)) < 2:
         return 1
     return _LANES
 
 
 def _in_lanes(lane, spans: list) -> None:
-    """Run ``spans`` in ``_lanes()`` lanes (one for a single span).  On the
-    calling thread, ``lane()`` is called once per lane and returns that
+    """Run ``spans`` in ``_lanes()`` lanes (one for a single span): conv3d's
+    forward tiles, or ``data.synth_generate``'s scans, two at a time.  On
+    the calling thread, ``lane()`` is called once per lane and returns that
     lane's ``work(todo)``, where ``todo`` yields the next span no lane has
     taken, so every span runs once.  One lane runs inline.  Two run on the
     calling thread and one thread started for this call, with OpenBLAS at
@@ -426,7 +430,7 @@ def _in_lanes(lane, spans: list) -> None:
     before = get()
     put(1)
     try:
-        second = threading.Thread(target=run, args=(works[1],), name="conv3d-lane")
+        second = threading.Thread(target=run, args=(works[1],), name="lane")
         second.start()
         run(works[0])
         second.join()

@@ -682,6 +682,23 @@ _EXIT_TABLE.update({
     case: (raised, 2, lambda d, t, m, c=command, e=extra: _run_argv(c, d, t / "run", *e))
     for case, (raised, command, extra, _) in _BAD_TRAINING_NUMBERS.items()})
 
+# case: (synth flags, the parameter its one stderr line names); each exits 2
+# before the out directory is made
+_BAD_SYNTH_NUMBERS = {
+    "subjects-negative": (("--subjects", "-1"), "n_subjects"),
+    "subjects-zero": (("--subjects", "0"), "n_subjects"),
+    "sessions-negative": (("--sessions", "-2"), "sessions_per_subject"),
+    "sessions-zero": (("--sessions", "0"), "sessions_per_subject"),
+    "noise-nan": (("--noise", "nan"), "noise_sigma"),
+    "noise-negative": (("--noise", "-1"), "noise_sigma"),
+    "amplitude-nan": (("--amplitude", "nan"), "signal_amplitude"),
+    "amplitude-inf": (("--amplitude", "inf"), "signal_amplitude"),
+}
+_EXIT_TABLE.update({
+    f"synth-ValueError-{case}": (ValueError, 2, lambda d, t, m, e=extra: [
+        "synth", "--out", str(t / "s"), "--extents", "8", *e])
+    for case, (extra, _) in _BAD_SYNTH_NUMBERS.items()})
+
 
 @pytest.mark.parametrize("case", sorted(_EXIT_TABLE))
 def test_exit_code_table(dataset, tmp_path, monkeypatch, capsys, case):
@@ -709,6 +726,16 @@ def test_bad_training_number_names_the_parameter(dataset, tmp_path, capsys, case
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {name} must be "), err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SYNTH_NUMBERS))
+def test_bad_synth_number_names_the_parameter(tmp_path, capsys, case):
+    extra, name = _BAD_SYNTH_NUMBERS[case]
+    out = tmp_path / "s"
+    assert cli.main(["synth", "--out", str(out), "--extents", "8", *extra]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {name} must be "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", sorted(_SELECTION_FAULTS))

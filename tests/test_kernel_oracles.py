@@ -577,6 +577,34 @@ def test_conv3d_lanes_pin_blas_and_leave_no_thread(monkeypatch):
         assert get() == 2 and threading.active_count() == threads
 
 
+@two_lanes
+def test_blas_at_one_thread_runs_one_lane(tmp_path, monkeypatch):
+    """With OpenBLAS at one thread (a user's ``OPENBLAS_NUM_THREADS=1``, or
+    a call made inside another lanes region) conv3d and synth start no
+    thread and give the bytes they give in two lanes."""
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((1, 2, 12, 6, 6)).astype(np.float32))
+    w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32))
+    monkeypatch.setattr(nn, "_TILE", 2 * 2 * 27 * 36)       # one plane per span: 12 spans
+    cfg = D.SynthConfig(n_subjects=3, sessions_per_subject=1, extents=(9, 10, 11))
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+
+    def run(name):
+        D.synth_generate(tmp_path / name, cfg)
+        files = [f.read_bytes() for f in sorted((tmp_path / name).iterdir())]
+        return nn.conv3d(x, w, padding=1, slope=0.2).data.tobytes(), files
+
+    with _blas_threads_set_to(2):
+        two = run("two")
+        assert len(started) == 2                # synth's first pair and the conv
+        nested = []                             # each lane's synth and conv3d run inline
+        nn._in_lanes(lambda: lambda todo: nested.extend(run(f"in{i}") for i in todo), [0, 1])
+        assert len(started) == 3 and nested == [two, two]
+    with _blas_threads_set_to(1):
+        assert run("one") == two and len(started) == 3
+
+
 def _conv_in_child(conn, x, w):
     conn.send_bytes(nn.conv3d(Tensor(x), Tensor(w), padding=1, slope=0.2).data.tobytes())
     conn.close()
