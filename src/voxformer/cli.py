@@ -48,15 +48,21 @@ def _parse_extents(text: str) -> tuple[int, int, int]:
 
 
 def _seed(args) -> int:
+    """``--seed``, else ``VOXFORMER_SEED``, else 0; a negative one is a
+    config error naming where it came from."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("VOXFORMER_SEED")
-    if env is not None:
+        name, seed = "--seed", args.seed
+    else:
+        env = os.environ.get("VOXFORMER_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            name, seed = "VOXFORMER_SEED", int(env)
         except ValueError:
             raise ConfigError(f"VOXFORMER_SEED={env!r} is not an integer") from None
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

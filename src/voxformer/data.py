@@ -365,6 +365,9 @@ def synth_generate(out_dir, cfg: SynthConfig) -> Path:
     The scan buffers and each lane's slab scratch are allocated once, here."""
     if min(cfg.extents) < 8:
         raise DataError(f"extents {cfg.extents} below the synthetic minimum of 8")
+    if math.prod(cfg.extents) > _MAX_VOXELS:
+        raise DataError(f"extents {cfg.extents} hold {math.prod(cfg.extents)} voxels, "
+                        f"above the VOX1 limit of {_MAX_VOXELS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scans = []

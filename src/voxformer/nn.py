@@ -3,7 +3,7 @@ linear/attention/encoder blocks, and the cross-entropy loss.
 
 Layers are small ``Module`` objects holding parameter Tensors.  The heavy
 kernels are single recorded graph nodes rather than per-voxel graphs:
-conv3d is tiled im2col + BLAS with an optional fused leaky ReLU, adaptive
+conv3d is tiled im2col + BLAS fused with its bias and leaky ReLU, adaptive
 pooling three averaging-matrix products, and layer norm one fused
 ``normalize`` node.  An instance or batch norm, in every mode, is one
 ``maxpool3d`` node: ConvNet3D-4's conv -> norm -> max-pool.  It runs the
@@ -95,10 +95,6 @@ def kaiming_normal(rng: np.random.Generator, shape, fan_in: int,
     return out
 
 
-def _default_rng(rng):
-    return rng if rng is not None else np.random.default_rng(0)
-
-
 # ---------------------------------------------------------------------------
 # module base
 
@@ -187,10 +183,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
-        rng = _default_rng(rng)
         self.weight = Tensor(trunc_normal(rng, (out_features, in_features), dtype=dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
@@ -440,10 +435,10 @@ def _in_lanes(lane, spans: list) -> None:
         raise errors[0]
 
 
-def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0, slope: float | None = None) -> Tensor:
-    """Cross-correlation of [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw], zero
-    padding, then leaky_relu(., slope) when a slope is given.
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int,
+           slope: float) -> Tensor:
+    """leaky_relu(y + bias, slope), y the cross-correlation of
+    [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw] at zero padding.
 
     Tiled im2col (``_im2col``): the [Cin*k3, P] column matrix of one sample
     is built a few output depth planes at a time and multiplied by the
@@ -453,40 +448,37 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     scratch, sized for tiles of ``_TILE // _LANES`` elements (but one
     plane), and each tile writes only its own slices of the output and the
     mask, so the bytes do not depend on the lane that ran it or on the
-    lane count.  The node keeps its output, the input and, with a slope, a
-    ``bool`` mask of pre-activation >= 0; no columns and no pre-activation.
-    The backward pass multiplies the gradient by 1 or slope through the
-    mask, then ``_conv_grads`` refills each ``_TILE``-sized tile from the
-    input, adds the tile's weight gradient, and scatters the tile's input
-    gradient back through the same clipped windows.
+    lane count.  The node keeps its output, the input and a ``bool`` mask
+    of pre-activation >= 0; no columns and no pre-activation.  The
+    backward pass multiplies the gradient by 1 or slope through the mask,
+    then ``_conv_grads`` refills each ``_TILE``-sized tile from the input,
+    adds the tile's weight gradient, and scatters the tile's input gradient
+    back through the same clipped windows.
     """
-    if slope is not None and not 0.0 < slope < 1.0:
+    if not 0.0 < slope < 1.0:
         raise ValueError(f"conv3d slope must lie in (0, 1), got {slope}")
     (do, ho, wo), rows, fill, scatter = _im2col(x, weight, stride, padding)
     n, cout, plane = x.shape[0], weight.shape[0], ho * wo
     spans = _spans(n, do, max(1, _TILE // _LANES // (rows * plane)))
     wm = weight.data.reshape(cout, -1)
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (x, weight, bias)
     out = np.empty((n, cout, do * plane), np.result_type(wm, x.data))
-    kk = None if slope is None else out.dtype.type(slope)
-    mask = np.empty(out.shape, bool) if kk is not None and _records(parents) else None
+    kk = out.dtype.type(slope)
+    mask = np.empty(out.shape, bool) if _records(parents) else None
     width = (spans[0][2] - spans[0][1]) * plane
 
     def lane():
         tile = np.empty(rows * width, x.dtype)
-        scratch = None if kk is None else np.empty(cout * width, out.dtype)
+        scratch = np.empty(cout * width, out.dtype)
 
         def work(todo) -> None:
             for i, z0, z1 in todo:
                 part = (i, slice(None), slice(z0 * plane, z1 * plane))
                 o = np.matmul(wm, fill(tile, i, z0, z1), out=out[part])
-                if bias is not None:
-                    o += bias.data[:, None]
+                o += bias.data[:, None]
                 if mask is not None:
                     np.greater_equal(o, 0, out=mask[part])
-                if kk is not None:
-                    np.maximum(o, np.multiply(o, kk, out=scratch[:o.size].reshape(o.shape)),
-                               out=o)
+                np.maximum(o, np.multiply(o, kk, out=scratch[:o.size].reshape(o.shape)), out=o)
 
         return work
 
@@ -494,11 +486,10 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out = out.reshape(n, cout, do, ho, wo)
 
     def backward(g: np.ndarray) -> None:
-        gm = g.reshape(n, cout, -1)
-        if mask is not None:    # leaky ReLU's factor: 1 where pre >= 0 (g * 1 is g), else k
-            gm = gm * kk
-            np.copyto(gm, g.reshape(gm.shape), where=mask)
-        if bias is not None and bias.requires_grad:
+        # leaky ReLU's factor: 1 where pre >= 0 (g * 1 is g), else k
+        gm = g.reshape(n, cout, -1) * kk
+        np.copyto(gm, g.reshape(gm.shape), where=mask)
+        if bias.requires_grad:
             bias._accumulate(gm.sum(axis=(0, 2)))
         _conv_grads(x, weight, wm, _spans(n, do, max(1, _TILE // (rows * plane))), plane,
                     fill, scatter, lambda i, z0, z1, cols: gm[i, :, z0 * plane:z1 * plane])
@@ -518,11 +509,11 @@ class Conv3d(Module):
     """CVVT's conv layer: a CONV_KERNEL^3 kernel, CONV_PADDING zero padding
     and a bias, fused with the leaky ReLU after it."""
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, stride: int,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.stride = int(stride)
-        self.weight = conv_weight(_default_rng(rng), in_channels, out_channels, dtype)
+        self.weight = conv_weight(rng, in_channels, out_channels, dtype)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor, slope: float) -> Tensor:
@@ -897,8 +888,7 @@ class LayerNorm(Module):
 # ---------------------------------------------------------------------------
 # dropout
 
-def dropout3d(x: Tensor, p: float = 0.4, training: bool = True,
-              rng: np.random.Generator | None = None) -> Tensor:
+def dropout3d(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Zero whole channels with probability p; survivors scale by 1/(1-p).
 
     Inverted convention: eval mode is the identity.
@@ -907,7 +897,6 @@ def dropout3d(x: Tensor, p: float = 0.4, training: bool = True,
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    rng = _default_rng(rng)
     n, c = x.shape[:2]
     keep = (rng.random((n, c)) >= p).astype(x.dtype) / x.dtype.type(1.0 - p)
     mask = keep.reshape((n, c) + (1,) * (x.ndim - 2))
@@ -915,10 +904,10 @@ def dropout3d(x: Tensor, p: float = 0.4, training: bool = True,
 
 
 class Dropout3d(Module):
-    def __init__(self, p: float = 0.4, rng: np.random.Generator | None = None):
+    def __init__(self, p: float, rng: np.random.Generator):
         super().__init__()
         self.p = p
-        self.rng = _default_rng(rng)
+        self.rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
         return dropout3d(x, self.p, self.training, self.rng)
@@ -930,12 +919,11 @@ class Dropout3d(Module):
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention over [N,T,E] with separate Q/K/V/out projections."""
 
-    def __init__(self, embed_dim: int, num_heads: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, embed_dim: int, num_heads: int, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
         if embed_dim % num_heads:
             raise ShapeError(f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
-        rng = _default_rng(rng)
         self.embed_dim = embed_dim
         self.num_heads = num_heads
         self.head_dim = embed_dim // num_heads
@@ -964,10 +952,9 @@ class MultiHeadAttention(Module):
 
 
 class Mlp(Module):
-    def __init__(self, embed_dim: int, hidden_dim: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, embed_dim: int, hidden_dim: int, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
-        rng = _default_rng(rng)
         self.fc1 = Linear(embed_dim, hidden_dim, rng=rng, dtype=dtype)
         self.fc2 = Linear(hidden_dim, embed_dim, rng=rng, dtype=dtype)
 
@@ -978,10 +965,9 @@ class Mlp(Module):
 class EncoderBlock(Module):
     """Pre-norm transformer block: attention and MLP sublayers with residuals."""
 
-    def __init__(self, embed_dim: int, num_heads: int, mlp_ratio: int = 4,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, embed_dim: int, num_heads: int, mlp_ratio: int = 4, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        rng = _default_rng(rng)
         self.norm1 = LayerNorm(embed_dim, dtype=dtype)
         self.attn = MultiHeadAttention(embed_dim, num_heads, rng=rng, dtype=dtype)
         self.norm2 = LayerNorm(embed_dim, dtype=dtype)
@@ -995,13 +981,11 @@ class EncoderBlock(Module):
 class TransformerEncoder(Module):
     """Stack of pre-norm blocks followed by a final LayerNorm; depth 0 is norm only."""
 
-    def __init__(self, embed_dim: int, num_heads: int, depth: int,
-                 mlp_ratio: int = 4, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, embed_dim: int, num_heads: int, depth: int, mlp_ratio: int = 4, *,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        rng = _default_rng(rng)
         self.blocks = [EncoderBlock(embed_dim, num_heads, mlp_ratio, rng=rng, dtype=dtype)
                        for _ in range(depth)]
         self.norm = LayerNorm(embed_dim, dtype=dtype)

@@ -34,6 +34,11 @@ class RunConfig:
     pool_stride: int | None = None      # None = auto: 3 when extents allow, else 2
     target_accuracy: float | None = None
 
+    def __post_init__(self):
+        t = self.target_accuracy
+        if t is not None and not 0.0 <= t <= 1.0:      # NaN fails the comparison too
+            raise ValueError(f"target_accuracy must be in [0, 1], got {t}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -85,13 +85,7 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     run("softmax", lambda x: (T.softmax(x) * T.softmax(x)).sum(), lambda r: [_t(r, 3, 5)])
     run("linear", lambda x, ww, bb: nn.linear(x, ww, bb).sum(),
         lambda r: [_t(r, 5, 8), _t(r, 4, 8, scale=0.3), _t(r, 4, scale=0.1)], tol=1e-5)
-    run("conv3d", lambda x, ww, bb: nn.conv3d(x, ww, bb, stride=1, padding=1).sum(),
-        lambda r: [_t(r, 1, 2, 5, 5, 5), _t(r, 2, 2, 3, 3, 3, scale=0.2), _t(r, 2, scale=0.1)])
-    run("conv3d_stride2",
-        lambda x, ww: nn.conv3d(x, ww, stride=2, padding=1).sum(),
-        lambda r: [_t(r, 1, 2, 6, 6, 6), _t(r, 3, 2, 3, 3, 3, scale=0.2)])
-    checks.append(("conv3d_tiles", _conv3d_tiles_check(tol)))
-    checks.append(("conv3d_lrelu", _conv3d_tiles_check(tol, slope=0.2, seed=19)))
+    checks.append(("conv3d_lrelu", _conv3d_tiles_check(tol)))
     checks.append(("conv_norm_pool_in", _conv_norm_pool_check(nn.InstanceNorm3d, tol)))
     checks.append(("conv_norm_pool_bn", _conv_norm_pool_check(nn.BatchNorm3d, tol)))
     run("adaptive_avg_pool3d", lambda x: nn.adaptive_avg_pool3d(x, (2, 2, 2)).sum(),
@@ -127,27 +121,27 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     return checks
 
 
-def _conv3d_tiles_check(tol: float, slope: float | None = None, seed: int = 17):
-    """Sampled check of conv3d, batch 2, at stride 1 and 2 on non-cubic
-    extents, with the tile budget cut to two 324-element output planes
-    (Cin*27*Ho*Wo): each sample's columns span 4 backward tiles, the last
-    partial, and 7 one-plane forward tiles of ``nn._TILE // nn._LANES``.
-    With a slope, the conv is fused with leaky_relu(., slope).  Inputs come
-    from ``seed`` and the samples from ``seed + 1``."""
-    rng = np.random.default_rng(seed)
+def _conv3d_tiles_check(tol: float):
+    """Sampled check of conv3d with its leaky ReLU at slope 0.2, batch 2,
+    at stride 1 and 2 on non-cubic extents, with the tile budget cut to two
+    324-element output planes (Cin*27*Ho*Wo): each sample's columns span 4
+    backward tiles, the last partial, and 7 one-plane forward tiles of
+    ``nn._TILE // nn._LANES``.  Inputs come from seed 19 and the samples
+    from seed 20."""
+    rng = np.random.default_rng(19)
     x1, x2 = _t(rng, 2, 2, 7, 2, 3), _t(rng, 2, 2, 13, 3, 5)       # both give 7x2x3
     w, b = _t(rng, 3, 2, 3, 3, 3, scale=0.2), _t(rng, 3, scale=0.1)
     p1, p2 = (Tensor(rng.standard_normal((2, 3, 7, 2, 3))) for _ in range(2))
     params = [("x_stride1", x1), ("x_stride2", x2), ("weight", w), ("bias", b)]
 
     def loss():
-        return ((nn.conv3d(x1, w, b, stride=1, padding=1, slope=slope) * p1).sum()
-                + (nn.conv3d(x2, w, b, stride=2, padding=1, slope=slope) * p2).sum())
+        return ((nn.conv3d(x1, w, b, stride=1, padding=1, slope=0.2) * p1).sum()
+                + (nn.conv3d(x2, w, b, stride=2, padding=1, slope=0.2) * p2).sum())
 
     saved, nn._TILE = nn._TILE, 700
     try:
         return sampled_gradcheck(loss, params, n_samples=200, eps=1e-6, tol=tol,
-                                 rng=np.random.default_rng(seed + 1))
+                                 rng=np.random.default_rng(20))
     finally:
         nn._TILE = saved
 

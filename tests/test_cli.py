@@ -674,6 +674,12 @@ _BAD_TRAINING_NUMBERS = {
     "train-ValueError-wd": (ValueError, "train", ("--wd", "-1"), "weight_decay"),
     "train-ValueError-gamma": (ValueError, "train", ("--gamma", "-1"), "gamma"),
     "train-ValueError-gamma-nan": (ValueError, "train", ("--gamma", "nan"), "gamma"),
+    "train-ValueError-target-acc-nan": (ValueError, "train", ("--target-acc", "nan"),
+                                        "target_accuracy"),
+    "train-ValueError-target-acc-above-1": (ValueError, "train", ("--target-acc", "7"),
+                                            "target_accuracy"),
+    "train-ValueError-target-acc-negative": (ValueError, "train", ("--target-acc", "-1"),
+                                             "target_accuracy"),
     "grid-ValueError-epochs": (ValueError, "grid", ("--epochs", "-1"), "total_epochs"),
     "grid-ConfigError-limit": (cli.ConfigError, "grid", ("--limit", "-1"), "--limit"),
     "grid-ConfigError-threads": (cli.ConfigError, "grid", ("--threads", "0"), "--threads"),
@@ -698,6 +704,33 @@ _EXIT_TABLE.update({
     f"synth-ValueError-{case}": (ValueError, 2, lambda d, t, m, e=extra: [
         "synth", "--out", str(t / "s"), "--extents", "8", *e])
     for case, (extra, _) in _BAD_SYNTH_NUMBERS.items()})
+
+# case: (argv built from (dataset, tmp_path, monkeypatch), the seed's source
+# and value that its one stderr line names, the path built from (dataset,
+# tmp_path) that the command must not make); each exits 2 before writing
+_BAD_SEEDS = {
+    "synth-ConfigError-seed": (lambda d, t, m: [
+        "synth", "--out", str(t / "s"), "--extents", "8", "--seed", "-1"],
+        "--seed", -1, lambda d, t: t / "s"),
+    "split-ConfigError-seed": (lambda d, t, m: [
+        "split", "--data", str((d / D.SPLIT_NAME).unlink() or d), "--test-per-class", "2",
+        "--seed", "-1"], "--seed", -1, lambda d, t: d / D.SPLIT_NAME),
+    "train-ConfigError-seed": (lambda d, t, m: _run_argv("train", d, t / "run", "--seed", "-5"),
+                               "--seed", -5, lambda d, t: t / "run"),
+    "grid-ConfigError-seed": (lambda d, t, m: _run_argv("grid", d, t / "run", "--seed", "-1"),
+                              "--seed", -1, lambda d, t: t / "run"),
+    "synth-ConfigError-seed-env": (lambda d, t, m: m.setenv("VOXFORMER_SEED", "-1") or [
+        "synth", "--out", str(t / "s"), "--extents", "8"],
+        "VOXFORMER_SEED", -1, lambda d, t: t / "s"),
+    "train-ConfigError-seed-env": (lambda d, t, m: m.setenv("VOXFORMER_SEED", "-1")
+                                   or _run_argv("train", d, t / "run"),
+                                   "VOXFORMER_SEED", -1, lambda d, t: t / "run"),
+}
+_EXIT_TABLE.update({case: (cli.ConfigError, 2, make_argv)
+                    for case, (make_argv, *_) in _BAD_SEEDS.items()})
+
+_EXIT_TABLE["synth-DataError-extents-above-vox1-limit"] = (D.DataError, 3, lambda d, t, m: [
+    "synth", "--out", str(t / "s"), "--extents", "1700"])
 
 
 @pytest.mark.parametrize("case", sorted(_EXIT_TABLE))
@@ -735,6 +768,28 @@ def test_bad_synth_number_names_the_parameter(tmp_path, capsys, case):
     assert cli.main(["synth", "--out", str(out), "--extents", "8", *extra]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {name} must be "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SEEDS))
+def test_negative_seed_names_its_source(dataset, tmp_path, monkeypatch, capsys, case):
+    make_argv, name, value, made = _BAD_SEEDS[case]
+    argv = make_argv(dataset, tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: {name} must be >= 0, got {value}"], err
+    assert not made(dataset, tmp_path).exists()
+
+
+def test_synth_extents_above_the_vox1_limit_exit_3_naming_them(tmp_path, capsys):
+    """1700^3 is 4.9e9 voxels, more than a VOX1 file may hold (2^32, the
+    reader's limit): one line naming the extents and the limit, no out
+    directory."""
+    out = tmp_path / "s"
+    assert cli.main(["synth", "--out", str(out), "--extents", "1700"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "(1700, 1700, 1700)" in err[0] and str(2 ** 32) in err[0], err
     assert not out.exists()
 
 

@@ -10,10 +10,11 @@ that graph used.  ``oracle_bn_eval`` is BatchNorm's earlier eval graph
 (sub, div, mul, add) over its running statistics.  ``oracle_norm_max_pool``
 is the earlier norm-and-max-pool node, which read a whole conv output, and
 ``oracle_norm_pool`` the norm layers' forward that fed it; with
-``nn.conv3d`` before them they are the unfused ConvNet3D-4 block that the
-conv-norm-pool node replaced; ``nn.conv3d``, ``oracle_norm`` and
-``oracle_maxpool3d`` are the block before that.  The tiled conv and the
-averaging-matrix pooling must match to rounding.  The node's window max
+``oracle_conv3d`` before them they are the unfused ConvNet3D-4 block that
+the conv-norm-pool node replaced; ``oracle_conv3d``, ``oracle_norm`` and
+``oracle_maxpool3d`` are the block before that.  The tiled conv, fused with
+its leaky ReLU, must match the oracle under ``leaky_relu`` to rounding, and
+the averaging-matrix pooling its oracle.  The node's window max
 (``nn._window_max``) and winner search (``nn._pool_winners``) must match
 ``oracle_maxpool3d`` bit for bit.  Layer norm's fused node's forward must too;
 its closed-form gradients must match to rounding.  The conv-norm-pool node
@@ -287,14 +288,19 @@ def oracle_norm_pool(layer, y: Tensor, k: int, s: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # tiled conv3d against whole-matrix im2col
 
-def _conv_both(x, w, b, stride, padding):
+def _fused_both(x, w, b, stride, padding):
+    """Every output of leaky_relu(oracle_conv3d(...), 0.2) and of the fused
+    conv3d(..., slope=0.2): y and the x, weight and bias gradients."""
     results = []
-    for conv in (oracle_conv3d, nn.conv3d):
+    for fused in (False, True):
         xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
-        out = conv(xt, wt, bt, stride=stride, padding=padding)
+        if fused:
+            out = nn.conv3d(xt, wt, bt, stride=stride, padding=padding, slope=0.2)
+        else:
+            out = leaky_relu(oracle_conv3d(xt, wt, bt, stride=stride, padding=padding), 0.2)
         g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
         (out * Tensor(g)).sum().backward()
-        results.append((out.data, [xt.grad, wt.grad, bt.grad]))
+        results.append([out.data, xt.grad, wt.grad, bt.grad])
     return results
 
 
@@ -317,13 +323,11 @@ def test_tiled_conv3d_matches_im2col_oracle(kernel, stride, padding, batch, dtyp
     planes = 2 if do % 2 else 3
     assert do % planes and do > 2 * planes
     monkeypatch.setattr(nn, "_TILE", planes * cin * math.prod(kernel) * ho * wo + 1)
-    (ref_out, ref_grads), (out, grads) = _conv_both(x, w, b, stride, padding)
-    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+    oracle, fused = _fused_both(x, w, b, stride, padding)
     tol = 1e-5 if dtype == np.float32 else 1e-12
-    np.testing.assert_allclose(out, ref_out, rtol=tol, atol=tol * np.abs(ref_out).max())
-    for g, ref in zip(grads, ref_grads):
-        assert g.dtype == ref.dtype and g.shape == ref.shape
-        np.testing.assert_allclose(g, ref, rtol=tol, atol=tol * np.abs(ref).max())
+    for got, ref in zip(fused, oracle):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
 
 
 def _column_bytes(x, w, stride, padding):
@@ -335,12 +339,13 @@ def test_no_grad_conv3d_peak_is_below_its_column_matrix():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 16, 40, 36, 36)).astype(np.float32)
     w = rng.standard_normal((4, 16, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
     cols = _column_bytes(x, w, 1, 1)
     assert cols >= 8 * nn._TILE * x.itemsize
     tracemalloc.start()
     try:
         with no_grad():
-            out = nn.conv3d(Tensor(x), Tensor(w), padding=1)
+            out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1, slope=0.2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -355,19 +360,19 @@ def test_no_grad_padded_conv3d_peak_is_its_output_and_tiles(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 4, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
     rows, plane = 4 * 27, 16 * 16
     monkeypatch.setattr(nn, "_TILE", 2 * rows * plane)       # two output planes per tile
     tiles = (2 * rows * plane + 4 * 2 * plane) * x.itemsize
-    for fused in ({}, {"slope": 0.2}):
-        tracemalloc.start()
-        try:
-            with no_grad():
-                out = nn.conv3d(Tensor(x), Tensor(w), padding=1, **fused)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (1, 4, 64, 16, 16)
-        assert peak < out.data.nbytes + tiles + x.nbytes / 4, (peak, out.data.nbytes, x.nbytes)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1, slope=0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 4, 64, 16, 16)
+    assert peak < out.data.nbytes + tiles + x.nbytes / 4, (peak, out.data.nbytes, x.nbytes)
 
 
 def _reachable_arrays(fn) -> list[np.ndarray]:
@@ -390,16 +395,17 @@ def test_recorded_conv3d_node_holds_no_column_sized_array(monkeypatch):
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((2, 8, 9, 10, 11)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 8, 3, 3, 3)), requires_grad=True)
-    out = nn.conv3d(x, w, stride=1, padding=1)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    out = nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
     cols = _column_bytes(x.data, w.data, 1, 1)
     largest = max((a.nbytes for a in _reachable_arrays(out._backward_fn)), default=0)
     assert 0 < largest < cols / 8, (largest, cols)
 
 
 def test_recorded_fused_conv3d_node_holds_output_mask_and_input(monkeypatch):
-    """The fused node keeps y (its data), x (a parent) and a bool mask of
-    pre-activation >= 0: no float array the size of the pre-activation or
-    of the padded input."""
+    """The node keeps y (its data), x (a parent) and a bool mask of
+    pre-activation >= 0, which is where y >= 0: no float array the size of
+    the pre-activation or of the padded input."""
     monkeypatch.setattr(nn, "_TILE", 4096)
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((2, 8, 9, 10, 11)), requires_grad=True)
@@ -410,26 +416,9 @@ def test_recorded_fused_conv3d_node_holds_output_mask_and_input(monkeypatch):
     arrays = _reachable_arrays(out._backward_fn)
     masks = [a for a in arrays if a.dtype == bool]
     floats = [a for a in arrays if a.dtype.kind == "f"]
-    with no_grad():
-        pre = nn.conv3d(x, w, b, stride=1, padding=1)
-    assert len(masks) == 1 and np.array_equal(masks[0].reshape(pre.shape), pre.data >= 0)
+    assert len(masks) == 1 and np.array_equal(masks[0].reshape(out.shape), out.data >= 0)
     padded = x.shape[0] * x.shape[1] * math.prod(e + 2 for e in x.shape[2:])
-    assert floats and max(a.size for a in floats) < min(pre.size, padded)
-
-
-# every output of the fused node: y and the x, weight and bias gradients
-def _fused_both(x, w, b, stride, padding):
-    results = []
-    for fused, conv in ((False, oracle_conv3d), (False, nn.conv3d), (True, nn.conv3d)):
-        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
-        if fused:
-            out = conv(xt, wt, bt, stride=stride, padding=padding, slope=0.2)
-        else:
-            out = leaky_relu(conv(xt, wt, bt, stride=stride, padding=padding), 0.2)
-        g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
-        (out * Tensor(g)).sum().backward()
-        results.append([out.data, xt.grad, wt.grad, bt.grad])
-    return results
+    assert floats and max(a.size for a in floats) < min(out.size, padded)
 
 
 @pytest.mark.parametrize("extents", [(15, 6, 7), (16, 7, 6)])
@@ -439,9 +428,8 @@ def _fused_both(x, w, b, stride, padding):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_fused_conv3d_leaky_relu_matches_composite(extents, stride, padding, batch, dtype,
                                                    monkeypatch):
-    """conv3d(..., slope) gives the bytes of leaky_relu(conv3d(...)) at the
-    same tile budget, forward and gradients, and matches the whole-matrix
-    oracle under leaky_relu to rounding (a GEMM's bits depend on how its
+    """conv3d(..., slope) matches the whole-matrix oracle under leaky_relu
+    to rounding, forward and gradients (a GEMM's bits depend on how its
     columns are split, and the weight gradient sums tile by tile).  Odd
     extents make a stride-2 last window end in the padding, even ones
     before it.  Output channel 1 has zero weights and bias (pre-activation
@@ -458,14 +446,13 @@ def test_fused_conv3d_leaky_relu_matches_composite(extents, stride, padding, bat
     planes = 2 if do % 2 else 3
     assert do % planes and do > 2 * planes
     monkeypatch.setattr(nn, "_TILE", planes * cin * 27 * ho * wo + 1)
-    oracle, composite, fused = _fused_both(x, w, b, stride, padding)
+    oracle, fused = _fused_both(x, w, b, stride, padding)
     with no_grad():
         pre = oracle_conv3d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
     assert (pre == 0).any() and np.isnan(pre).any() and (pre > 0).any() and (pre < 0).any()
-    for got, want, ref in zip(fused, composite, oracle):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        tol = 1e-5 if dtype == np.float32 else 1e-12
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, ref in zip(fused, oracle):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.nanmax(np.abs(ref)))
 
 
@@ -476,13 +463,13 @@ two_lanes = pytest.mark.skipif(nn._lanes() < 2, reason="two lanes need OpenBLAS'
                                                        "setter and two usable cores")
 
 
-def _lane_conv(x, w, b, stride, slope, record, lanes, monkeypatch):
+def _lane_conv(x, w, b, stride, padding, slope, record, lanes, monkeypatch):
     """conv3d in ``lanes`` lanes: the bytes of its output, its mask and,
     when ``record``, the input, weight and bias gradients."""
     monkeypatch.setattr(nn, "_lanes", lambda: lanes)
     xt, wt, bt = (Tensor(a.copy(), requires_grad=record) for a in (x, w, b))
     with contextlib.nullcontext() if record else no_grad():
-        out = nn.conv3d(xt, wt, bt, stride=stride, padding=1, slope=slope)
+        out = nn.conv3d(xt, wt, bt, stride=stride, padding=padding, slope=slope)
     got = [out.data]
     if record:
         got += [a for a in _reachable_arrays(out._backward_fn) if a.dtype == bool]
@@ -495,17 +482,19 @@ def _lane_conv(x, w, b, stride, slope, record, lanes, monkeypatch):
 @two_lanes
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch", [1, 2])
-@pytest.mark.parametrize("slope", [None, 0.2])
+@pytest.mark.parametrize("slope, padding", [(0.2, 1), (0.2, 0)], ids=["0.2", "0.2-unpadded"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("cin", [1, 3])
 @pytest.mark.parametrize("record", [False, True], ids=["no_grad", "recorded"])
-def test_conv3d_bytes_do_not_depend_on_the_lane_count(record, cin, stride, slope, batch, dtype,
-                                                      monkeypatch):
+def test_conv3d_bytes_do_not_depend_on_the_lane_count(record, cin, stride, slope, padding, batch,
+                                                      dtype, monkeypatch):
     """One lane and two give the same bytes: output, mask and every
-    gradient.  Each sample's 9 output planes make 3 spans, an odd count."""
+    gradient, with and without padding.  Each sample's 9 output planes
+    make 3 spans, an odd count."""
     rng = np.random.default_rng(cin * 10 + stride)
-    extents = (9, 5, 6) if stride == 1 else (17, 9, 11)
-    _, ho, wo = nn.conv3d_output_extents(extents, (3, 3, 3), stride, 1)
+    extents = tuple(e + 2 - 2 * padding for e in ((9, 5, 6) if stride == 1 else (17, 9, 11)))
+    do, ho, wo = nn.conv3d_output_extents(extents, (3, 3, 3), stride, padding)
+    assert do == 9
     x = rng.standard_normal((batch, cin) + extents).astype(dtype)
     w = rng.standard_normal((4, cin, 3, 3, 3)).astype(dtype)
     b = rng.standard_normal(4).astype(dtype)
@@ -518,10 +507,10 @@ def test_conv3d_bytes_do_not_depend_on_the_lane_count(record, cin, stride, slope
         ran.append((len(made), len(spans)))
 
     monkeypatch.setattr(nn, "_in_lanes", spy)
-    one = _lane_conv(x, w, b, stride, slope, record, 1, monkeypatch)
-    two = _lane_conv(x, w, b, stride, slope, record, 2, monkeypatch)
+    one = _lane_conv(x, w, b, stride, padding, slope, record, 1, monkeypatch)
+    two = _lane_conv(x, w, b, stride, padding, slope, record, 2, monkeypatch)
     assert ran == [(1, 3 * batch), (2, 3 * batch)]
-    assert len(one) == 1 + (record and slope is not None) + 3 * record
+    assert len(one) == 1 + 4 * record
     assert one == two
 
 
@@ -544,6 +533,7 @@ def test_conv3d_lanes_pin_blas_and_leave_no_thread(monkeypatch):
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((1, 2, 12, 6, 6)).astype(np.float32))
     w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32))
+    b = Tensor(rng.standard_normal(3).astype(np.float32))
     monkeypatch.setattr(nn, "_TILE", 2 * 2 * 27 * 36)       # one plane per span: 12 spans
     get = nn._BLAS_THREADS[0]
     caller, boom, raised = threading.get_ident(), RuntimeError("second lane"), threading.Event()
@@ -567,12 +557,12 @@ def test_conv3d_lanes_pin_blas_and_leave_no_thread(monkeypatch):
     monkeypatch.setattr(nn, "_im2col", spied_im2col)
     with _blas_threads_set_to(2):
         threads = threading.active_count()
-        nn.conv3d(x, w, padding=1, slope=0.2)
+        nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
         assert len(counts) == 12 and set(counts) == {1}
         assert get() == 2 and threading.active_count() == threads
         failing.append(True)
         with pytest.raises(RuntimeError) as info:
-            nn.conv3d(x, w, padding=1, slope=0.2)
+            nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
         assert info.value is boom and raised.is_set()
         assert get() == 2 and threading.active_count() == threads
 
@@ -585,6 +575,7 @@ def test_blas_at_one_thread_runs_one_lane(tmp_path, monkeypatch):
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((1, 2, 12, 6, 6)).astype(np.float32))
     w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32))
+    b = Tensor(rng.standard_normal(3).astype(np.float32))
     monkeypatch.setattr(nn, "_TILE", 2 * 2 * 27 * 36)       # one plane per span: 12 spans
     cfg = D.SynthConfig(n_subjects=3, sessions_per_subject=1, extents=(9, 10, 11))
     started, start = [], threading.Thread.start
@@ -593,7 +584,7 @@ def test_blas_at_one_thread_runs_one_lane(tmp_path, monkeypatch):
     def run(name):
         D.synth_generate(tmp_path / name, cfg)
         files = [f.read_bytes() for f in sorted((tmp_path / name).iterdir())]
-        return nn.conv3d(x, w, padding=1, slope=0.2).data.tobytes(), files
+        return nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2).data.tobytes(), files
 
     with _blas_threads_set_to(2):
         two = run("two")
@@ -605,8 +596,9 @@ def test_blas_at_one_thread_runs_one_lane(tmp_path, monkeypatch):
         assert run("one") == two and len(started) == 3
 
 
-def _conv_in_child(conn, x, w):
-    conn.send_bytes(nn.conv3d(Tensor(x), Tensor(w), padding=1, slope=0.2).data.tobytes())
+def _conv_in_child(conn, x, w, b):
+    conn.send_bytes(nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1,
+                              slope=0.2).data.tobytes())
     conn.close()
 
 
@@ -618,11 +610,13 @@ def test_forked_child_runs_conv3d_after_two_lanes(monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 1, 12, 10, 10)).astype(np.float32)
     w = rng.standard_normal((4, 1, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
     monkeypatch.setattr(nn, "_TILE", 2 * 2 * 27 * 100)      # two planes per span
-    parent = nn.conv3d(Tensor(x), Tensor(w), padding=1, slope=0.2).data.tobytes()
+    parent = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1,
+                       slope=0.2).data.tobytes()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_conv_in_child, args=(send, x, w))
+    child = ctx.Process(target=_conv_in_child, args=(send, x, w, b))
     child.start()
     send.close()
     try:
@@ -932,7 +926,7 @@ def test_batchnorm_running_stats_are_the_batch_moments(pool, batch):
 
 
 # ---------------------------------------------------------------------------
-# the conv-norm-pool node against conv3d, then the norm-and-max-pool node
+# the conv-norm-pool node against oracle_conv3d, then the norm-and-max-pool node
 
 def _conv_norm_pool_case(batch, dtype, nan):
     """A 3 -> 5 channel conv on 11x6x7 (a stride-3 pool reads no window
@@ -966,7 +960,7 @@ def _conv_norm_pool_both(kind, x, w, gamma, beta, running_mean, running_var, k, 
         if fused:
             out = layer(xt, wt, (k, s))
         else:
-            out = oracle_norm_pool(layer, nn.conv3d(xt, wt, padding=nn.CONV_PADDING), k, s)
+            out = oracle_norm_pool(layer, oracle_conv3d(xt, wt, padding=nn.CONV_PADDING), k, s)
         proj = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
         (out * Tensor(proj)).sum().backward()
         running = [] if kind == "in" else [layer.running_mean.data, layer.running_var.data]
@@ -1067,7 +1061,8 @@ def test_block4_backward_peak_is_weight_gradient_and_one_tile(fused):
     if fused:
         out = nn.InstanceNorm3d(512)(x, w, (3, 2))
     else:
-        out = nn.conv3d(x, w, padding=1)
+        b = Tensor(np.zeros(512, np.float32))
+        out = nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
     loss = (out * Tensor(rng.standard_normal(out.shape).astype(np.float32))).sum()
     tile = 256 * 27 * 27 * 4                    # Cin*27 rows by 3^3 output positions
     tracemalloc.start()
@@ -1082,7 +1077,7 @@ def test_block4_backward_peak_is_weight_gradient_and_one_tile(fused):
 
 def test_convnet_in_32_loss_and_gradients_match_unfused_block(monkeypatch):
     """One 32^3 ConvNet3D-4-IN step with the conv-norm-pool node and with
-    conv3d, then the norm-and-max-pool node: same loss and gradients."""
+    oracle_conv3d, then the norm-and-max-pool node: same loss and gradients."""
     cfg = M.build_config("convnet3d4", norm="in", extents=(32, 32, 32), pool_stride=2)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 32, 32, 32)).astype(np.float32))
     steps = []
@@ -1169,17 +1164,17 @@ def test_convnet_in_32_run_training_peak(tmp_path):
 
 def _oracle_block_forward(self, x):
     """ConvNet3D-4's block before the conv moved into the norm's node:
-    conv3d, then the norm-and-max-pool node."""
-    y = nn.conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
+    the conv, then the norm-and-max-pool node."""
+    y = oracle_conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
     h = oracle_norm_pool(self.norm, y, M.CONVNET_POOL_KERNEL, self.pool_stride)
     return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
 
 
 def _unfused_block_forward(self, x):
-    """ConvNet3D-4's block before the norm-and-max-pool node: conv3d, the
+    """ConvNet3D-4's block before the norm-and-max-pool node: the conv, the
     composite norm graph, then a separate max-pool."""
     axes = (0, 2, 3, 4) if isinstance(self.norm, nn.BatchNorm3d) else (2, 3, 4)
-    y = nn.conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
+    y = oracle_conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
     y = oracle_norm(y, self.norm.gamma, self.norm.beta, axes, 1)
     h = oracle_maxpool3d(y, M.CONVNET_POOL_KERNEL, self.pool_stride)
     return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
@@ -1196,7 +1191,8 @@ def test_convnet_81_stride3_train_step_peak(norm, monkeypatch):
     as it goes 0.628 GB, and with the conv inside the node, which never
     holds the 272 MB conv output whole, 0.111 GB; the bound is 1.25x that.
     The loss must equal the unfused block's, computed without a graph, and
-    loss and gradients must match conv3d, then the norm-and-max-pool node."""
+    loss and gradients must match oracle_conv3d, then the norm-and-max-pool
+    node."""
     cfg = M.build_config("convnet3d4", norm=norm, extents=(81, 81, 81), pool_stride=3)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 81, 81, 81)).astype(np.float32))
     with monkeypatch.context() as m:

@@ -5,7 +5,7 @@ import pytest
 
 from voxformer import nn
 from voxformer.gradcheck import gradcheck
-from voxformer.tensor import ShapeError, Tensor
+from voxformer.tensor import ShapeError, Tensor, leaky_relu
 from voxformer.verify import delta_weight
 
 
@@ -44,14 +44,14 @@ def naive_conv3d(x, w, b, stride, padding):
 def test_conv3d_padding_preserves_extent():
     x = randt((1, 1, 8, 8, 8), dtype=np.float32)
     w = randt((4, 1, 3, 3, 3), seed=1, dtype=np.float32, scale=0.2)
-    out = nn.conv3d(x, w, padding=1)
+    out = nn.conv3d(x, w, randt((4,), seed=2, dtype=np.float32), 1, 1, 0.2)
     assert out.shape == (1, 4, 8, 8, 8)
 
 
 def test_conv3d_all_ones_center_is_27():
     x = Tensor(np.ones((1, 1, 3, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3, 3)))
-    out = nn.conv3d(x, w, padding=1)
+    out = nn.conv3d(x, w, Tensor(np.zeros(1)), 1, 1, 0.2)
     assert out.data[0, 0, 1, 1, 1] == 27.0
     assert out.data[0, 0, 0, 0, 0] == 8.0  # corner sees a 2x2x2 support
 
@@ -62,40 +62,42 @@ def test_conv3d_matches_direct_summation(stride, padding):
     x = rng.standard_normal((2, 3, 6, 5, 6))
     w = rng.standard_normal((4, 3, 3, 3, 3))
     b = rng.standard_normal(4)
-    got = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-    want = naive_conv3d(x, w, b, stride, padding)
+    got = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, slope=0.2)
+    want = leaky_relu(Tensor(naive_conv3d(x, w, b, stride, padding)), 0.2).data
     np.testing.assert_allclose(got.data, want, rtol=1e-10)
 
 
 def test_conv3d_weight_gradient_finite_difference():
     x = randt((1, 2, 5, 5, 5), seed=2, requires_grad=True)
     w = randt((3, 2, 3, 3, 3), seed=3, scale=0.3, requires_grad=True)
-    report = gradcheck(lambda xx, ww: nn.conv3d(xx, ww, stride=1, padding=1).sum(),
-                       [x, w], tol=1e-4)
+    b = randt((3,), seed=4, scale=0.1, requires_grad=True)
+    report = gradcheck(lambda xx, ww, bb: nn.conv3d(xx, ww, bb, 1, 1, 0.2).sum(),
+                       [x, w, b], tol=1e-4)
     assert report.passed, report
 
 
 def test_conv3d_channel_mismatch():
     with pytest.raises(ShapeError):
-        nn.conv3d(randt((1, 2, 4, 4, 4)), randt((3, 5, 3, 3, 3)))
+        nn.conv3d(randt((1, 2, 4, 4, 4)), randt((3, 5, 3, 3, 3)), randt((3,)), 1, 0, 0.2)
 
 
 @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2])
 def test_conv3d_slope_domain(slope):
     with pytest.raises(ValueError, match="slope"):
         nn.conv3d(Tensor(np.ones((1, 1, 3, 3, 3))), Tensor(np.ones((1, 1, 3, 3, 3))),
-                  slope=slope)
+                  Tensor(np.zeros(1)), 1, 0, slope)
 
 
 def test_conv3d_nonpositive_output():
     with pytest.raises(ShapeError):
-        nn.conv3d(randt((1, 1, 2, 2, 2)), randt((1, 1, 3, 3, 3)), padding=0)
+        nn.conv3d(randt((1, 1, 2, 2, 2)), randt((1, 1, 3, 3, 3)), randt((1,)), 1, 0, 0.2)
 
 
 def test_conv3d_anisotropic_kernel():
     x = randt((1, 1, 5, 6, 7), seed=11, dtype=np.float32)
     w = randt((2, 1, 1, 3, 3), seed=12, dtype=np.float32)
-    assert nn.conv3d(x, w).shape == (1, 2, 5, 4, 5)
+    b = randt((2,), seed=13, dtype=np.float32)
+    assert nn.conv3d(x, w, b, 1, 0, 0.2).shape == (1, 2, 5, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def test_linear_identity_weight():
 
 
 def test_linear_paper_parameter_count():
-    layer = nn.Linear(125_000, 192)
+    layer = nn.Linear(125_000, 192, np.random.default_rng(0))
     assert layer.weight.size + layer.bias.size == 24_000_192
 
 
@@ -321,7 +323,7 @@ def test_attention_permutation_equivariance():
 
 def test_attention_head_divisibility():
     with pytest.raises(ShapeError):
-        nn.MultiHeadAttention(7, 2)
+        nn.MultiHeadAttention(7, 2, np.random.default_rng(0))
 
 
 def test_attention_gradcheck():
@@ -420,7 +422,7 @@ def test_adaptive_pool_gradcheck():
 # module bookkeeping
 
 def test_module_named_parameters_are_ordered_and_complete():
-    enc = nn.TransformerEncoder(4, 2, depth=1)
+    enc = nn.TransformerEncoder(4, 2, depth=1, rng=np.random.default_rng(0))
     names = [n for n, _ in enc.named_parameters()]
     assert names[0].startswith("blocks.0.")
     assert names[-1] in ("norm.beta", "norm.gamma")
@@ -428,7 +430,7 @@ def test_module_named_parameters_are_ordered_and_complete():
 
 
 def test_train_eval_propagates():
-    enc = nn.TransformerEncoder(4, 2, depth=2)
+    enc = nn.TransformerEncoder(4, 2, depth=2, rng=np.random.default_rng(0))
     enc.eval()
     assert all(not m.training for m in enc.modules())
     enc.train()
