@@ -158,10 +158,9 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _run_config_from_args(args, epochs: int | None = None) -> TR.RunConfig:
+def _run_config_from_args(args) -> TR.RunConfig:
     tc = TrainConfig(lr=args.lr, weight_decay=args.wd, step_size=args.step,
-                     gamma=args.gamma, total_epochs=args.epochs if epochs is None else epochs,
-                     batch_size=args.batch)
+                     gamma=args.gamma, total_epochs=args.epochs, batch_size=args.batch)
     return TR.RunConfig(model=args.model, size=args.size, norm=args.norm, train=tc,
                         seed=_seed(args), pool_stride=args.pool_stride,
                         target_accuracy=args.target_acc)

@@ -125,8 +125,18 @@ class VolumeRecord:
     visit_order: int = 1
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise DataError(f"label must be one of {LABELS}, got {self.label!r}")
+        # ``type(v) is int``: a JSON true is a bool, which is no rank or visit number
+        rank = self.quality_rank
+        for name, ok, want in (("label", self.label in LABELS, f"one of {LABELS}"),
+                               ("subject_id", isinstance(self.subject_id, str), "a string"),
+                               ("session_id", isinstance(self.session_id, str), "a string"),
+                               ("path", isinstance(self.path, str), "a string"),
+                               ("preferred", isinstance(self.preferred, bool), "true or false"),
+                               ("quality_rank", rank is None or type(rank) is int,
+                                "an integer or null"),
+                               ("visit_order", type(self.visit_order) is int, "an integer")):
+            if not ok:
+                raise DataError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 def write_manifest(path, records: list[VolumeRecord]) -> None:
@@ -143,7 +153,7 @@ def read_manifest(path) -> list[VolumeRecord]:
             continue
         try:
             records.append(VolumeRecord(**json.loads(line)))
-        except (json.JSONDecodeError, TypeError) as e:
+        except (TypeError, ValueError) as e:    # ValueError covers JSON errors and DataError
             raise DataError(f"{path}:{i + 1}: bad manifest row: {e}") from None
     seen = set()
     for r in records:
@@ -306,15 +316,13 @@ _BUMP_SIGMA = 0.25
 _SLAB = 2 ** 15
 
 
-def _fields(extents, offsets=(0.0, 0.0, 0.0), scales=(1.0, 1.0, 1.0), planes=slice(None),
-            out=None):
+def _fields(extents, offsets, scales, planes, out):
     """Base brain blob and the class-signal bump on a (possibly deformed)
     grid, over the depth planes ``planes``: into ``out``, two float64
-    arrays of the planes' shape, when it is given."""
+    arrays of the planes' shape."""
     zz, yy, xx = _coords(extents)
     cs = [(c - o) * s for c, o, s in zip((zz[planes], yy, xx), offsets, scales)]
-    shape = (cs[0].shape[0],) + tuple(extents[1:])
-    base, bump = out if out is not None else (np.empty(shape), np.empty(shape))
+    base, bump = out
     for f, terms in ((base, [c * c for c in cs]),
                      (bump, [(c - b) ** 2 for c, b in zip(cs, _BUMP_CENTER)])):
         # (z + y) + x in this order: every scan file's bytes depend on it

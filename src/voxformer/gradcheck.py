@@ -99,23 +99,22 @@ def gradcheck(f: Callable[..., Tensor], xs: Tensor | Sequence[Tensor],
 
 
 def sampled_gradcheck(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],
-                      n_samples: int = 20, eps: float = 1e-5, tol: float = 1e-3,
-                      rng: np.random.Generator | None = None) -> GradcheckReport:
+                      rng: np.random.Generator, n_samples: int = 20, eps: float = 1e-5,
+                      tol: float = 1e-3) -> GradcheckReport:
     """Whole-model check: sample coordinates across all parameters jointly.
 
     ``f`` is a zero-argument closure over the parameters returning the scalar
-    loss.  Coordinates are drawn from the concatenated parameter space, so
-    large models pay for ``2 * n_samples`` extra forward passes, not for a
-    full sweep.
+    loss.  Coordinates are drawn by ``rng`` from the concatenated parameter
+    space, so large models pay for ``2 * n_samples`` extra forward passes,
+    not for a full sweep.
     """
     params = list(params)
-    gen = rng if rng is not None else np.random.default_rng(0)
     for name, p in params:
         if p.dtype != np.float64:
             raise TypeError(f"sampled_gradcheck parameter {name} must be float64")
     sizes = np.array([p.size for _, p in params])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    picks = gen.choice(int(offsets[-1]), size=min(n_samples, int(offsets[-1])),
+    picks = rng.choice(int(offsets[-1]), size=min(n_samples, int(offsets[-1])),
                        replace=False)
     visits = []
     for flat in sorted(int(c) for c in picks):

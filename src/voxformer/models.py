@@ -495,22 +495,24 @@ def _read_manifest(f, path) -> tuple[dict, list[dict]]:
     return manifest["config"], entries
 
 
-def load_checkpoint(path, build=None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint: its header and manifest first, checking every
-    length and offset against the file's size before allocating anything;
-    any fault raises ``CheckpointFormatError``.  Each tensor is then read
-    straight into its array: a new one, or with ``build``, the tensor of that
-    name in the module ``build(config)`` returns, whose names and shapes
-    must be the file's (``KeyError`` or ``ShapeError`` otherwise)."""
+def load_checkpoint(path, build) -> tuple[dict, nn.Module]:
+    """Read a checkpoint into the module ``build(config)`` returns.
+
+    The header and manifest are read first, every length and offset checked
+    against the file's size before anything is allocated; any fault raises
+    ``CheckpointFormatError``, as do tensor names or shapes that are not the
+    module's.  Each tensor is then read straight into the module's buffer of
+    that name."""
     with open(path, "rb") as f:
         config, entries = _read_manifest(f, path)
-        shapes = {e["name"]: e["shape"] for e in entries}
-        arrays = {} if build is None else build(config).state_buffers(shapes)
+        module = build(config)
+        try:
+            arrays = module.state_buffers({e["name"]: e["shape"] for e in entries})
+        except (KeyError, ShapeError) as e:
+            raise CheckpointFormatError(f"{path}: tensors do not match the model: "
+                                        f"{e.args[0]}") from None
         for e in entries:
-            dtype = np.dtype(e["dtype"])
-            if build is None:
-                arrays[e["name"]] = np.empty(e["shape"], dtype)
-            dst, stored = arrays[e["name"]], dtype.newbyteorder("<")
+            dst, stored = arrays[e["name"]], np.dtype(e["dtype"]).newbyteorder("<")
             # the file's bytes land in dst itself unless they need converting
             raw = dst if dst.dtype == stored else np.empty(dst.shape, stored)
             f.seek(e["offset"])
@@ -519,7 +521,7 @@ def load_checkpoint(path, build=None) -> tuple[dict, dict[str, np.ndarray]]:
                                             f"{e['offset']} ends early: the file shrank")
             if raw is not dst:
                 dst[...] = raw
-    return config, arrays
+    return config, module
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +574,18 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 def config_from_dict(d: dict) -> ModelConfig:
     """Inverse of ``config_to_dict``.  Only the ``build_config`` arguments are
     read: ``patch_edge`` and ``embed_stack`` follow from the extents, and a
-    stored ``num_classes`` must be ``NUM_CLASSES``."""
+    stored ``num_classes`` must be ``NUM_CLASSES``.  Each extent and the
+    ``pool_stride`` must be an ``int`` (``build_config`` would round a float
+    or parse a string)."""
     if d.get("num_classes", NUM_CLASSES) != NUM_CLASSES:
         raise ValueError(f"'num_classes' is {d['num_classes']!r}, every model has "
                          f"{NUM_CLASSES} classes {LABELS}")
+    extents = d.get("extents", FULL_EXTENTS)
+    if not (isinstance(extents, (list, tuple)) and len(extents) == 3
+            and all(type(e) is int and e >= 1 for e in extents)):
+        raise ValueError(f"'extents' is {extents!r}, expected three positive integers")
+    if type(d.get("pool_stride", 3)) is not int:
+        raise ValueError(f"'pool_stride' is {d['pool_stride']!r}, expected an integer")
     keys = ("model", "size", "norm", "extents", "pool_stride")
     return build_config(**{k: d[k] for k in keys if k in d})
 

@@ -62,8 +62,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
                  "op", "_backward_done")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False,
-                 _parents: tuple = (), _backward_fn=None, op: str = "leaf"):
+    def __init__(self, data, dtype=None, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw data, not another Tensor")
         if dtype is None:
@@ -79,9 +78,9 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents if _grad_enabled else ()
-        self._backward_fn = _backward_fn if _grad_enabled else None
-        self.op = op
+        self._parents = ()
+        self._backward_fn = None
+        self.op = "leaf"
         self._backward_done = False
 
     # -- basic introspection -------------------------------------------------
@@ -185,9 +184,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(full_like(self, other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -195,12 +191,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -211,18 +201,11 @@ class Tensor:
     def flatten(self, start_axis: int = 0):
         return flatten(self, start_axis)
 
-    def transpose(self, axes: Sequence[int]):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-
-def full_like(t: Tensor, value: float) -> Tensor:
-    return Tensor(np.full(t.shape, float(value), dtype=t.dtype))
 
 
 def _coerce_pair(a: Tensor, b) -> tuple[Tensor, Tensor]:
@@ -264,10 +247,12 @@ def _records(parents: tuple[Tensor, ...]) -> bool:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
-    requires = _records(parents)
-    return Tensor(data, requires_grad=requires,
-                  _parents=parents if requires else (),
-                  _backward_fn=backward_fn if requires else None, op=op)
+    """The result of op ``op``: a node of the graph when ``_records(parents)``."""
+    out = Tensor(data)
+    if _records(parents):
+        out.requires_grad, out._parents, out._backward_fn = True, parents, backward_fn
+    out.op = op
+    return out
 
 
 # -- arithmetic ----------------------------------------------------------------

@@ -9,6 +9,7 @@ the split only (late-split guard).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from . import data as D
 from . import models as M
 from .nn import cross_entropy, no_init
 from .optim import AdamW, TrainConfig, lr_at
-from .tensor import ShapeError, Tensor, no_grad
+from .tensor import Tensor, no_grad
 
 CHECKPOINT_NAME = "best.ckpt"
 METRICS_NAME = "metrics.jsonl"
@@ -232,8 +233,11 @@ def _checkpoint_model(path, config: dict):
             model = M.build_model(M.config_from_dict(model_config), seed=seed)
     except (TypeError, ValueError) as e:
         raise M.CheckpointFormatError(f"{path}: manifest config 'model_config': {e}") from None
-    for key in ("mean", "std"):
-        entry("normalization", key, types=(int, float))
+    for key, low in (("mean", -math.inf), ("std", 0.0)):
+        value = entry("normalization", key, types=(int, float))
+        if not low < value < math.inf:     # NaN fails the comparison too
+            raise M.CheckpointFormatError(f"{path}: manifest config 'normalization.{key}' "
+                                          f"is {value!r}, expected a number in ({low}, inf)")
     return model
 
 
@@ -241,23 +245,12 @@ def load_model_from_checkpoint(path):
     """Rebuild the model and its normalization stats from a checkpoint.
 
     A manifest that reads but does not describe a model (a missing key, a
-    config ``build_config`` rejects, a non-integer seed, tensors that do not
-    match the model, or no numeric normalization mean and std) raises
-    ``CheckpointFormatError`` naming the file and the key or tensor.  The
-    model is built before any tensor is read, and each tensor is read
+    config ``config_from_dict`` rejects, a non-integer seed, tensors that do
+    not match the model, or no finite normalization mean and positive std)
+    raises ``CheckpointFormatError`` naming the file and the key or tensor.
+    The model is built before any tensor is read, and each tensor is read
     straight into the model's own buffer.
     """
-    model = None
-
-    def build(config):
-        nonlocal model
-        model = _checkpoint_model(path, config)
-        return model
-
-    try:
-        config, _ = M.load_checkpoint(path, build)
-    except (KeyError, ShapeError) as e:
-        raise M.CheckpointFormatError(f"{path}: tensors do not match the model: "
-                                      f"{e.args[0]}") from None
+    config, model = M.load_checkpoint(path, lambda config: _checkpoint_model(path, config))
     model.eval()
     return model, config

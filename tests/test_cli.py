@@ -318,13 +318,27 @@ _MANIFEST_FAULTS = {
                       lambda m: m["config"]["model_config"].update(num_classes=3)),
     "model_config_list": ("'model_config'",
                           lambda m: m["config"].update(model_config=[])),
+    "float_extent": ("'extents'",
+                     lambda m: m["config"]["model_config"].update(extents=[12.5, 12, 12])),
+    "text_extent": ("'extents'",
+                    lambda m: m["config"]["model_config"].update(extents=["12", 12, 12])),
+    "zero_std": ("'normalization.std'", lambda m: m["config"]["normalization"].update(std=0)),
+    "nan_std": ("'normalization.std'",
+                lambda m: m["config"]["normalization"].update(std=float("nan"))),
+    "negative_std": ("'normalization.std'",
+                     lambda m: m["config"]["normalization"].update(std=-1)),
+    "float_pool_stride": ("'pool_stride'",
+                          lambda m: m["config"]["model_config"].update(pool_stride=2.6)),
 }
+# the model a fault's checkpoint holds when it is not the 12^3 CVVT-tiny
+_FAULT_CONFIGS = {"float_pool_stride": M.build_config("convnet3d4", extents=(32, 32, 32),
+                                                      pool_stride=2)}
 
 
 @pytest.mark.parametrize("fault", sorted(_MANIFEST_FAULTS))
 def test_eval_checkpoint_config_fault_exits_3_with_one_line(dataset, tmp_path, capsys, fault):
     # the file reads, but its manifest does not describe a model that fits it
-    cfg = M.build_config("cvvt", "tiny", extents=(12, 12, 12))
+    cfg = _FAULT_CONFIGS.get(fault, M.build_config("cvvt", "tiny", extents=(12, 12, 12)))
     ckpt = tmp_path / "edited.ckpt"
     M.save_checkpoint(ckpt, M.build_model(cfg, seed=0),
                       {"model_config": M.config_to_dict(cfg), "run": {"seed": 0},
@@ -604,6 +618,27 @@ _SELECTION_FAULTS = {
 }
 
 
+# fault: (edit of manifest line 2, the field its one stderr line names); line
+# 1 is the same subject's other session and gets quality rank 1
+_MANIFEST_ROW_FAULTS = {
+    "text-rank": ({"quality_rank": "2"}, "quality_rank"),
+    "int-subject": ({"subject_id": 7}, "subject_id"),
+    "text-preferred": ({"preferred": "no"}, "preferred"),
+    "int-path": ({"path": 5}, "path"),
+    "unknown-label": ({"label": "XX"}, "label"),
+}
+
+
+def _split_with_bad_row(data, fault):
+    """``split`` argv over ``data`` once its manifest holds the fault's row."""
+    path = data / D.MANIFEST_NAME
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["quality_rank"] = 1
+    rows[1].update(_MANIFEST_ROW_FAULTS[fault][0])
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return ["split", "--data", str(data), "--test-per-class", "2"]
+
+
 def _selection_argv(fault):
     edit, make_argv = _SELECTION_FAULTS[fault]
     return lambda d, t, m: edit(d) and make_argv(d, t)
@@ -729,6 +764,10 @@ _BAD_SEEDS = {
 _EXIT_TABLE.update({case: (cli.ConfigError, 2, make_argv)
                     for case, (make_argv, *_) in _BAD_SEEDS.items()})
 
+_EXIT_TABLE.update({f"split-DataError-{fault}": (D.DataError, 3, lambda d, t, m, f=fault:
+                                                   _split_with_bad_row(d, f))
+                    for fault in _MANIFEST_ROW_FAULTS})
+
 _EXIT_TABLE["synth-DataError-extents-above-vox1-limit"] = (D.DataError, 3, lambda d, t, m: [
     "synth", "--out", str(t / "s"), "--extents", "1700"])
 
@@ -791,6 +830,18 @@ def test_synth_extents_above_the_vox1_limit_exit_3_naming_them(tmp_path, capsys)
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "(1700, 1700, 1700)" in err[0] and str(2 ** 32) in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", sorted(_MANIFEST_ROW_FAULTS))
+def test_bad_manifest_row_names_the_line_and_the_field(dataset, capsys, fault):
+    argv = _split_with_bad_row(dataset, fault)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    field = _MANIFEST_ROW_FAULTS[fault][1]
+    assert len(err) == 1, err
+    assert err[0].startswith(f"data error: {dataset / D.MANIFEST_NAME}:2: bad manifest row: "
+                             f"{field} must be "), err
 
 
 @pytest.mark.parametrize("fault", sorted(_SELECTION_FAULTS))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -258,14 +259,16 @@ def test_synth_deterministic_bytes(tmp_path):
 
 def signal_region_mask(extents: tuple[int, int, int]) -> np.ndarray:
     """Voxels of the undeformed class-signal region (the linear-probe oracle's ROI)."""
-    _, bump = D._fields(extents)
+    _, bump = D._fields(extents, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), slice(None),
+                        np.empty((2,) + tuple(extents)))
     return bump > 0.5
 
 
 def expected_region_means(cfg: D.SynthConfig) -> tuple[float, float, float]:
     """(mean_AD, mean_CN, threshold) over the signal region, computed in
     closed form from the generator fields (no sampling)."""
-    base, bump = D._fields(cfg.extents)
+    base, bump = D._fields(cfg.extents, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), slice(None),
+                           np.empty((2,) + cfg.extents))
     mask = bump > 0.5
     mu_base = float(base[mask].mean())
     mu_bump = float(bump[mask].mean())
@@ -464,3 +467,56 @@ def test_every_file_write_goes_through_the_data_helpers():
     writes = {m.name: _file_writes(m.read_text()) for m in sorted(src.glob("*.py"))}
     assert len(writes) > 5 and writes["data.py"]
     assert {name: w for name, w in writes.items() if w and name != "data.py"} == {}
+
+
+def _identifiers(node: ast.AST) -> Counter:
+    """How often ``node`` names each identifier: as a name, an attribute, or
+    a string constant (``getattr``, ``mock.patch.object`` and the bench
+    tracer name functions by string)."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            found[n.value] += 1
+    return found
+
+
+def _unnamed_definitions(defining: list[str], naming: list[str]) -> list[str]:
+    """Each module-level function or class, and each non-dunder method, of
+    the ``defining`` sources that no source (``defining`` or ``naming``)
+    names outside the definition itself."""
+    trees = [ast.parse(source) for source in defining]
+    named = sum((_identifiers(t) for t in trees + [ast.parse(s) for s in naming]), Counter())
+    unnamed = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                       and not (m.name.startswith("__") and m.name.endswith("__"))
+                       ] if isinstance(node, ast.ClassDef) else []
+            unnamed += [d.name for d in [node] + methods
+                        if named[d.name] <= _identifiers(d)[d.name]]
+    return unnamed
+
+
+def test_every_definition_is_named_somewhere_else():
+    """No function, class or method of the package is dead weight: each is
+    named outside its own definition, in the package, the tests or the
+    benchmark."""
+    assert _unnamed_definitions(
+        ["def used():\n    return 1\n"
+         "def self_only():\n    return self_only()\n"
+         "class C:\n    def m(self):\n        return self.__x__()\n"
+         "    def __x__(self):\n        return used()\n"
+         "    def by_string(self):\n        pass\n"
+         "def orphan():\n    pass\n"],
+        ["getattr(C(), 'by_string')\n"]) == ["self_only", "m", "orphan"]
+    root = Path(D.__file__).parents[2]
+    package = [m.read_text() for m in sorted(Path(D.__file__).parent.glob("*.py"))]
+    others = [m.read_text() for d in ("tests", "perfbench") for m in sorted((root / d).glob("*.py"))]
+    assert len(package) > 5 and len(others) > 5
+    assert _unnamed_definitions(package, others) == []

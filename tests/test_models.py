@@ -386,7 +386,8 @@ def test_sampled_gradcheck_rejects_non_finite_perturbed_output():
     # log is finite at the point but not at point - eps
     p = Tensor(np.array([0.5e-5]), requires_grad=True)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        sampled_gradcheck(lambda: _log(p).sum(), [("p", p)], n_samples=1, eps=1e-5)
+        sampled_gradcheck(lambda: _log(p).sum(), [("p", p)], np.random.default_rng(0),
+                          n_samples=1, eps=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +398,8 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
     net = M.build_model(cfg, seed=9)
     path = tmp_path / "model.ckpt"
     M.save_checkpoint(path, net, {"model_config": M.config_to_dict(cfg), "note": 1})
-    built = []
-
-    def build(config):
-        built.append(M.build_model(M.config_from_dict(config["model_config"]), seed=0))
-        return built[0]
-
-    config, _ = M.load_checkpoint(path, build=build)
-    rebuilt, = built
+    config, rebuilt = M.load_checkpoint(
+        path, lambda config: M.build_model(M.config_from_dict(config["model_config"]), seed=0))
     path2 = tmp_path / "model2.ckpt"
     M.save_checkpoint(path2, rebuilt, config)
     assert path.read_bytes() == path2.read_bytes()
@@ -449,7 +444,7 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     p = tmp_path / "junk.ckpt"
     p.write_bytes(b"NOTMODEL" + b"\x00" * 32)
     with pytest.raises(ValueError):
-        M.load_checkpoint(p)
+        M.load_checkpoint(p, lambda config: _TinyNet())
 
 
 class _TinyNet(nn.Module):
@@ -489,7 +484,7 @@ def test_checkpoint_reader_names_file_and_offset(tmp_path):
         p = tmp_path / f"{name}.ckpt"
         p.write_bytes(damaged)
         with pytest.raises(M.CheckpointFormatError, match="offset") as err:
-            M.load_checkpoint(p)
+            M.load_checkpoint(p, lambda config: _TinyNet())
         assert str(p) in str(err.value), name
 
 
@@ -506,11 +501,11 @@ def test_checkpoint_reader_fuzz(tmp_path_factory, data):
     p = d / "fuzzed.ckpt"
     p.write_bytes(bytes(blob))
     try:
-        config, arrays = M.load_checkpoint(p)
+        config, net = M.load_checkpoint(p, lambda config: _TinyNet())
     except M.CheckpointFormatError:
         return
     assert isinstance(config, dict)
-    assert all(a.dtype in (np.float32, np.float64) for a in arrays.values())
+    assert all(t.dtype in (np.float32, np.float64) for _, t in net.named_tensors())
 
 
 def _write_checkpoint(d, version):
