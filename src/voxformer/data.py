@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -211,20 +212,37 @@ class SplitSpec:
 
     @staticmethod
     def from_json(text: str) -> "SplitSpec":
+        """Each side must be a list of subject ids, and no subject may be on
+        two sides: ``DataError`` names the key or the subjects."""
         d = json.loads(text)
-        return SplitSpec(tuple(d["train_subjects"]), tuple(d["test_subjects"]),
-                         tuple(d.get("val_subjects", ())), d["seed"], d.get("audit", {}))
+        sides = (d["train_subjects"], d["test_subjects"], d.get("val_subjects", []))
+        for key, side in zip(("train_subjects", "test_subjects", "val_subjects"), sides):
+            if not (isinstance(side, list) and all(isinstance(s, str) for s in side)):
+                raise DataError(f"{key!r} must be a list of subject-id strings, got {side!r}")
+        shared = _shared_subjects(*sides)
+        if shared:
+            raise DataError(f"subject(s) in more than one split side: {shared}")
+        return SplitSpec(*(tuple(side) for side in sides), d["seed"], d.get("audit", {}))
+
+
+def _shared_subjects(*sides) -> list[str]:
+    """The subjects on more than one of the ``sides``, sorted."""
+    seen = Counter(s for side in sides for s in set(side))
+    return sorted(s for s, n in seen.items() if n > 1)
 
 
 def read_split(path) -> SplitSpec:
-    """``SplitSpec`` from a split file; a missing file, text that is not JSON
-    or a missing key raises ``DataError`` naming the file (and the key)."""
+    """``SplitSpec`` from a split file; a missing file, text that is not JSON,
+    a missing key, a side that is not a list of subject ids or a subject on
+    two sides raises ``DataError`` naming the file (and the key or subject)."""
     try:
         return SplitSpec.from_json(Path(path).read_text())
     except FileNotFoundError:
         raise DataError(f"no split found at {path}; run `voxformer split` first") from None
     except KeyError as e:
         raise DataError(f"{path}: split has no {e.args[0]!r} key") from None
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
     except (TypeError, ValueError) as e:    # ValueError covers JSON and UTF-8 errors
         raise DataError(f"{path}: not a split file ({e})") from None
 
@@ -254,8 +272,7 @@ def subject_split(records: list[VolumeRecord], test_per_class: int, seed: int,
         test.extend(order[:test_per_class])
         val.extend(order[test_per_class:test_per_class + val_per_class])
         train.extend(order[test_per_class + val_per_class:])
-    train_set, test_set, val_set = set(train), set(test), set(val)
-    violations = sorted((train_set & test_set) | (train_set & val_set) | (test_set & val_set))
+    violations = _shared_subjects(train, test, val)
     label_of = {r.subject_id: r.label for r in selected}
     audit = {
         "violations": violations,
@@ -422,7 +439,8 @@ def load_volumes(data_dir, records: list[VolumeRecord], selected_by) -> np.ndarr
 
     An empty selection raises ``DataError`` naming ``selected_by`` (the
     manifest or split that chose the records), and a volume whose extents
-    differ from the first one's raises it naming that volume's file.
+    differ from the first one's, or that holds a NaN or infinite voxel,
+    raises it naming that volume's file (and the voxel).
     """
     if not records:
         raise DataError(f"{selected_by} selects no scan")
@@ -431,4 +449,9 @@ def load_volumes(data_dir, records: list[VolumeRecord], selected_by) -> np.ndarr
         if vol.shape != volumes[0].shape:
             raise DataError(f"{Path(data_dir) / r.path}: extents {vol.shape} differ from "
                             f"the {volumes[0].shape} of {Path(data_dir) / records[0].path}")
+        # min and max are NaN or infinite when any voxel is, without a temporary
+        if not (np.isfinite(vol.min()) and np.isfinite(vol.max())):
+            voxel = tuple(int(i) for i in np.argwhere(~np.isfinite(vol))[0])
+            raise DataError(f"{Path(data_dir) / r.path}: voxel {voxel} is {vol[voxel]}, "
+                            f"expected a finite value")
     return np.stack(volumes)

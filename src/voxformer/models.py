@@ -42,29 +42,14 @@ class ShapeUnderflowError(ShapeError):
 # ---------------------------------------------------------------------------
 # configs
 
-@dataclass(frozen=True)
-class ViTSizeConfig:
-    embed_dim: int
-    num_heads: int
-    depth: int = 12
-    mlp_ratio: int = 4
-
-    def __post_init__(self):
-        if self.embed_dim % self.num_heads:
-            raise ShapeError(f"embed_dim {self.embed_dim} not divisible by "
-                             f"num_heads {self.num_heads}")
-
-
-VIT_SIZES = {
-    "tiny": ViTSizeConfig(192, 3),
-    "small": ViTSizeConfig(384, 6),
-    "base": ViTSizeConfig(768, 12),
-}
+# ViT size name: (embed_dim, num_heads); every size has VIT_DEPTH encoder blocks
+VIT_SIZES = {"tiny": (192, 3), "small": (384, 6), "base": (768, 12)}
+VIT_DEPTH = 12
 
 
 @dataclass(frozen=True)
 class VViTConfig:
-    size: ViTSizeConfig
+    size: str                           # a key of VIT_SIZES
     patch_edge: int = 50
     extents: tuple[int, int, int] = FULL_EXTENTS
 
@@ -92,7 +77,6 @@ StageSpec = tuple[int, int, int]
 CVVT_CHANNEL_LADDER = (32, 64, 96, 128)
 CVVT_TOKENS = 80
 CVVT_GRID = (10, 10, 10)
-CVVT_SLOPE = 0.2        # LeakyReLU after every embedding conv, fused into the conv node
 
 
 def _conv_out(extents: tuple[int, ...], stride: int) -> tuple[int, ...]:
@@ -124,7 +108,7 @@ def default_embed_stack(extents: tuple[int, int, int]) -> tuple[StageSpec, ...]:
 
 @dataclass(frozen=True)
 class CVVTConfig:
-    size: ViTSizeConfig
+    size: str                           # a key of VIT_SIZES
     extents: tuple[int, int, int] = FULL_EXTENTS
 
     @property
@@ -145,8 +129,6 @@ class CVVTConfig:
 # dropout over these channels, then a 512-d embedding and the head.
 CONVNET_CHANNELS = (1, 128, 192, 256, 512)
 CONVNET_POOL_KERNEL = 3
-CONVNET_SLOPE = 0.2
-CONVNET_DROPOUT = 0.4
 CONVNET_EMBED_DIM = 512
 
 
@@ -181,17 +163,17 @@ def shape_infer(cfg: ModelConfig) -> ShapeTrace:
     trace: ShapeTrace = [("input", (1, 1) + e)]
 
     if isinstance(cfg, VViTConfig):
-        n_patches = cfg.num_patches
+        n_patches, dim = cfg.num_patches, VIT_SIZES[cfg.size][0]
         trace.append(("pad", (1, 1) + cfg.padded_extents))
         trace.append(("patchify", (1, n_patches, cfg.patch_dim)))
-        trace.append(("patch_embed", (1, n_patches, cfg.size.embed_dim)))
-        trace.append(("tokens", (1, n_patches + 1, cfg.size.embed_dim)))
-        trace.append(("encoder", (1, n_patches + 1, cfg.size.embed_dim)))
+        trace.append(("patch_embed", (1, n_patches, dim)))
+        trace.append(("tokens", (1, n_patches + 1, dim)))
+        trace.append(("encoder", (1, n_patches + 1, dim)))
         trace.append(("head", (1, NUM_CLASSES)))
         return trace
 
     if isinstance(cfg, CVVTConfig):
-        cur = e
+        cur, dim = e, VIT_SIZES[cfg.size][0]
         for i, (cin, cout, stride) in enumerate(cfg.embed_stack):
             nxt = _conv_out(cur, stride)
             trace.append((f"embed.stage{i}", (1, cout) + nxt))
@@ -201,9 +183,9 @@ def shape_infer(cfg: ModelConfig) -> ShapeTrace:
                 "embed.adaptive_pool",
                 f"feature extents {cur} below target grid {CVVT_GRID}")
         trace.append(("embed.adaptive_pool", (1, CVVT_TOKENS) + CVVT_GRID))
-        trace.append(("token_embed", (1, CVVT_TOKENS, cfg.size.embed_dim)))
-        trace.append(("tokens", (1, CVVT_TOKENS + 1, cfg.size.embed_dim)))
-        trace.append(("encoder", (1, CVVT_TOKENS + 1, cfg.size.embed_dim)))
+        trace.append(("token_embed", (1, CVVT_TOKENS, dim)))
+        trace.append(("tokens", (1, CVVT_TOKENS + 1, dim)))
+        trace.append(("encoder", (1, CVVT_TOKENS + 1, dim)))
         trace.append(("head", (1, NUM_CLASSES)))
         return trace
 
@@ -271,16 +253,14 @@ def _spawn(seed: int, n: int) -> list[np.random.Generator]:
 class _ViTCore(nn.Module):
     """Shared token pipeline: class token, positional table, encoder, head."""
 
-    def __init__(self, num_patches: int, size: ViTSizeConfig,
-                 rng: np.random.Generator, dtype):
+    def __init__(self, num_patches: int, size: str, rng: np.random.Generator, dtype):
         super().__init__()
-        e = size.embed_dim
+        e, heads = VIT_SIZES[size]
         self.cls_token = Tensor(nn.trunc_normal(rng, (1, 1, e), dtype=dtype),
                                 requires_grad=True)
         self.pos_embed = Tensor(nn.trunc_normal(rng, (1, num_patches + 1, e), dtype=dtype),
                                 requires_grad=True)
-        self.encoder = nn.TransformerEncoder(e, size.num_heads, size.depth,
-                                             size.mlp_ratio, rng=rng, dtype=dtype)
+        self.encoder = nn.TransformerEncoder(e, heads, VIT_DEPTH, rng=rng, dtype=dtype)
         self.head = nn.Linear(e, NUM_CLASSES, rng=rng, dtype=dtype)
 
     def forward(self, tokens: Tensor) -> Tensor:
@@ -302,7 +282,8 @@ class VViT(nn.Module):
         super().__init__()
         self.cfg = cfg
         rng, = _spawn(seed, 1)
-        self.patch_embed = nn.Linear(cfg.patch_dim, cfg.size.embed_dim, rng=rng, dtype=dtype)
+        self.patch_embed = nn.Linear(cfg.patch_dim, VIT_SIZES[cfg.size][0], rng=rng,
+                                     dtype=dtype)
         self.core = _ViTCore(cfg.num_patches, cfg.size, rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -322,14 +303,15 @@ class CVVT(nn.Module):
         rng, = _spawn(seed, 1)
         self.stages = [nn.Conv3d(cin, cout, stride=s, rng=rng, dtype=dtype)
                        for cin, cout, s in cfg.embed_stack]
-        self.token_embed = nn.Linear(cfg.token_dim, cfg.size.embed_dim, rng=rng, dtype=dtype)
+        self.token_embed = nn.Linear(cfg.token_dim, VIT_SIZES[cfg.size][0], rng=rng,
+                                     dtype=dtype)
         self.core = _ViTCore(cfg.num_patches, cfg.size, rng, dtype)
 
     def embed(self, x: Tensor) -> Tensor:
         """Conv + LeakyReLU stack -> 10^3 feature grid -> one token per channel."""
         h = x
         for conv in self.stages:
-            h = conv(h, slope=CVVT_SLOPE)
+            h = conv(h)
         h = nn.adaptive_avg_pool3d(h, CVVT_GRID)
         n = h.shape[0]
         tokens = h.reshape(n, CVVT_TOKENS, self.cfg.token_dim)
@@ -354,11 +336,11 @@ class _ConvBlock(nn.Module):
         else:
             self.norm = nn.InstanceNorm3d(cout, dtype=dtype)
         self.pool_stride = cfg.pool_stride
-        self.drop = nn.Dropout3d(CONVNET_DROPOUT, rng=drop_rng)
+        self.drop = nn.Dropout3d(drop_rng)
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.norm(x, self.conv.weight, (CONVNET_POOL_KERNEL, self.pool_stride))
-        return self.drop(leaky_relu(h, CONVNET_SLOPE))
+        return self.drop(leaky_relu(h))
 
 
 class ConvNet3D4(nn.Module):
@@ -539,9 +521,9 @@ def build_config(model: str, size: str = "tiny", norm: str = "in",
     if model in ("vvit", "cvvt") and size not in VIT_SIZES:
         raise ValueError(f"unknown size {size!r} (expected {', '.join(VIT_SIZES)})")
     if model == "vvit":
-        return VViTConfig(size=VIT_SIZES[size], extents=extents)
+        return VViTConfig(size=size, extents=extents)
     if model == "cvvt":
-        return CVVTConfig(size=VIT_SIZES[size], extents=extents)
+        return CVVTConfig(size=size, extents=extents)
     if model == "convnet3d4":
         return ConvNet3D4Config(norm=norm, extents=extents,
                                 pool_stride=3 if pool_stride is None else int(pool_stride))
@@ -559,11 +541,11 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
 
 def config_to_dict(cfg: ModelConfig) -> dict:
     if isinstance(cfg, VViTConfig):
-        return {"model": "vvit", "size": _size_name(cfg.size),
+        return {"model": "vvit", "size": cfg.size,
                 "extents": list(cfg.extents), "num_classes": NUM_CLASSES,
                 "patch_edge": cfg.patch_edge}
     if isinstance(cfg, CVVTConfig):
-        return {"model": "cvvt", "size": _size_name(cfg.size),
+        return {"model": "cvvt", "size": cfg.size,
                 "extents": list(cfg.extents), "num_classes": NUM_CLASSES,
                 "embed_stack": [list(s) for s in cfg.embed_stack]}
     return {"model": "convnet3d4", "norm": cfg.norm,
@@ -588,10 +570,3 @@ def config_from_dict(d: dict) -> ModelConfig:
         raise ValueError(f"'pool_stride' is {d['pool_stride']!r}, expected an integer")
     keys = ("model", "size", "norm", "extents", "pool_stride")
     return build_config(**{k: d[k] for k in keys if k in d})
-
-
-def _size_name(size: ViTSizeConfig) -> str:
-    for name, s in VIT_SIZES.items():
-        if s == size:
-            return name
-    raise ValueError(f"non-standard size {size}")

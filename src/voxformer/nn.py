@@ -29,15 +29,16 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _special
 
-from .tensor import (Tensor, ShapeError, _node, _records, add, gelu, matmul, mul,
-                     reshape, softmax, transpose)
+from .tensor import (LEAKY_SLOPE, Tensor, ShapeError, _node, _records, add, gelu, matmul,
+                     mul, reshape, softmax, transpose)
 
 # Fixed layer settings: every model in this package uses these values.
 CONV_KERNEL = 3         # every model conv: cubic kernel extent
 CONV_PADDING = 1        # every model conv: zero padding, which keeps stride-1 extents
-INIT_SLOPE = 0.2        # conv_weight: Kaiming gain for the LeakyReLU(0.2) after the conv
 NORM_EPS = 1e-5         # variance floor of every normalization
 BN_MOMENTUM = 0.1       # BatchNorm3d: weight of the newest batch in the running stats
+DROPOUT = 0.4           # Dropout3d: probability of zeroing a channel
+MLP_RATIO = 4           # EncoderBlock: MLP hidden width over the embedding width
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
 
 def kaiming_normal(rng: np.random.Generator, shape, fan_in: int,
                    dtype=np.float32) -> np.ndarray:
-    gain = math.sqrt(2.0 / (1.0 + INIT_SLOPE * INIT_SLOPE))
+    gain = math.sqrt(2.0 / (1.0 + LEAKY_SLOPE * LEAKY_SLOPE))
     std = gain / math.sqrt(fan_in)
     out, blocks = _blocks(shape, dtype)
     for block in blocks:
@@ -116,8 +117,8 @@ class Module:
                     if isinstance(item, Module):
                         yield from item.named_tensors(f"{prefix}{name}.{i}.")
 
-    def named_parameters(self, prefix: str = ""):
-        for name, t in self.named_tensors(prefix):
+    def named_parameters(self):
+        for name, t in self.named_tensors():
             if t.requires_grad:
                 yield name, t
 
@@ -435,35 +436,32 @@ def _in_lanes(lane, spans: list) -> None:
         raise errors[0]
 
 
-def conv3d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int,
-           slope: float) -> Tensor:
-    """leaky_relu(y + bias, slope), y the cross-correlation of
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
+    """leaky_relu(y + bias), y the cross-correlation of
     [N,Cin,D,H,W] with [Cout,Cin,kd,kh,kw] at zero padding.
 
     Tiled im2col (``_im2col``): the [Cin*k3, P] column matrix of one sample
     is built a few output depth planes at a time and multiplied by the
-    weight matrix there.  The bias and the slope's max(o, slope*o) are
-    applied to each output tile while it is in cache.  The forward runs its
-    tiles in ``_in_lanes``: each lane reuses one column buffer and one slope
+    weight matrix there.  The bias and max(o, LEAKY_SLOPE*o) are applied to
+    each output tile while it is in cache.  The forward runs its tiles in
+    ``_in_lanes``: each lane reuses one column buffer and one leaky ReLU
     scratch, sized for tiles of ``_TILE // _LANES`` elements (but one
     plane), and each tile writes only its own slices of the output and the
     mask, so the bytes do not depend on the lane that ran it or on the
     lane count.  The node keeps its output, the input and a ``bool`` mask
     of pre-activation >= 0; no columns and no pre-activation.  The
-    backward pass multiplies the gradient by 1 or slope through the mask,
-    then ``_conv_grads`` refills each ``_TILE``-sized tile from the input,
+    backward pass multiplies the gradient by 1 or LEAKY_SLOPE through the
+    mask, then ``_conv_grads`` refills each ``_TILE``-sized tile from the input,
     adds the tile's weight gradient, and scatters the tile's input gradient
     back through the same clipped windows.
     """
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"conv3d slope must lie in (0, 1), got {slope}")
     (do, ho, wo), rows, fill, scatter = _im2col(x, weight, stride, padding)
     n, cout, plane = x.shape[0], weight.shape[0], ho * wo
     spans = _spans(n, do, max(1, _TILE // _LANES // (rows * plane)))
     wm = weight.data.reshape(cout, -1)
     parents = (x, weight, bias)
     out = np.empty((n, cout, do * plane), np.result_type(wm, x.data))
-    kk = out.dtype.type(slope)
+    kk = out.dtype.type(LEAKY_SLOPE)
     mask = np.empty(out.shape, bool) if _records(parents) else None
     width = (spans[0][2] - spans[0][1]) * plane
 
@@ -516,10 +514,9 @@ class Conv3d(Module):
         self.weight = conv_weight(rng, in_channels, out_channels, dtype)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
-    def forward(self, x: Tensor, slope: float) -> Tensor:
-        """leaky_relu(conv(x) + bias, slope), as one conv3d node."""
-        return conv3d(x, self.weight, self.bias, stride=self.stride, padding=CONV_PADDING,
-                      slope=slope)
+    def forward(self, x: Tensor) -> Tensor:
+        """leaky_relu(conv(x) + bias), as one conv3d node."""
+        return conv3d(x, self.weight, self.bias, stride=self.stride, padding=CONV_PADDING)
 
 
 # ---------------------------------------------------------------------------
@@ -888,29 +885,27 @@ class LayerNorm(Module):
 # ---------------------------------------------------------------------------
 # dropout
 
-def dropout3d(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Zero whole channels with probability p; survivors scale by 1/(1-p).
+def dropout3d(x: Tensor, training: bool, rng: np.random.Generator) -> Tensor:
+    """Zero whole channels with probability DROPOUT; survivors scale by
+    1/(1-DROPOUT).
 
     Inverted convention: eval mode is the identity.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if not training:
         return x
     n, c = x.shape[:2]
-    keep = (rng.random((n, c)) >= p).astype(x.dtype) / x.dtype.type(1.0 - p)
+    keep = (rng.random((n, c)) >= DROPOUT).astype(x.dtype) / x.dtype.type(1.0 - DROPOUT)
     mask = keep.reshape((n, c) + (1,) * (x.ndim - 2))
     return mul(x, Tensor(mask))
 
 
 class Dropout3d(Module):
-    def __init__(self, p: float, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
-        self.p = p
         self.rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
-        return dropout3d(x, self.p, self.training, self.rng)
+        return dropout3d(x, self.training, self.rng)
 
 
 # ---------------------------------------------------------------------------
@@ -965,13 +960,13 @@ class Mlp(Module):
 class EncoderBlock(Module):
     """Pre-norm transformer block: attention and MLP sublayers with residuals."""
 
-    def __init__(self, embed_dim: int, num_heads: int, mlp_ratio: int = 4, *,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, embed_dim: int, num_heads: int, *, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
         self.norm1 = LayerNorm(embed_dim, dtype=dtype)
         self.attn = MultiHeadAttention(embed_dim, num_heads, rng=rng, dtype=dtype)
         self.norm2 = LayerNorm(embed_dim, dtype=dtype)
-        self.mlp = Mlp(embed_dim, embed_dim * mlp_ratio, rng=rng, dtype=dtype)
+        self.mlp = Mlp(embed_dim, embed_dim * MLP_RATIO, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         x = add(x, self.attn(self.norm1(x)))
@@ -981,12 +976,12 @@ class EncoderBlock(Module):
 class TransformerEncoder(Module):
     """Stack of pre-norm blocks followed by a final LayerNorm; depth 0 is norm only."""
 
-    def __init__(self, embed_dim: int, num_heads: int, depth: int, mlp_ratio: int = 4, *,
+    def __init__(self, embed_dim: int, num_heads: int, depth: int, *,
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        self.blocks = [EncoderBlock(embed_dim, num_heads, mlp_ratio, rng=rng, dtype=dtype)
+        self.blocks = [EncoderBlock(embed_dim, num_heads, rng=rng, dtype=dtype)
                        for _ in range(depth)]
         self.norm = LayerNorm(embed_dim, dtype=dtype)
 

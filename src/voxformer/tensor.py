@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special as _special
 
 MAX_NDIM = 5
+LEAKY_SLOPE = 0.2       # every model's LeakyReLU: max(x, LEAKY_SLOPE * x)
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
@@ -297,11 +298,9 @@ def _unary(a: Tensor, op: str, out: np.ndarray, grad_local) -> Tensor:
     return _node(out, (a,), backward, op)
 
 
-def leaky_relu(a: Tensor, k: float = 0.2) -> Tensor:
-    """max(k*x, x).  Subgradient at x == 0 is 1 (the x-branch)."""
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"leaky_relu slope must lie in (0, 1), got {k}")
-    one, kk = a.dtype.type(1), a.dtype.type(k)
+def leaky_relu(a: Tensor) -> Tensor:
+    """max(LEAKY_SLOPE*x, x).  Subgradient at x == 0 is 1 (the x-branch)."""
+    one, kk = a.dtype.type(1), a.dtype.type(LEAKY_SLOPE)
     out = a.data * kk
     return _unary(a, "leaky_relu", np.maximum(a.data, out, out=out),
                   lambda g: g * np.where(a.data >= 0, one, kk))

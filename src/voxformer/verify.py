@@ -67,7 +67,7 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
     run("mul_broadcast", lambda x, y: (x * y).sum(), lambda r: [_t(r, 2, 3, 4), _t(r, 1, 3, 1)])
     run("div", lambda x, y: (x / y).sum(),
         lambda r: [_t(r, 3, 4), _away_from_zero(r, 3, 4, margin=0.5)])
-    run("leaky_relu", lambda x: T.leaky_relu(x, 0.2).sum(), lambda r: [_away_from_zero(r, 4, 5)],
+    run("leaky_relu", lambda x: T.leaky_relu(x).sum(), lambda r: [_away_from_zero(r, 4, 5)],
         tol=1e-6)
     run("gelu", lambda x: T.gelu(x).sum(), lambda r: [_t(r, 4, 5)])
     run("matmul", lambda x, y: T.matmul(x, y).sum(), lambda r: [_t(r, 4, 5), _t(r, 5, 3)],
@@ -113,7 +113,7 @@ def operator_gradchecks(tol: float = 1e-4) -> list[tuple[str, object]]:
 
     def dropout_frozen(x):
         # identical mask every evaluation: the rng is re-seeded inside the closure
-        return (nn.dropout3d(x, 0.4, True, np.random.default_rng(11)) * 2.0).sum()
+        return (nn.dropout3d(x, True, np.random.default_rng(11)) * 2.0).sum()
 
     run("dropout3d_frozen_mask", dropout_frozen, lambda r: [_t(r, 1, 6, 2, 2, 2)])
     run("vvit_patchify", lambda x: (M.vvit_patchify(x, 2) * 2.0).sum(),
@@ -135,8 +135,8 @@ def _conv3d_tiles_check(tol: float):
     params = [("x_stride1", x1), ("x_stride2", x2), ("weight", w), ("bias", b)]
 
     def loss():
-        return ((nn.conv3d(x1, w, b, stride=1, padding=1, slope=0.2) * p1).sum()
-                + (nn.conv3d(x2, w, b, stride=2, padding=1, slope=0.2) * p2).sum())
+        return ((nn.conv3d(x1, w, b, stride=1, padding=1) * p1).sum()
+                + (nn.conv3d(x2, w, b, stride=2, padding=1) * p2).sum())
 
     saved, nn._TILE = nn._TILE, 700
     try:
@@ -146,15 +146,15 @@ def _conv3d_tiles_check(tol: float):
         nn._TILE = saved
 
 
-def _conv_norm_pool_check(layer_type, tol: float, seed: int = 21):
+def _conv_norm_pool_check(layer_type, tol: float):
     """Check of the conv-norm-pool node through ``layer_type(3)`` in
     training, a 1 -> 3 channel conv and a (3, 2) pool, over x, the conv
     weight, gamma and beta, at batch 2 and on extents that stride 2 does not
     divide.  The tile budget is cut to three conv output planes: three
     tiles per sample, overlapping by one plane, and one plane per backward
     tile.  The central difference's error falls as eps^2 here, so the step
-    is 1e-5."""
-    rng = np.random.default_rng(seed)
+    is 1e-5.  Inputs come from seed 21."""
+    rng = np.random.default_rng(21)
     layer = layer_type(3, dtype=np.float64)
     x, w = _t(rng, 2, 1, 7, 4, 5), _t(rng, 3, 1, 3, 3, 3, scale=0.3)
     gamma, beta = _t(rng, 3), _t(rng, 3)

@@ -82,11 +82,30 @@ def test_batch_zero_exits_2_before_any_output(dataset, tmp_path, capsys, command
     assert not out.exists()
 
 
+def _edit_split(text, **sides):
+    """The split text with each side given as ``name=edit`` replaced by
+    ``edit(split)``."""
+    split = json.loads(text)
+    split.update({f"{name}_subjects": edit(split) for name, edit in sides.items()})
+    return json.dumps(split)
+
+
+def _shared_subject(split):
+    """The test side plus the first train subject."""
+    return split["test_subjects"] + split["train_subjects"][:1]
+
+
 _SPLIT_FAULTS = {       # fault: (what the message names, edit of the split text or None)
     "missing": ("run `voxformer split` first", lambda text: None),
     "no_train_subjects": ("'train_subjects'",
                           lambda text: text.replace('"train_subjects"', '"trains"')),
     "not_json": ("", lambda text: text[:len(text) // 2]),
+    "text_side": ("'train_subjects'", lambda text: _edit_split(
+        text, train=lambda split: split["train_subjects"][0])),
+    "int_side": ("'train_subjects'", lambda text: _edit_split(text, train=lambda split: [2, 3])),
+    "null_val_side": ("'val_subjects'", lambda text: _edit_split(text, val=lambda split: None)),
+    "shared_subject": ("more than one split side",
+                       lambda text: _edit_split(text, test=_shared_subject)),
 }
 
 
@@ -123,6 +142,21 @@ def test_malformed_split_exits_3_with_one_line(dataset, tmp_path, capsys, comman
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(split_path) in err[0] and named in err[0]
     assert not out.exists()         # no metrics.jsonl, checkpoint or grid.jsonl
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "grid"])
+def test_split_sharing_a_subject_names_it(dataset, tmp_path, capsys, command):
+    """A subject on the train and the test side: one line naming the split
+    file and the subject, before any output."""
+    subject = D.read_split(dataset / D.SPLIT_NAME).train_subjects[0]
+    split_path = _split_edited(dataset, "shared_subject")
+    argv = _split_reader_argv(command, dataset, tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data error: {split_path}: subject(s) in more than one split side: "
+                   f"[{subject!r}]"], err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_batch_zero_exits_2_before_reading_a_volume(dataset, tmp_path, capsys,
@@ -602,6 +636,18 @@ def _empty_manifest(data):
     return data / D.MANIFEST_NAME
 
 
+def _non_finite_voxel(data, side, value):
+    """Set one voxel of the first selected scan of a split side to
+    ``value``; returns its file."""
+    sides = D.split_records(D.read_manifest(data / D.MANIFEST_NAME),
+                            D.read_split(data / D.SPLIT_NAME))
+    path = data / sides[side == "test"][0].path
+    vol = D.read_volume(path)
+    vol[1, 2, 3] = value
+    D.write_volume(path, vol)
+    return path
+
+
 # fault: (edit of the dataset that returns the file the error must name,
 # argv built from (dataset, tmp_path))
 _SELECTION_FAULTS = {
@@ -615,6 +661,14 @@ _SELECTION_FAULTS = {
                         lambda d, t: _eval_argv(d, t / "m.ckpt", "--subset", "all")),
     "eval_empty_subset": (lambda d: _empty_side(d, "test"),
                           lambda d, t: _eval_argv(d, t / "m.ckpt", "--subset", "test")),
+    "inf_train_voxel": (lambda d: _non_finite_voxel(d, "train", np.inf),
+                        lambda d, t: _run_argv("train", d, t / "run")),
+    "nan_test_voxel": (lambda d: _non_finite_voxel(d, "test", np.nan),
+                       lambda d, t: _run_argv("train", d, t / "run")),
+    "eval_nan_voxel": (lambda d: _non_finite_voxel(d, "test", np.nan),
+                       lambda d, t: _eval_argv(d, t / "m.ckpt", "--subset", "all")),
+    "grid_inf_voxel": (lambda d: _non_finite_voxel(d, "train", -np.inf),
+                       lambda d, t: _run_argv("grid", d, t / "grid", "--limit", "1")),
 }
 
 
@@ -637,6 +691,21 @@ def _split_with_bad_row(data, fault):
     rows[1].update(_MANIFEST_ROW_FAULTS[fault][0])
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     return ["split", "--data", str(data), "--test-per-class", "2"]
+
+
+def _split_reader_argv(command, data, tmp):
+    """argv of a command that reads the split: ``train``, a one-run
+    ``grid``, or ``eval`` of the test side."""
+    if command == "eval":
+        return _eval_argv(data, tmp / "m.ckpt", "--subset", "test")
+    return _run_argv(command, data, tmp / "run", *(("--limit", "1") if command == "grid" else ()))
+
+
+def _split_edited(data, fault):
+    """Apply a ``_SPLIT_FAULTS`` edit to the split file; returns the file."""
+    path = data / D.SPLIT_NAME
+    path.write_text(_SPLIT_FAULTS[fault][1](path.read_text()))
+    return path
 
 
 def _selection_argv(fault):
@@ -674,6 +743,8 @@ _EXIT_TABLE = {
     "train-DataError-no-train-scan": (D.DataError, 3, _selection_argv("no_train_scan")),
     "train-DataError-extents-empty-manifest": (D.DataError, 3,
                                                _selection_argv("empty_manifest")),
+    "train-DataError-inf-train-voxel": (D.DataError, 3, _selection_argv("inf_train_voxel")),
+    "train-DataError-nan-test-voxel": (D.DataError, 3, _selection_argv("nan_test_voxel")),
     "train-OptimizerError": (OptimizerError, 5, lambda d, t, m: _run_argv(
         "train", d, t / "run", "--lr", "1e30", "--seed", "0")),
     "eval-ConfigError": (cli.ConfigError, 2, lambda d, t, m: _eval_argv(
@@ -686,6 +757,7 @@ _EXIT_TABLE = {
         "eval", "--ckpt", str(_a_file(t)), "--data", str(d)]),
     "eval-DataError-odd-volume": (D.DataError, 3, _selection_argv("eval_odd_volume")),
     "eval-DataError-empty-subset": (D.DataError, 3, _selection_argv("eval_empty_subset")),
+    "eval-DataError-nan-voxel": (D.DataError, 3, _selection_argv("eval_nan_voxel")),
     "eval-OSError": (OSError, 3, lambda d, t, m: [
         "eval", "--ckpt", str(t / "none.ckpt"), "--data", str(d)]),
     "verify-failed": (None, 4, lambda d, t, m: _failing_suite(m)),
@@ -698,6 +770,7 @@ _EXIT_TABLE = {
     "grid-VolumeFormatError": (D.VolumeFormatError, 3, lambda d, t, m: _run_argv(
         "grid", _truncate_a_volume(d) or d, t / "grid", "--limit", "1")),
     "grid-OSError": (OSError, 3, lambda d, t, m: _run_argv("grid", d, _a_file(t) / "grid")),
+    "grid-DataError-inf-voxel": (D.DataError, 3, _selection_argv("grid_inf_voxel")),
 }
 
 # case: (raised class, subcommand, flags after _run_argv's, the parameter its
@@ -767,6 +840,11 @@ _EXIT_TABLE.update({case: (cli.ConfigError, 2, make_argv)
 _EXIT_TABLE.update({f"split-DataError-{fault}": (D.DataError, 3, lambda d, t, m, f=fault:
                                                    _split_with_bad_row(d, f))
                     for fault in _MANIFEST_ROW_FAULTS})
+
+# a split that puts a subject on two sides, under train, grid and eval of the test side
+_EXIT_TABLE.update({f"{command}-DataError-shared-subject": (
+    D.DataError, 3, lambda d, t, m, c=command: _split_edited(d, "shared_subject")
+    and _split_reader_argv(c, d, t)) for command in ("train", "grid", "eval")})
 
 _EXIT_TABLE["synth-DataError-extents-above-vox1-limit"] = (D.DataError, 3, lambda d, t, m: [
     "synth", "--out", str(t / "s"), "--extents", "1700"])

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import threading
 import tracemalloc
 from collections import Counter
@@ -409,6 +410,23 @@ def test_train_statistics_depend_only_on_train_side(tmp_path):
     assert ds.stats == ds2.stats
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_volumes_names_a_non_finite_voxel(tmp_path, value):
+    """A NaN or infinite voxel in any selected scan is a ``DataError``
+    naming that scan's file and the voxel, not a statistic or a score."""
+    records = [D.VolumeRecord(f"sub-{i}", "ses-1", "AD", f"v{i}.vox") for i in range(3)]
+    for i, r in enumerate(records):
+        vol = np.full((4, 5, 6), float(i), np.float32)
+        if i == 2:
+            vol[3, 0, 5] = value
+        D.write_volume(tmp_path / r.path, vol)
+    assert D.load_volumes(tmp_path, records[:2], "x").shape == (2, 4, 5, 6)
+    with pytest.raises(D.DataError) as err:
+        D.load_volumes(tmp_path, records, "x")
+    assert str(err.value) == (f"{tmp_path / 'v2.vox'}: voxel (3, 0, 5) is {np.float32(value)}, "
+                              f"expected a finite value")
+
+
 def test_load_dataset_peak_is_near_what_it_returns(tmp_path):
     """Volumes are read into one array each and normalized in place: no
     float64 or whole-set temporaries beyond the stack and one std pass."""
@@ -520,3 +538,75 @@ def test_every_definition_is_named_somewhere_else():
     others = [m.read_text() for d in ("tests", "perfbench") for m in sorted((root / d).glob("*.py"))]
     assert len(package) > 5 and len(others) > 5
     assert _unnamed_definitions(package, others) == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callee names, function, name, position) for each defaulted parameter
+    of the module's functions and methods.  A method's position skips
+    ``self``; ``__init__`` is called by its class's name, and by each
+    subclass's.  Keyword-only parameters have no position."""
+    bases = {c.name: {getattr(b, "id", getattr(b, "attr", None)) for b in c.bases}
+             for c in tree.body if isinstance(c, ast.ClassDef)}
+
+    def subclasses(name):
+        return {name}.union(*(subclasses(c) for c, b in bases.items() if name in b))
+
+    owners = [(None, f) for f in tree.body] + [
+        (c.name, f) for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body]
+    for owner, f in owners:
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        label = owner if f.name == "__init__" else f.name
+        names = subclasses(owner) if f.name == "__init__" else {f.name}
+        static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        positional = f.args.posonlyargs + f.args.args
+        first = len(positional) - len(f.args.defaults)
+        for i, arg in enumerate(positional[first:], first - (owner is not None and not static)):
+            yield names, label, arg.arg, i
+        for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield names, label, arg.arg, None
+
+
+def _unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """``function(parameter)`` for each defaulted parameter of the
+    ``defining`` sources that no call in any source passes, by position or
+    by keyword.  A call with ``*args`` passes every positional parameter,
+    one with ``**kwargs`` every keyword."""
+    trees = [ast.parse(source) for source in defining]
+    most, keywords = Counter(), {}       # callee name: most positional arguments, keywords
+    for t in trees + [ast.parse(s) for s in calling]:
+        for call in (n for n in ast.walk(t) if isinstance(n, ast.Call)):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            most[name] = max(most[name], math.inf if starred else len(call.args))
+            # a keyword's arg is None for **kwargs
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unpassed = []
+    for tree in trees:
+        for names, label, arg, position in _defaulted_parameters(tree):
+            if not any(keywords.get(n, set()) & {arg, None}
+                       or (position is not None and most[n] > position) for n in names):
+                unpassed.append(f"{label}({arg})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no caller overrides is a constant: each defaulted
+    parameter of the package is passed, by position or keyword, at some
+    call in the package, the tests or the benchmark."""
+    assert _unpassed_defaults(
+        ["def f(a, b=1, *, c=2, d=3):\n    pass\n"
+         "def g(a=1):\n    pass\n"
+         "class B:\n    def __init__(self, x=0):\n        pass\n"
+         "    def m(self, y=0):\n        pass\n"
+         "    @staticmethod\n    def s(z=0):\n        pass\n"
+         "class C(B):\n    pass\n"
+         "class D:\n    def __init__(self, w=0):\n        pass\n"],
+        ["f(0, 1, d=4)\ng(*args)\nC(1)\nobj.m()\nB.s(z=1)\n"]) == ["f(c)", "m(y)", "D(w)"]
+    root = Path(D.__file__).parents[2]
+    package = [m.read_text() for m in sorted(Path(D.__file__).parent.glob("*.py"))]
+    others = [m.read_text() for d in ("tests", "perfbench") for m in sorted((root / d).glob("*.py"))]
+    assert len(package) > 5 and len(others) > 5
+    assert _unpassed_defaults(package, others) == []

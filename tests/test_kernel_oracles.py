@@ -51,8 +51,8 @@ from voxformer import nn
 from voxformer import train as TR
 from voxformer.gradcheck import gradcheck
 from voxformer.optim import TrainConfig
-from voxformer.tensor import (AutodiffError, ShapeError, Tensor, _node, _unary, add, div,
-                              leaky_relu, mul, no_grad, reshape, sub, tmean)
+from voxformer.tensor import (LEAKY_SLOPE, AutodiffError, ShapeError, Tensor, _node, _unary,
+                              add, div, leaky_relu, mul, no_grad, reshape, sub, tmean)
 from voxformer.verify import delta_weight
 
 
@@ -289,15 +289,15 @@ def oracle_norm_pool(layer, y: Tensor, k: int, s: int) -> Tensor:
 # tiled conv3d against whole-matrix im2col
 
 def _fused_both(x, w, b, stride, padding):
-    """Every output of leaky_relu(oracle_conv3d(...), 0.2) and of the fused
-    conv3d(..., slope=0.2): y and the x, weight and bias gradients."""
+    """Every output of leaky_relu(oracle_conv3d(...)) and of the fused
+    conv3d(...): y and the x, weight and bias gradients."""
     results = []
     for fused in (False, True):
         xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
         if fused:
-            out = nn.conv3d(xt, wt, bt, stride=stride, padding=padding, slope=0.2)
+            out = nn.conv3d(xt, wt, bt, stride=stride, padding=padding)
         else:
-            out = leaky_relu(oracle_conv3d(xt, wt, bt, stride=stride, padding=padding), 0.2)
+            out = leaky_relu(oracle_conv3d(xt, wt, bt, stride=stride, padding=padding))
         g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
         (out * Tensor(g)).sum().backward()
         results.append([out.data, xt.grad, wt.grad, bt.grad])
@@ -345,7 +345,7 @@ def test_no_grad_conv3d_peak_is_below_its_column_matrix():
     tracemalloc.start()
     try:
         with no_grad():
-            out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1, slope=0.2)
+            out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -355,7 +355,7 @@ def test_no_grad_conv3d_peak_is_below_its_column_matrix():
 
 def test_no_grad_padded_conv3d_peak_is_its_output_and_tiles(monkeypatch):
     """No padded copy of the input: with padding 1, a no-grad conv allocates
-    its output, its column tile and the slope's output tile, and less than
+    its output, its column tile and the leaky ReLU's output tile, and less than
     a quarter of the input beside (the padded input is 1.3x the input)."""
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 4, 64, 16, 16)).astype(np.float32)
@@ -367,7 +367,7 @@ def test_no_grad_padded_conv3d_peak_is_its_output_and_tiles(monkeypatch):
     tracemalloc.start()
     try:
         with no_grad():
-            out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1, slope=0.2)
+            out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -396,7 +396,7 @@ def test_recorded_conv3d_node_holds_no_column_sized_array(monkeypatch):
     x = Tensor(rng.standard_normal((2, 8, 9, 10, 11)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 8, 3, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    out = nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
+    out = nn.conv3d(x, w, b, stride=1, padding=1)
     cols = _column_bytes(x.data, w.data, 1, 1)
     largest = max((a.nbytes for a in _reachable_arrays(out._backward_fn)), default=0)
     assert 0 < largest < cols / 8, (largest, cols)
@@ -404,21 +404,42 @@ def test_recorded_conv3d_node_holds_no_column_sized_array(monkeypatch):
 
 def test_recorded_fused_conv3d_node_holds_output_mask_and_input(monkeypatch):
     """The node keeps y (its data), x (a parent) and a bool mask of
-    pre-activation >= 0, which is where y >= 0: no float array the size of
-    the pre-activation or of the padded input."""
+    pre-activation >= 0: no float array the size of the pre-activation or
+    of the padded input.  The mask is checked against the oracle's
+    pre-activation, not against y >= 0, which differs where the
+    pre-activation underflows (see the test below)."""
     monkeypatch.setattr(nn, "_TILE", 4096)
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((2, 8, 9, 10, 11)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 8, 3, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    out = nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
+    out = nn.conv3d(x, w, b, stride=1, padding=1)
     assert out._parents == (x, w, b)
     arrays = _reachable_arrays(out._backward_fn)
     masks = [a for a in arrays if a.dtype == bool]
     floats = [a for a in arrays if a.dtype.kind == "f"]
-    assert len(masks) == 1 and np.array_equal(masks[0].reshape(out.shape), out.data >= 0)
+    with no_grad():
+        pre = oracle_conv3d(Tensor(x.data), Tensor(w.data), Tensor(b.data), 1, 1).data
+    assert len(masks) == 1 and np.array_equal(masks[0].reshape(out.shape), pre >= 0)
     padded = x.shape[0] * x.shape[1] * math.prod(e + 2 for e in x.shape[2:])
     assert floats and max(a.size for a in floats) < min(out.size, padded)
+
+
+def test_conv3d_mask_is_not_read_from_an_underflowing_output():
+    """A float32 pre-activation of -1.4e-45 (the one nonzero product) is
+    below 0, so its gradient factor is LEAKY_SLOPE; but LEAKY_SLOPE times it
+    underflows to -0.0, so y there is -0.0 and y >= 0 holds.  The mask
+    cannot be read back from y."""
+    x = np.zeros((1, 1, 3, 3, 3), np.float32)
+    x[0, 0, 1, 1, 1] = -np.float32(1.4e-45)
+    xt = Tensor(x, requires_grad=True)
+    out = nn.conv3d(xt, delta_weight(1), Tensor(np.zeros(1, np.float32)), stride=1, padding=1)
+    y = out.data[0, 0, 1, 1, 1]
+    assert y == 0 and np.signbit(y) and (out.data >= 0).all()
+    (out * 9.0).sum().backward()
+    want = np.full(x.shape, 9.0, np.float32)
+    want[0, 0, 1, 1, 1] = np.float32(9.0) * np.float32(LEAKY_SLOPE)      # 1.8000001
+    assert xt.grad.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("extents", [(15, 6, 7), (16, 7, 6)])
@@ -428,7 +449,7 @@ def test_recorded_fused_conv3d_node_holds_output_mask_and_input(monkeypatch):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_fused_conv3d_leaky_relu_matches_composite(extents, stride, padding, batch, dtype,
                                                    monkeypatch):
-    """conv3d(..., slope) matches the whole-matrix oracle under leaky_relu
+    """conv3d(...) matches the whole-matrix oracle under leaky_relu
     to rounding, forward and gradients (a GEMM's bits depend on how its
     columns are split, and the weight gradient sums tile by tile).  Odd
     extents make a stride-2 last window end in the padding, even ones
@@ -463,13 +484,13 @@ two_lanes = pytest.mark.skipif(nn._lanes() < 2, reason="two lanes need OpenBLAS'
                                                        "setter and two usable cores")
 
 
-def _lane_conv(x, w, b, stride, padding, slope, record, lanes, monkeypatch):
+def _lane_conv(x, w, b, stride, padding, record, lanes, monkeypatch):
     """conv3d in ``lanes`` lanes: the bytes of its output, its mask and,
     when ``record``, the input, weight and bias gradients."""
     monkeypatch.setattr(nn, "_lanes", lambda: lanes)
     xt, wt, bt = (Tensor(a.copy(), requires_grad=record) for a in (x, w, b))
     with contextlib.nullcontext() if record else no_grad():
-        out = nn.conv3d(xt, wt, bt, stride=stride, padding=padding, slope=slope)
+        out = nn.conv3d(xt, wt, bt, stride=stride, padding=padding)
     got = [out.data]
     if record:
         got += [a for a in _reachable_arrays(out._backward_fn) if a.dtype == bool]
@@ -482,11 +503,11 @@ def _lane_conv(x, w, b, stride, padding, slope, record, lanes, monkeypatch):
 @two_lanes
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch", [1, 2])
-@pytest.mark.parametrize("slope, padding", [(0.2, 1), (0.2, 0)], ids=["0.2", "0.2-unpadded"])
+@pytest.mark.parametrize("padding", [1, 0], ids=["0.2", "0.2-unpadded"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("cin", [1, 3])
 @pytest.mark.parametrize("record", [False, True], ids=["no_grad", "recorded"])
-def test_conv3d_bytes_do_not_depend_on_the_lane_count(record, cin, stride, slope, padding, batch,
+def test_conv3d_bytes_do_not_depend_on_the_lane_count(record, cin, stride, padding, batch,
                                                       dtype, monkeypatch):
     """One lane and two give the same bytes: output, mask and every
     gradient, with and without padding.  Each sample's 9 output planes
@@ -507,8 +528,8 @@ def test_conv3d_bytes_do_not_depend_on_the_lane_count(record, cin, stride, slope
         ran.append((len(made), len(spans)))
 
     monkeypatch.setattr(nn, "_in_lanes", spy)
-    one = _lane_conv(x, w, b, stride, padding, slope, record, 1, monkeypatch)
-    two = _lane_conv(x, w, b, stride, padding, slope, record, 2, monkeypatch)
+    one = _lane_conv(x, w, b, stride, padding, record, 1, monkeypatch)
+    two = _lane_conv(x, w, b, stride, padding, record, 2, monkeypatch)
     assert ran == [(1, 3 * batch), (2, 3 * batch)]
     assert len(one) == 1 + 4 * record
     assert one == two
@@ -557,12 +578,12 @@ def test_conv3d_lanes_pin_blas_and_leave_no_thread(monkeypatch):
     monkeypatch.setattr(nn, "_im2col", spied_im2col)
     with _blas_threads_set_to(2):
         threads = threading.active_count()
-        nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
+        nn.conv3d(x, w, b, stride=1, padding=1)
         assert len(counts) == 12 and set(counts) == {1}
         assert get() == 2 and threading.active_count() == threads
         failing.append(True)
         with pytest.raises(RuntimeError) as info:
-            nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
+            nn.conv3d(x, w, b, stride=1, padding=1)
         assert info.value is boom and raised.is_set()
         assert get() == 2 and threading.active_count() == threads
 
@@ -584,7 +605,7 @@ def test_blas_at_one_thread_runs_one_lane(tmp_path, monkeypatch):
     def run(name):
         D.synth_generate(tmp_path / name, cfg)
         files = [f.read_bytes() for f in sorted((tmp_path / name).iterdir())]
-        return nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2).data.tobytes(), files
+        return nn.conv3d(x, w, b, stride=1, padding=1).data.tobytes(), files
 
     with _blas_threads_set_to(2):
         two = run("two")
@@ -597,8 +618,7 @@ def test_blas_at_one_thread_runs_one_lane(tmp_path, monkeypatch):
 
 
 def _conv_in_child(conn, x, w, b):
-    conn.send_bytes(nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1,
-                              slope=0.2).data.tobytes())
+    conn.send_bytes(nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).data.tobytes())
     conn.close()
 
 
@@ -612,8 +632,7 @@ def test_forked_child_runs_conv3d_after_two_lanes(monkeypatch):
     w = rng.standard_normal((4, 1, 3, 3, 3)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
     monkeypatch.setattr(nn, "_TILE", 2 * 2 * 27 * 100)      # two planes per span
-    parent = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1,
-                       slope=0.2).data.tobytes()
+    parent = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).data.tobytes()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_conv_in_child, args=(send, x, w, b))
@@ -1062,7 +1081,7 @@ def test_block4_backward_peak_is_weight_gradient_and_one_tile(fused):
         out = nn.InstanceNorm3d(512)(x, w, (3, 2))
     else:
         b = Tensor(np.zeros(512, np.float32))
-        out = nn.conv3d(x, w, b, stride=1, padding=1, slope=0.2)
+        out = nn.conv3d(x, w, b, stride=1, padding=1)
     loss = (out * Tensor(rng.standard_normal(out.shape).astype(np.float32))).sum()
     tile = 256 * 27 * 27 * 4                    # Cin*27 rows by 3^3 output positions
     tracemalloc.start()
@@ -1167,7 +1186,7 @@ def _oracle_block_forward(self, x):
     the conv, then the norm-and-max-pool node."""
     y = oracle_conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
     h = oracle_norm_pool(self.norm, y, M.CONVNET_POOL_KERNEL, self.pool_stride)
-    return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
+    return self.drop(leaky_relu(h))
 
 
 def _unfused_block_forward(self, x):
@@ -1177,7 +1196,7 @@ def _unfused_block_forward(self, x):
     y = oracle_conv3d(x, self.conv.weight, padding=nn.CONV_PADDING)
     y = oracle_norm(y, self.norm.gamma, self.norm.beta, axes, 1)
     h = oracle_maxpool3d(y, M.CONVNET_POOL_KERNEL, self.pool_stride)
-    return self.drop(leaky_relu(h, M.CONVNET_SLOPE))
+    return self.drop(leaky_relu(h))
 
 
 @pytest.mark.slow
@@ -1279,7 +1298,7 @@ def oracle_trunc_normal(rng, shape, std=0.02, dtype=np.float32):
 
 
 def oracle_kaiming_normal(rng, shape, fan_in, dtype=np.float32):
-    gain = math.sqrt(2.0 / (1.0 + nn.INIT_SLOPE * nn.INIT_SLOPE))
+    gain = math.sqrt(2.0 / (1.0 + LEAKY_SLOPE * LEAKY_SLOPE))
     std = gain / math.sqrt(fan_in)
     return (rng.standard_normal(size=shape) * std).astype(dtype)
 

@@ -82,11 +82,11 @@ def test_patchify_gradient_routes_back():
 # configs and shape inference
 
 def test_vit_sizes_match_reported_table():
-    assert (M.VIT_SIZES["tiny"].embed_dim, M.VIT_SIZES["tiny"].num_heads) == (192, 3)
-    assert (M.VIT_SIZES["small"].embed_dim, M.VIT_SIZES["small"].num_heads) == (384, 6)
-    assert (M.VIT_SIZES["base"].embed_dim, M.VIT_SIZES["base"].num_heads) == (768, 12)
-    for s in M.VIT_SIZES.values():
-        assert s.depth == 12 and s.mlp_ratio == 4 and s.embed_dim % s.num_heads == 0
+    assert M.VIT_SIZES["tiny"] == (192, 3)
+    assert M.VIT_SIZES["small"] == (384, 6)
+    assert M.VIT_SIZES["base"] == (768, 12)
+    for embed_dim, num_heads in M.VIT_SIZES.values():
+        assert M.VIT_DEPTH == 12 and nn.MLP_RATIO == 4 and embed_dim % num_heads == 0
 
 
 def test_shape_infer_vvit_full_size():
@@ -258,7 +258,7 @@ def test_cvvt_sizes_instantiate_with_table_heads(size, heads):
     model = M.build_model(cfg, seed=0)
     attn = model.core.encoder.blocks[0].attn
     assert attn.num_heads == heads
-    assert attn.embed_dim == M.VIT_SIZES[size].embed_dim
+    assert attn.embed_dim == M.VIT_SIZES[size][0]
 
 
 def test_forward_output_shapes():

@@ -44,14 +44,14 @@ def naive_conv3d(x, w, b, stride, padding):
 def test_conv3d_padding_preserves_extent():
     x = randt((1, 1, 8, 8, 8), dtype=np.float32)
     w = randt((4, 1, 3, 3, 3), seed=1, dtype=np.float32, scale=0.2)
-    out = nn.conv3d(x, w, randt((4,), seed=2, dtype=np.float32), 1, 1, 0.2)
+    out = nn.conv3d(x, w, randt((4,), seed=2, dtype=np.float32), 1, 1)
     assert out.shape == (1, 4, 8, 8, 8)
 
 
 def test_conv3d_all_ones_center_is_27():
     x = Tensor(np.ones((1, 1, 3, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3, 3)))
-    out = nn.conv3d(x, w, Tensor(np.zeros(1)), 1, 1, 0.2)
+    out = nn.conv3d(x, w, Tensor(np.zeros(1)), 1, 1)
     assert out.data[0, 0, 1, 1, 1] == 27.0
     assert out.data[0, 0, 0, 0, 0] == 8.0  # corner sees a 2x2x2 support
 
@@ -62,8 +62,8 @@ def test_conv3d_matches_direct_summation(stride, padding):
     x = rng.standard_normal((2, 3, 6, 5, 6))
     w = rng.standard_normal((4, 3, 3, 3, 3))
     b = rng.standard_normal(4)
-    got = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, slope=0.2)
-    want = leaky_relu(Tensor(naive_conv3d(x, w, b, stride, padding)), 0.2).data
+    got = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+    want = leaky_relu(Tensor(naive_conv3d(x, w, b, stride, padding))).data
     np.testing.assert_allclose(got.data, want, rtol=1e-10)
 
 
@@ -71,33 +71,26 @@ def test_conv3d_weight_gradient_finite_difference():
     x = randt((1, 2, 5, 5, 5), seed=2, requires_grad=True)
     w = randt((3, 2, 3, 3, 3), seed=3, scale=0.3, requires_grad=True)
     b = randt((3,), seed=4, scale=0.1, requires_grad=True)
-    report = gradcheck(lambda xx, ww, bb: nn.conv3d(xx, ww, bb, 1, 1, 0.2).sum(),
+    report = gradcheck(lambda xx, ww, bb: nn.conv3d(xx, ww, bb, 1, 1).sum(),
                        [x, w, b], tol=1e-4)
     assert report.passed, report
 
 
 def test_conv3d_channel_mismatch():
     with pytest.raises(ShapeError):
-        nn.conv3d(randt((1, 2, 4, 4, 4)), randt((3, 5, 3, 3, 3)), randt((3,)), 1, 0, 0.2)
-
-
-@pytest.mark.parametrize("slope", [0.0, 1.0, -0.2])
-def test_conv3d_slope_domain(slope):
-    with pytest.raises(ValueError, match="slope"):
-        nn.conv3d(Tensor(np.ones((1, 1, 3, 3, 3))), Tensor(np.ones((1, 1, 3, 3, 3))),
-                  Tensor(np.zeros(1)), 1, 0, slope)
+        nn.conv3d(randt((1, 2, 4, 4, 4)), randt((3, 5, 3, 3, 3)), randt((3,)), 1, 0)
 
 
 def test_conv3d_nonpositive_output():
     with pytest.raises(ShapeError):
-        nn.conv3d(randt((1, 1, 2, 2, 2)), randt((1, 1, 3, 3, 3)), randt((1,)), 1, 0, 0.2)
+        nn.conv3d(randt((1, 1, 2, 2, 2)), randt((1, 1, 3, 3, 3)), randt((1,)), 1, 0)
 
 
 def test_conv3d_anisotropic_kernel():
     x = randt((1, 1, 5, 6, 7), seed=11, dtype=np.float32)
     w = randt((2, 1, 1, 3, 3), seed=12, dtype=np.float32)
     b = randt((2,), seed=13, dtype=np.float32)
-    assert nn.conv3d(x, w, b, 1, 0, 0.2).shape == (1, 2, 5, 4, 5)
+    assert nn.conv3d(x, w, b, 1, 0).shape == (1, 2, 5, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +236,13 @@ def test_layernorm_gradcheck():
 
 def test_dropout_eval_is_identity():
     x = randt((1, 5, 2, 2, 2), dtype=np.float32)
-    out = nn.dropout3d(x, 0.4, training=False, rng=np.random.default_rng(0))
+    out = nn.dropout3d(x, training=False, rng=np.random.default_rng(0))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_survivor_scaling_and_channel_granularity():
     x = Tensor(np.ones((1, 50, 2, 2, 2), np.float32))
-    out = nn.dropout3d(x, 0.4, training=True, rng=np.random.default_rng(3)).data
+    out = nn.dropout3d(x, training=True, rng=np.random.default_rng(3)).data
     for c in range(50):
         channel = out[0, c]
         assert np.all(channel == 0.0) or np.allclose(channel, 1.0 / 0.6, atol=1e-6)
@@ -266,11 +259,6 @@ def test_dropout_rate_monte_carlo():
         total += keep.size
     rate = dropped / total
     assert abs(rate - 0.4) < 0.02
-
-
-def test_dropout_p_domain():
-    with pytest.raises(ValueError):
-        nn.dropout3d(randt((1, 2, 2, 2, 2)), 1.0, True, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

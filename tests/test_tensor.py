@@ -40,7 +40,7 @@ def test_rejects_empty():
 # arithmetic
 
 def test_leaky_relu_values():
-    out = leaky_relu(Tensor([-1.0, 0.0, 2.0]), k=0.2)
+    out = leaky_relu(Tensor([-1.0, 0.0, 2.0]))
     np.testing.assert_allclose(out.data, [-0.2, 0.0, 2.0])
 
 
@@ -49,17 +49,12 @@ def test_leaky_relu_forward_allocates_one_output():
     tracemalloc.start()
     try:
         with no_grad():
-            out = leaky_relu(x, 0.2)
+            out = leaky_relu(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.data.tobytes() == np.maximum(x.data, x.data * np.float32(0.2)).tobytes()
     assert peak < 1.5 * out.data.nbytes, (peak, out.data.nbytes)
-
-
-def test_leaky_relu_slope_domain():
-    with pytest.raises(ValueError):
-        leaky_relu(Tensor([1.0]), k=1.5)
 
 
 def test_add_zero_identity():
@@ -81,14 +76,14 @@ def test_scalar_operand():
 
 def test_leaky_relu_derivative_matches_finite_difference():
     x = Tensor(np.array([-3.0]), dtype=np.float64, requires_grad=True)
-    report = gradcheck(lambda t: leaky_relu(t, 0.2).sum(), x, tol=1e-6)
+    report = gradcheck(lambda t: leaky_relu(t).sum(), x, tol=1e-6)
     assert report.passed
     assert x.grad[0] == pytest.approx(0.2)
 
 
 def test_leaky_relu_subgradient_at_zero_is_one():
     x = Tensor(np.array([0.0]), requires_grad=True)
-    leaky_relu(x, 0.2).sum().backward()
+    leaky_relu(x).sum().backward()
     assert x.grad[0] == 1.0
 
 
@@ -327,7 +322,7 @@ def test_forward_bitwise_deterministic():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
         w = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
-        return softmax(matmul(leaky_relu(x, 0.2), w)).data.tobytes()
+        return softmax(matmul(leaky_relu(x), w)).data.tobytes()
 
     assert run() == run()
 
