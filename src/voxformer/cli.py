@@ -255,20 +255,23 @@ def cmd_grid(args) -> int:
     base = np.random.SeedSequence(_seed(args))
     run_seeds = [int(s.generate_state(1)[0]) for s in base.spawn(len(configs))]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payloads = []
     for i, tc in enumerate(configs):
         run = TR.RunConfig(model=args.model, size=args.size, norm=args.norm, train=tc,
                            seed=run_seeds[i], pool_stride=args.pool_stride)
         payloads.append((i, run, str(data_dir), str(out_dir)))
     # each row is appended as its run returns, in grid order, so a stopped
-    # grid keeps the rows before it; a finished one is rewritten ranked
+    # grid keeps the rows before it; a finished one is rewritten ranked.  The
+    # first row makes the directory and replaces an earlier grid's file, so a
+    # fault before it (a bad scan) leaves no output behind.
     grid_path = out_dir / "grid.jsonl"
-    D.write_atomic(grid_path)
     rows = []
     pool = ProcessPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
     with pool or contextlib.nullcontext():
         for row in (pool.map if pool else map)(_grid_worker, payloads):
+            if not rows:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                D.write_atomic(grid_path)
             D.append_text(grid_path, json.dumps(row, sort_keys=True) + "\n")
             rows.append(row)
     rows.sort(key=lambda r: (-r["best_test_acc"], r["index"]))

@@ -50,7 +50,7 @@ def _check(f: Callable[[], Tensor], tensors: Sequence[Tensor],
     compared against a central difference at each ``(label, tensor index,
     flat coordinate)`` visit; ``worst`` is ``(label, coordinate)``."""
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     out = f()
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError(f"{who}: function produced non-finite output")

@@ -363,7 +363,7 @@ class ConvNet3D4(nn.Module):
         h = x
         for block in self.blocks:
             h = block(h)
-        v_emb = self.embed(h.flatten(start_axis=1))
+        v_emb = self.embed(h.reshape(h.shape[0], -1))
         return self.head(v_emb)
 
 

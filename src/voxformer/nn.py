@@ -75,14 +75,13 @@ def _blocks(shape, dtype):
     return out, (flat[s:s + _INIT_BLOCK] for s in range(0, stop, _INIT_BLOCK))
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
-                 dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) truncated at +-2 std, sampled by inverse-CDF (no rejection loop)."""
+def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal(0, 0.02) truncated at +-2 std, sampled by inverse-CDF (no rejection loop)."""
     lo, hi = _special.ndtr(-2.0), _special.ndtr(2.0)
     out, blocks = _blocks(shape, dtype)
     for block in blocks:
         u = rng.uniform(lo, hi, size=block.size)
-        np.multiply(_special.ndtri(u, out=u), std, out=block)
+        np.multiply(_special.ndtri(u, out=u), 0.02, out=block)
     return out
 
 

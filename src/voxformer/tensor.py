@@ -111,9 +111,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph mechanics -----------------------------------------------------
 
     def backward(self) -> None:
@@ -180,33 +177,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
 
     def reshape(self, *shape):
-        return reshape(self, *shape)
+        return reshape(self, shape)
 
-    def flatten(self, start_axis: int = 0):
-        return flatten(self, start_axis)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
 
 def _coerce_pair(a: Tensor, b) -> tuple[Tensor, Tensor]:
@@ -276,18 +257,9 @@ def add(a: Tensor, b) -> Tensor:
     return _binary(a, b, "add", np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    return _binary(a, b, "sub", np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
-
-
 def mul(a: Tensor, b) -> Tensor:
     return _binary(a, b, "mul", np.multiply,
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def div(a: Tensor, b) -> Tensor:
-    return _binary(a, b, "div", np.divide,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def _unary(a: Tensor, op: str, out: np.ndarray, grad_local) -> Tensor:
@@ -317,40 +289,10 @@ def gelu(a: Tensor) -> Tensor:
 
 # -- reductions ------------------------------------------------------------------
 
-def _norm_axis(axis, ndim: int):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis_n = _norm_axis(axis, a.ndim)
-    out = a.data.sum(axis=axis_n, keepdims=keepdims)
-    out = np.asarray(out, dtype=a.dtype)
-
-    def expand(g: np.ndarray) -> np.ndarray:
-        if axis_n is None:
-            return np.broadcast_to(g, a.shape)
-        gg = g if keepdims else np.expand_dims(g, axis_n)
-        return np.broadcast_to(gg, a.shape)
-
-    return _unary(a, "sum", out, expand)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis_n = _norm_axis(axis, a.ndim)
-    count = a.size if axis_n is None else int(np.prod([a.shape[ax] for ax in axis_n]))
-    out = np.asarray(a.data.mean(axis=axis_n, keepdims=keepdims), dtype=a.dtype)
-
-    def expand(g: np.ndarray) -> np.ndarray:
-        if axis_n is None:
-            return np.broadcast_to(g, a.shape) / count
-        gg = g if keepdims else np.expand_dims(g, axis_n)
-        return np.broadcast_to(gg, a.shape) / count
-
-    return _unary(a, "mean", out, expand)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every element: the scalar a gradient check differentiates."""
+    return _unary(a, "sum", np.asarray(a.data.sum(), dtype=a.dtype),
+                  lambda g: np.broadcast_to(g, a.shape))
 
 
 # -- matmul ----------------------------------------------------------------------
@@ -382,9 +324,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- layout ops --------------------------------------------------------------------
 
-def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    shape = tuple(shape)
     new_size = int(np.prod(shape)) if shape else 1
     if any(n == -1 for n in shape):
         known = int(np.prod([n for n in shape if n != -1]))
@@ -398,12 +339,6 @@ def reshape(a: Tensor, *shape) -> Tensor:
         raise ShapeError(f"reshape target {shape} exceeds {MAX_NDIM} dimensions")
     return _unary(a, "reshape", a.data.reshape(shape),
                   lambda g: g.reshape(a.shape))
-
-
-def flatten(a: Tensor, start_axis: int = 0) -> Tensor:
-    """Collapse all axes from ``start_axis`` onward into one."""
-    lead = a.shape[:start_axis]
-    return reshape(a, lead + (-1,))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:

@@ -130,7 +130,7 @@ def test_malformed_split_exits_3_with_one_line(dataset, tmp_path, capsys, comman
     out = tmp_path / "run"
     if command in ("train", "grid"):
         argv = [command, "--model", "cvvt", "--data", str(dataset), "--out", str(out),
-                "--epochs", "1"]
+                "--epochs", "1", *(("--limit", "1") if command == "grid" else ())]
     else:
         _save_cvvt_checkpoint(tmp_path / "m.ckpt")
         argv = ["eval", "--ckpt", str(tmp_path / "m.ckpt"), "--data", str(dataset),
@@ -405,6 +405,8 @@ def test_verify_writes_report(tmp_path):
 
 def test_grid_limit_one_runs_first_enumeration_element(dataset, tmp_path, capsys):
     out = tmp_path / "grid"
+    out.mkdir()
+    (out / "grid.jsonl").write_text('{"index": 7}\n')     # an earlier grid's row is replaced
     rc = cli.main(["grid", "--model", "cvvt", "--data", str(dataset), "--out", str(out),
                    "--epochs", "1", "--limit", "1", "--seed", "0"])
     assert rc == 0
@@ -668,7 +670,7 @@ _SELECTION_FAULTS = {
     "eval_nan_voxel": (lambda d: _non_finite_voxel(d, "test", np.nan),
                        lambda d, t: _eval_argv(d, t / "m.ckpt", "--subset", "all")),
     "grid_inf_voxel": (lambda d: _non_finite_voxel(d, "train", -np.inf),
-                       lambda d, t: _run_argv("grid", d, t / "grid", "--limit", "1")),
+                       lambda d, t: _run_argv("grid", d, t / "run", "--limit", "1")),
 }
 
 
@@ -867,6 +869,8 @@ def test_exit_code_table(dataset, tmp_path, monkeypatch, capsys, case):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    if argv[0] == "grid":       # each fault comes before the first row: no <out>
+        assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_TRAINING_NUMBERS))

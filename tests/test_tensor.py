@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voxformer.tensor import (AutodiffError, ShapeError, Tensor, add, concat,
-                              flatten, getitem, leaky_relu, matmul, mul,
-                              no_grad, reshape, softmax, sub, tmean,
-                              transpose, tsum)
+                              getitem, leaky_relu, matmul, mul, no_grad,
+                              reshape, softmax, transpose, tsum)
+from voxformer import models as M
+from voxformer import nn
+from voxformer import tensor as T
 from voxformer.gradcheck import gradcheck
 
 
@@ -122,11 +126,6 @@ def test_matmul_batched_leading_dim():
 
 # ---------------------------------------------------------------------------
 # layout ops
-
-def test_flatten_convnet_tail():
-    x = Tensor(np.zeros((1, 512, 2, 2, 2), np.float32))
-    assert flatten(x, start_axis=1).shape == (1, 4096)
-
 
 def test_reshape_count_mismatch():
     with pytest.raises(ShapeError):
@@ -250,21 +249,21 @@ def test_shared_input_of_sum_and_product_gets_hand_derived_grads():
     x = randt((2, 5), seed=21, requires_grad=True)
     w = randt((2, 5), seed=22, requires_grad=True)
     s = add(x, w)
-    seen = backward_snapshotting_grads(tmean(mul(s, x)))  # mean((x + w) * x)
+    seen = backward_snapshotting_grads(tsum(mul(s, x)))  # sum((x + w) * x)
     assert_upstream_grads_unchanged(seen)
-    np.testing.assert_allclose(s.grad, x.data / 10, rtol=1e-15)
-    np.testing.assert_allclose(w.grad, x.data / 10, rtol=1e-15)
-    np.testing.assert_allclose(x.grad, (2 * x.data + w.data) / 10, rtol=1e-15)
+    np.testing.assert_allclose(s.grad, x.data, rtol=1e-15)
+    np.testing.assert_allclose(w.grad, x.data, rtol=1e-15)
+    np.testing.assert_allclose(x.grad, 2 * x.data + w.data, rtol=1e-15)
 
 
 def test_leaf_whose_first_gradient_is_a_writable_alias():
-    # mean's gradient is a fresh writable array; both adds pass it through, so
-    # x's first gradient is the very buffer that r and q hold
+    # the scaling mul gives r a fresh writable gradient; both adds pass it
+    # through, so x's first gradient is the very buffer that r and q hold
     x = randt((2, 5), seed=25, requires_grad=True)
     w = randt((2, 5), seed=26, requires_grad=True)
     q = add(x, w)
     r = add(q, x)
-    seen = backward_snapshotting_grads(tmean(r))
+    seen = backward_snapshotting_grads(tsum(mul(r, 0.1)))
     assert_upstream_grads_unchanged(seen)
     for t in (r, q, w):
         np.testing.assert_array_equal(t.grad, np.full((2, 5), 0.1))
@@ -274,10 +273,10 @@ def test_leaf_whose_first_gradient_is_a_writable_alias():
 def test_sum_mean_chain_with_reused_leaf_keeps_upstream_grads():
     x = randt((3, 4), seed=23, requires_grad=True)
     w = randt((3, 4), seed=24, requires_grad=True)
-    b = add(tsum(add(x, w), axis=0), tsum(x, axis=0))    # [4]
-    seen = backward_snapshotting_grads(tmean(add(b, b)))
+    b = add(tsum(add(x, w)), tsum(x))                    # a scalar
+    seen = backward_snapshotting_grads(tsum(mul(add(b, b), 0.25)))
     assert_upstream_grads_unchanged(seen)
-    np.testing.assert_array_equal(b.grad, np.full(4, 0.5))
+    np.testing.assert_array_equal(b.grad, np.array(0.5))
     np.testing.assert_array_equal(w.grad, np.full((3, 4), 0.5))
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 1.0))
 
@@ -353,3 +352,40 @@ def test_gradcheck_catches_wrong_gradient():
 
     x = randt((3,), seed=16, requires_grad=True)
     assert not gradcheck(lambda t: bad_double(t).sum(), x, tol=1e-4).passed
+
+
+# ---------------------------------------------------------------------------
+# op census
+
+def _op_names_in_package() -> set[str]:
+    """Every op name the package passes as a string literal to ``_node``,
+    ``_unary`` or ``_binary``."""
+    names = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if getattr(f, "id", getattr(f, "attr", None)) in ("_node", "_unary", "_binary"):
+                names |= {a.value for a in call.args
+                          if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+    return names
+
+
+def test_engine_ops_are_the_ops_a_train_step_records():
+    """The engine holds the ops that a training forward of the four models
+    records, plus the full sum that gradient checks reduce to a scalar."""
+    recorded = {"sum"}
+    rng = np.random.default_rng(0)
+    for model, extents, kw in (("vvit", (60, 50, 50), {}), ("cvvt", (32,) * 3, {}),
+                               ("convnet3d4", (32,) * 3, {"norm": "in", "pool_stride": 2}),
+                               ("convnet3d4", (32,) * 3, {"norm": "bn", "pool_stride": 2})):
+        net = M.build_model(M.build_config(model, extents=extents, **kw))
+        net.train()
+        x = Tensor(rng.standard_normal((2, 1) + extents).astype(np.float32))
+        loss = nn.cross_entropy(net(x), np.array([0, 1]))
+        recorded |= {node.op for node in loss._toposort()} - {"leaf"}
+        loss.backward()
+    package = _op_names_in_package()
+    assert recorded == package, (sorted(package - recorded), sorted(recorded - package))
+    assert len(package) == 18
