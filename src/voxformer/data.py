@@ -141,15 +141,16 @@ class VolumeRecord:
 
 
 def write_manifest(path, records: list[VolumeRecord]) -> None:
-    keys = ("subject_id", "session_id", "label", "path",
-            "preferred", "quality_rank", "visit_order")
-    rows = [asdict(r) for r in records]
-    write_atomic(path, "".join(json.dumps({k: d[k] for k in keys}) + "\n" for d in rows).encode())
+    write_atomic(path, "".join(json.dumps(asdict(r)) + "\n" for r in records).encode())
 
 
 def read_manifest(path) -> list[VolumeRecord]:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from None
     records = []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
+    for i, line in enumerate(lines):
         if not line.strip():
             continue
         try:

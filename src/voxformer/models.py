@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .data import LABELS, DataError, write_atomic
-from .tensor import MAX_NDIM, Tensor, ShapeError, concat, leaky_relu, _node
+from .tensor import MAX_NDIM, Tensor, ShapeError, concat, _node
 
 FULL_EXTENTS = (169, 208, 179)
 NUM_CLASSES = len(LABELS)       # every head scores the two labels, AD and CN
@@ -264,8 +264,7 @@ class _ViTCore(nn.Module):
         self.head = nn.Linear(e, NUM_CLASSES, rng=rng, dtype=dtype)
 
     def forward(self, tokens: Tensor) -> Tensor:
-        n = tokens.shape[0]
-        cls = self.cls_token if n == 1 else concat([self.cls_token] * n, axis=0)
+        cls = concat([self.cls_token] * tokens.shape[0], axis=0)
         t = concat([cls, tokens], axis=1)
         t = t + self.pos_embed
         encoded = self.encoder(t)
@@ -323,7 +322,7 @@ class CVVT(nn.Module):
 
 class _ConvBlock(nn.Module):
     """Conv -> norm -> max-pool -> leaky ReLU -> channel dropout; the first
-    three are one node of the norm layer, which never holds the conv output
+    four are one node of the norm layer, which never holds the conv output
     whole."""
 
     def __init__(self, cfg: ConvNet3D4Config, cin: int, cout: int,
@@ -336,11 +335,11 @@ class _ConvBlock(nn.Module):
         else:
             self.norm = nn.InstanceNorm3d(cout, dtype=dtype)
         self.pool_stride = cfg.pool_stride
-        self.drop = nn.Dropout3d(drop_rng)
+        self.drop_rng = drop_rng
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.norm(x, self.conv.weight, (CONVNET_POOL_KERNEL, self.pool_stride))
-        return self.drop(leaky_relu(h))
+        return nn.dropout3d(h, self.training, self.drop_rng)
 
 
 class ConvNet3D4(nn.Module):
@@ -429,8 +428,8 @@ def _is_count(v) -> bool:
 def _read_manifest(f, path) -> tuple[dict, list[dict]]:
     """The config and tensor entries of the checkpoint open as ``f``,
     reading only its header and manifest.  Every length and offset is
-    checked against the file's size; each entry's ``offset`` is made
-    absolute (from the start of the file)."""
+    checked against the file's size and no two entries share a name; each
+    entry's ``offset`` is made absolute (from the start of the file)."""
     size = os.fstat(f.fileno()).st_size
     head = f.read(_CKPT_HEADER)
     if head[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -452,7 +451,7 @@ def _read_manifest(f, path) -> tuple[dict, list[dict]]:
             and isinstance(manifest.get("tensors"), list)):
         raise CheckpointFormatError(f"{path}: manifest at offset {_CKPT_HEADER} needs a "
                                     f"'config' object and a 'tensors' list")
-    entries = []
+    entries, names = [], set()
     for i, e in enumerate(manifest["tensors"]):
         if not (isinstance(e, dict) and isinstance(e.get("name"), str)
                 and e.get("dtype") in _CKPT_DTYPES
@@ -473,6 +472,10 @@ def _read_manifest(f, path) -> tuple[dict, list[dict]]:
         if start + e["nbytes"] > size:
             raise CheckpointFormatError(f"{path}: tensor {e['name']!r} at offset {start} "
                                         f"runs past the end of the file ({size} bytes)")
+        if e["name"] in names:
+            raise CheckpointFormatError(f"{path}: tensor {e['name']!r} at offset {start} "
+                                        f"repeats the name of an earlier entry")
+        names.add(e["name"])
         entries.append({**e, "offset": start})
     return manifest["config"], entries
 

@@ -6,14 +6,15 @@ kernels are single recorded graph nodes rather than per-voxel graphs:
 conv3d is tiled im2col + BLAS fused with its bias and leaky ReLU, adaptive
 pooling three averaging-matrix products, and layer norm one fused
 ``normalize`` node.  An instance or batch norm, in every mode, is one
-``maxpool3d`` node: ConvNet3D-4's conv -> norm -> max-pool.  It runs the
-conv over the same im2col tiles as conv3d, pools each conv output tile with
-a separable max over W, H and D and normalizes only the pooled values, so
-it never holds the conv output whole: the statistics are gathered tile by
-tile, and the backward recomputes each tile.  One tap iterator,
-``_windows``, yields every strided kernel window that the im2col tiles, the
-max passes and the winner search read; the conv's zero padding is never
-materialized: each window is clipped to the input.
+``maxpool3d`` node: ConvNet3D-4's conv -> norm -> max-pool -> leaky ReLU.
+It runs the conv over the same im2col tiles as conv3d, pools each conv
+output tile with a separable max over W, H and D and normalizes and
+activates only the pooled values, so it never holds the conv output whole:
+the statistics are gathered tile by tile, and the backward recomputes each
+tile.  One tap iterator, ``_windows``, yields every strided kernel window
+that the im2col tiles, the max passes and the winner search read; the
+conv's zero padding is never materialized: each window is clipped to the
+input.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _special
 
-from .tensor import (LEAKY_SLOPE, Tensor, ShapeError, _node, _records, add, gelu, matmul,
-                     mul, reshape, softmax, transpose)
+from .tensor import (Tensor, ShapeError, _node, _records, add, gelu, matmul, mul, reshape,
+                     softmax, transpose)
 
 # Fixed layer settings: every model in this package uses these values.
 CONV_KERNEL = 3         # every model conv: cubic kernel extent
 CONV_PADDING = 1        # every model conv: zero padding, which keeps stride-1 extents
+LEAKY_SLOPE = 0.2       # every model's LeakyReLU: max(x, LEAKY_SLOPE * x)
 NORM_EPS = 1e-5         # variance floor of every normalization
 BN_MOMENTUM = 0.1       # BatchNorm3d: weight of the newest batch in the running stats
-DROPOUT = 0.4           # Dropout3d: probability of zeroing a channel
+DROPOUT = 0.4           # dropout3d: probability of zeroing a channel
 MLP_RATIO = 4           # EncoderBlock: MLP hidden width over the embedding width
 
 
@@ -574,11 +576,12 @@ class NormStats:
 
 def maxpool3d(x: Tensor, kernel: int, stride: int, weight: Tensor, gamma: Tensor,
               beta: Tensor, stats: NormStats) -> Tensor:
-    """ConvNet3D-4's conv -> norm -> max-pool: max-pool(gamma * ŷ + beta)
-    with a ``kernel``^3 window and ``stride``, ŷ = (y - mean) / sd,
-    sd = sqrt(var + NORM_EPS), of y = conv(x, weight) (stride 1, padding
-    CONV_PADDING, no bias), as one node that never holds y whole, ŷ or the
-    normalized volume.  ``stats`` gives or gathers mean and var.
+    """ConvNet3D-4's conv -> norm -> max-pool -> leaky ReLU: max(o,
+    LEAKY_SLOPE*o) of o = max-pool(gamma * ŷ + beta) with a ``kernel``^3
+    window and ``stride``, ŷ = (y - mean) / sd, sd = sqrt(var + NORM_EPS),
+    of y = conv(x, weight) (stride 1, padding CONV_PADDING, no bias), as one
+    node that never holds y whole, ŷ or the normalized volume.  ``stats``
+    gives or gathers mean and var.
 
     y comes in tiles, sample by sample, whole pool windows of conv output
     planes at a time, at most ``_TILE`` values (but one window's k planes),
@@ -591,15 +594,17 @@ def maxpool3d(x: Tensor, kernel: int, stride: int, weight: Tensor, gamma: Tensor
       in float64 by Chan, Golub and LeVeque's pairwise update; a sample in
       one tile keeps the bytes of ``moments`` of its conv output;
     - pools sign(gamma) * y: per channel the affine map is monotone, so it
-      commutes with the max.  The output has the bytes of normalizing y,
-      then pooling; the gradient goes to the first voxel holding the
+      commutes with the max.  o has the bytes of normalizing y, then
+      pooling; the gradient goes to the first voxel holding the
       window's max of sign(gamma) * y (the window's first voxel where gamma
       is ±0).  A window holding a NaN outputs NaN, and its gradient goes to
       the window's first voxel.
 
-    When recorded, the node keeps, beside its parents, only pooled-size
-    arrays (the output, the flat int32 winner indices, each below D*H*W,
-    and ŷ at the winners) and the statistics.  The backward takes dgamma,
+    The activation is applied to o in place.  When recorded, the node
+    keeps, beside its parents, only pooled-size arrays (the output, the
+    flat int32 winner indices, each below D*H*W, ŷ at the winners and a
+    ``bool`` mask of o >= 0) and the statistics.  The backward multiplies
+    the gradient by 1 or LEAKY_SLOPE through the mask, then takes dgamma,
     dbeta and the two means of the normalization's closed form from
     pooled-size sums.  Then, per tile of at most ``_TILE`` conv outputs and
     columns, it recomputes y from the refilled columns with one GEMM (none
@@ -671,17 +676,24 @@ def maxpool3d(x: Tensor, kernel: int, stride: int, weight: Tensor, gamma: Tensor
     xhat = np.divide(np.subtract(z, mean, out=z), sd, out=z)
     out = xhat * scale if record else np.multiply(xhat, scale, out=xhat)  # backward reads xhat
     out += shift
+    kk = dt.type(LEAKY_SLOPE)
+    mask = out >= 0 if record else None     # the pre-activation's sign, never read back
+    np.multiply(out, kk, out=out, where=out < 0)      # the bytes of max(o, LEAKY_SLOPE*o)
     if not record:
         return _node(out, parents, None, "maxpool3d")
     inv = 1 / sd
     others = (0, 2, 3, 4)
 
     def backward(g: np.ndarray) -> None:
+        # leaky ReLU's factor: 1 where pre >= 0 (g * 1 is g), else k
+        gs = g * kk
+        np.copyto(gs, g, where=mask)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=others))
+            gamma._accumulate((gs * xhat).sum(axis=others))
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=others))
-        gs = g * scale * inv                # ĝ/sd at the winners
+            beta._accumulate(gs.sum(axis=others))
+        gs *= scale                         # ĝ/sd at the winners
+        gs *= inv
         if axes is not None:
             m1 = gs.sum(axis=axes, keepdims=True) / count
             m2 = (gs * xhat).sum(axis=axes, keepdims=True) / count
@@ -807,8 +819,9 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 class _ConvNorm(Module):
-    """A per-channel affine norm of a conv output, run with the conv and a
-    max-pool as one ``maxpool3d`` node: the base of the two 3-D norms."""
+    """A per-channel affine norm of a conv output, run with the conv, a
+    max-pool and a leaky ReLU as one ``maxpool3d`` node: the base of the
+    two 3-D norms."""
 
     def __init__(self, num_features: int, dtype=np.float32):
         super().__init__()
@@ -826,18 +839,19 @@ class _ConvNorm(Module):
 
 class InstanceNorm3d(_ConvNorm):
     """Per (sample, channel) normalization over (D,H,W) of a conv output,
-    then a max-pool; identical train/eval."""
+    then a max-pool and a leaky ReLU; identical train/eval."""
 
     def forward(self, x: Tensor, weight: Tensor, pool: tuple[int, int]) -> Tensor:
-        """The max-pool with ``pool=(kernel, stride)`` of the normalized
-        conv(x, weight) (no bias), as one ``maxpool3d`` node that never
-        holds the conv output whole or builds the normalized volume."""
+        """The leaky ReLU of the max-pool with ``pool=(kernel, stride)`` of
+        the normalized conv(x, weight) (no bias), as one ``maxpool3d`` node
+        that never holds the conv output whole or builds the normalized
+        volume."""
         return self._pooled(x, weight, pool, NormStats((2, 3, 4)))
 
 
 class BatchNorm3d(_ConvNorm):
     """Per-channel normalization over (N,D,H,W) of a conv output, with
-    running statistics, then a max-pool.
+    running statistics, then a max-pool and a leaky ReLU.
 
     Training uses batch statistics (biased variance) and updates the running
     estimates; eval normalizes with the running estimates.  Both are one
@@ -896,15 +910,6 @@ def dropout3d(x: Tensor, training: bool, rng: np.random.Generator) -> Tensor:
     keep = (rng.random((n, c)) >= DROPOUT).astype(x.dtype) / x.dtype.type(1.0 - DROPOUT)
     mask = keep.reshape((n, c) + (1,) * (x.ndim - 2))
     return mul(x, Tensor(mask))
-
-
-class Dropout3d(Module):
-    def __init__(self, rng: np.random.Generator):
-        super().__init__()
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return dropout3d(x, self.training, self.rng)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 from scipy import special as _special
 
 MAX_NDIM = 5
-LEAKY_SLOPE = 0.2       # every model's LeakyReLU: max(x, LEAKY_SLOPE * x)
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
@@ -268,14 +267,6 @@ def _unary(a: Tensor, op: str, out: np.ndarray, grad_local) -> Tensor:
             a._accumulate(grad_local(g))
 
     return _node(out, (a,), backward, op)
-
-
-def leaky_relu(a: Tensor) -> Tensor:
-    """max(LEAKY_SLOPE*x, x).  Subgradient at x == 0 is 1 (the x-branch)."""
-    one, kk = a.dtype.type(1), a.dtype.type(LEAKY_SLOPE)
-    out = a.data * kk
-    return _unary(a, "leaky_relu", np.maximum(a.data, out, out=out),
-                  lambda g: g * np.where(a.data >= 0, one, kk))
 
 
 def gelu(a: Tensor) -> Tensor:

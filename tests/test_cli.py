@@ -1,5 +1,6 @@
 import errno
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +597,28 @@ def _eval_argv(data, ckpt, *extra):
     return ["eval", "--ckpt", str(ckpt), "--data", str(data), *extra]
 
 
+def _repeated_name_argv(data, ckpt):
+    """``eval`` of a CVVT checkpoint whose manifest adds a second
+    ``token_embed.bias`` entry over the bytes of an equal-sized gamma."""
+    _save_cvvt_checkpoint(ckpt)
+    blob = ckpt.read_bytes()
+    n = struct.unpack("<Q", blob[8:16])[0]
+    manifest = json.loads(blob[16:16 + n])
+    gamma = next(e for e in manifest["tensors"]
+                 if e["name"] == "core.encoder.blocks.0.norm1.gamma")
+    manifest["tensors"].append({**gamma, "name": "token_embed.bias"})
+    edited = json.dumps(manifest).encode()
+    ckpt.write_bytes(blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + n:])
+    return ["eval", "--ckpt", str(ckpt), "--data", str(data)]
+
+
+def _non_utf8_manifest(data):
+    """Append a line that is not UTF-8 to the manifest; returns ``data``."""
+    with open(data / D.MANIFEST_NAME, "ab") as f:
+        f.write(b"\xff\xfe\n")
+    return data
+
+
 def _failing_suite(monkeypatch):
     monkeypatch.setitem(V.SUITES, "shapes",
                         lambda: [V.CheckResult("shapes.injected", False, "forced")])
@@ -757,6 +780,8 @@ _EXIT_TABLE = {
         _truncate_a_volume(d) or d, t / "m.ckpt", "--subset", "all")),
     "eval-CheckpointFormatError": (M.CheckpointFormatError, 3, lambda d, t, m: [
         "eval", "--ckpt", str(_a_file(t)), "--data", str(d)]),
+    "eval-CheckpointFormatError-repeated-name": (M.CheckpointFormatError, 3, lambda d, t, m:
+                                                 _repeated_name_argv(d, t / "m.ckpt")),
     "eval-DataError-odd-volume": (D.DataError, 3, _selection_argv("eval_odd_volume")),
     "eval-DataError-empty-subset": (D.DataError, 3, _selection_argv("eval_empty_subset")),
     "eval-DataError-nan-voxel": (D.DataError, 3, _selection_argv("eval_nan_voxel")),
@@ -847,6 +872,18 @@ _EXIT_TABLE.update({f"split-DataError-{fault}": (D.DataError, 3, lambda d, t, m,
 _EXIT_TABLE.update({f"{command}-DataError-shared-subject": (
     D.DataError, 3, lambda d, t, m, c=command: _split_edited(d, "shared_subject")
     and _split_reader_argv(c, d, t)) for command in ("train", "grid", "eval")})
+
+# a manifest with a line that is not UTF-8, under every command that reads it
+_EXIT_TABLE.update({
+    "split-DataError-manifest-not-utf8": (D.DataError, 3, lambda d, t, m: [
+        "split", "--data", str(_non_utf8_manifest(d))]),
+    "train-DataError-manifest-not-utf8": (D.DataError, 3, lambda d, t, m: _run_argv(
+        "train", _non_utf8_manifest(d), t / "run")),
+    "grid-DataError-manifest-not-utf8": (D.DataError, 3, lambda d, t, m: _run_argv(
+        "grid", _non_utf8_manifest(d), t / "grid", "--limit", "1")),
+    "eval-DataError-manifest-not-utf8": (D.DataError, 3, lambda d, t, m: _eval_argv(
+        _non_utf8_manifest(d), t / "m.ckpt")),
+})
 
 _EXIT_TABLE["synth-DataError-extents-above-vox1-limit"] = (D.DataError, 3, lambda d, t, m: [
     "synth", "--out", str(t / "s"), "--extents", "1700"])

@@ -106,6 +106,16 @@ def test_manifest_duplicate_session_rejected(tmp_path):
         D.read_manifest(p)
 
 
+def test_manifest_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "m.jsonl"
+    D.write_manifest(p, [rec("sub-01")])
+    with open(p, "ab") as f:
+        f.write(b"\xff\xfe\n")
+    with pytest.raises(D.DataError, match="not UTF-8 text") as err:
+        D.read_manifest(p)
+    assert str(err.value).startswith(f"{p}: "), err.value
+
+
 def test_bad_label_rejected():
     with pytest.raises(D.DataError):
         rec("sub-01", label="MCI")

@@ -471,7 +471,8 @@ def _bad_checkpoints(blob: bytes) -> dict[str, bytes]:
     for name, old, new in [("dtype_int", b'"float32"', b'"int32"  '),
                            ("nbytes_vs_shape", b'"shape":[2,3]', b'"shape":[3,3]'),
                            ("no_tensors", b'"tensors"', b'"tensorz"'),
-                           ("negative_offset", b'"offset":0', b'"offset":-1')]:
+                           ("negative_offset", b'"offset":0', b'"offset":-1'),
+                           ("repeated_name", b'"name":"fc.bias"', b'"name":"fc.weight"')]:
         assert old in manifest, name
         edited = manifest.replace(old, new, 1)
         bad[name] = blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + n:]

@@ -1,5 +1,4 @@
 import ast
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voxformer.tensor import (AutodiffError, ShapeError, Tensor, add, concat,
-                              getitem, leaky_relu, matmul, mul, no_grad,
+                              gelu, getitem, matmul, mul, no_grad,
                               reshape, softmax, transpose, tsum)
 from voxformer import models as M
 from voxformer import nn
@@ -43,24 +42,6 @@ def test_rejects_empty():
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def test_leaky_relu_values():
-    out = leaky_relu(Tensor([-1.0, 0.0, 2.0]))
-    np.testing.assert_allclose(out.data, [-0.2, 0.0, 2.0])
-
-
-def test_leaky_relu_forward_allocates_one_output():
-    x = randt((64, 64, 16), dtype=np.float32)
-    tracemalloc.start()
-    try:
-        with no_grad():
-            out = leaky_relu(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.data.tobytes() == np.maximum(x.data, x.data * np.float32(0.2)).tobytes()
-    assert peak < 1.5 * out.data.nbytes, (peak, out.data.nbytes)
-
-
 def test_add_zero_identity():
     a = randt((3, 4), seed=1)
     out = add(a, Tensor(np.zeros((3, 4))))
@@ -76,19 +57,6 @@ def test_shape_mismatch_names_both_shapes():
 def test_scalar_operand():
     out = mul(Tensor([1.0, 2.0]), 3.0)
     np.testing.assert_allclose(out.data, [3.0, 6.0])
-
-
-def test_leaky_relu_derivative_matches_finite_difference():
-    x = Tensor(np.array([-3.0]), dtype=np.float64, requires_grad=True)
-    report = gradcheck(lambda t: leaky_relu(t).sum(), x, tol=1e-6)
-    assert report.passed
-    assert x.grad[0] == pytest.approx(0.2)
-
-
-def test_leaky_relu_subgradient_at_zero_is_one():
-    x = Tensor(np.array([0.0]), requires_grad=True)
-    leaky_relu(x).sum().backward()
-    assert x.grad[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +289,7 @@ def test_forward_bitwise_deterministic():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
         w = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
-        return softmax(matmul(leaky_relu(x), w)).data.tobytes()
+        return softmax(matmul(gelu(x), w)).data.tobytes()
 
     assert run() == run()
 
@@ -388,4 +356,4 @@ def test_engine_ops_are_the_ops_a_train_step_records():
         loss.backward()
     package = _op_names_in_package()
     assert recorded == package, (sorted(package - recorded), sorted(recorded - package))
-    assert len(package) == 18
+    assert len(package) == 17
