@@ -27,6 +27,7 @@ MANIFEST_NAME = "manifest.jsonl"
 SPLIT_NAME = "split.json"
 
 _VOX_MAGIC = b"VOX1"
+_VOX_HEADER = 18        # magic, version, dtype code, three u32 extents
 _MAX_VOXELS = 2 ** 32
 
 
@@ -84,31 +85,44 @@ def write_volume(path, volume: np.ndarray) -> None:
     write_atomic(path, header, memoryview(vol).cast("B"))
 
 
-def read_volume(path) -> np.ndarray:
-    """Read a VOX1 file; its payload is read straight into the returned array."""
-    with open(path, "rb") as f:
-        header = f.read(18)
-        if len(header) < 18:
-            raise VolumeFormatError(f"{path}: truncated header ({len(header)} bytes)")
-        if header[:4] != _VOX_MAGIC:
-            raise VolumeFormatError(f"{path}: bad magic {header[:4]!r}, expected {_VOX_MAGIC!r}")
-        version, dtype_code = struct.unpack("<BB", header[4:6])
-        if version != 1:
-            raise VolumeFormatError(f"{path}: unsupported version {version}")
-        if dtype_code != 0:
-            raise VolumeFormatError(f"{path}: unsupported dtype code {dtype_code}")
-        extents = struct.unpack("<III", header[6:18])
-        n = int(extents[0]) * int(extents[1]) * int(extents[2])
-        if min(extents) < 1 or n > _MAX_VOXELS:
-            raise VolumeFormatError(f"{path}: extent overflow {extents}")
-        expected = n * 4
-        payload = os.fstat(f.fileno()).st_size - 18
-        if payload == expected:
-            vol = np.empty(extents, "<f4")
-            payload = f.readinto(vol)
+def _vox_extents(f, path) -> tuple[int, int, int]:
+    """The extents of the VOX1 file open as ``f``, once its header and its
+    payload size are checked; ``f`` is left at the payload."""
+    header = f.read(_VOX_HEADER)
+    if len(header) < _VOX_HEADER:
+        raise VolumeFormatError(f"{path}: truncated header ({len(header)} bytes)")
+    if header[:4] != _VOX_MAGIC:
+        raise VolumeFormatError(f"{path}: bad magic {header[:4]!r}, expected {_VOX_MAGIC!r}")
+    version, dtype_code = struct.unpack("<BB", header[4:6])
+    if version != 1:
+        raise VolumeFormatError(f"{path}: unsupported version {version}")
+    if dtype_code != 0:
+        raise VolumeFormatError(f"{path}: unsupported dtype code {dtype_code}")
+    extents = struct.unpack("<III", header[6:18])
+    n = int(extents[0]) * int(extents[1]) * int(extents[2])
+    if min(extents) < 1 or n > _MAX_VOXELS:
+        raise VolumeFormatError(f"{path}: extent overflow {extents}")
+    _check_payload(path, os.fstat(f.fileno()).st_size - _VOX_HEADER, n * 4)
+    return extents
+
+
+def _check_payload(path, payload: int, expected: int) -> None:
     if payload != expected:
         raise VolumeFormatError(f"{path}: payload is {payload} bytes, "
                                 f"header declares {expected}")
+
+
+def _read_payload(f, path, out: np.ndarray) -> None:
+    """Read the payload of the VOX1 file open as ``f`` into ``out``."""
+    f.seek(_VOX_HEADER)
+    _check_payload(path, f.readinto(out), out.nbytes)
+
+
+def read_volume(path) -> np.ndarray:
+    """Read a VOX1 file; its payload is read straight into the returned array."""
+    with open(path, "rb") as f:
+        vol = np.empty(_vox_extents(f, path), "<f4")
+        _read_payload(f, path, vol)
     return vol.astype(np.float32, copy=False)
 
 
@@ -428,31 +442,44 @@ def synth_generate(out_dir, cfg: SynthConfig) -> Path:
     return out / MANIFEST_NAME
 
 
-def load_record_volume(data_dir, record: VolumeRecord) -> np.ndarray:
+def _record_path(data_dir, record: VolumeRecord) -> Path:
     path = Path(data_dir) / record.path
     if not path.exists():
         raise DataError(f"volume file missing: {path}")
-    return read_volume(path)
+    return path
+
+
+def load_record_volume(data_dir, record: VolumeRecord) -> np.ndarray:
+    return read_volume(_record_path(data_dir, record))
 
 
 def load_volumes(data_dir, records: list[VolumeRecord], selected_by) -> np.ndarray:
-    """The records' volumes stacked into one [n, D, H, W] array.
+    """The records' volumes in one [n, D, H, W] array, each read straight
+    into its slot.
 
     An empty selection raises ``DataError`` naming ``selected_by`` (the
-    manifest or split that chose the records), and a volume whose extents
-    differ from the first one's, or that holds a NaN or infinite voxel,
-    raises it naming that volume's file (and the voxel).
+    manifest or split that chose the records).  Every file's header and
+    payload size are checked before any payload is read; a volume whose
+    extents differ from the first one's, or that holds a NaN or infinite
+    voxel, raises ``DataError`` naming that volume's file (and the voxel).
     """
     if not records:
         raise DataError(f"{selected_by} selects no scan")
-    volumes = [load_record_volume(data_dir, r) for r in records]
-    for r, vol in zip(records, volumes):
-        if vol.shape != volumes[0].shape:
-            raise DataError(f"{Path(data_dir) / r.path}: extents {vol.shape} differ from "
-                            f"the {volumes[0].shape} of {Path(data_dir) / records[0].path}")
+    paths, shape = [], None
+    for r in records:
+        path = _record_path(data_dir, r)
+        with open(path, "rb") as f:
+            extents = _vox_extents(f, path)
+        if paths and extents != shape:
+            raise DataError(f"{path}: extents {extents} differ from the {shape} of {paths[0]}")
+        paths.append(path)
+        shape = extents
+    volumes = np.empty((len(paths),) + shape, "<f4")
+    for path, vol in zip(paths, volumes):
+        with open(path, "rb") as f:
+            _read_payload(f, path, vol)
         # min and max are NaN or infinite when any voxel is, without a temporary
         if not (np.isfinite(vol.min()) and np.isfinite(vol.max())):
             voxel = tuple(int(i) for i in np.argwhere(~np.isfinite(vol))[0])
-            raise DataError(f"{Path(data_dir) / r.path}: voxel {voxel} is {vol[voxel]}, "
-                            f"expected a finite value")
-    return np.stack(volumes)
+            raise DataError(f"{path}: voxel {voxel} is {vol[voxel]}, expected a finite value")
+    return volumes.astype(np.float32, copy=False)

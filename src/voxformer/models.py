@@ -317,7 +317,10 @@ class CVVT(nn.Module):
         return self.token_embed(tokens)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.core(self.embed(x))
+        """The logits, with OpenBLAS at one thread throughout (``nn.one_blas_thread``):
+        the conv stages still run two lanes of their own."""
+        with nn.one_blas_thread():
+            return self.core(self.embed(x))
 
 
 class _ConvBlock(nn.Module):

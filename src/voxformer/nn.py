@@ -46,13 +46,14 @@ MLP_RATIO = 4           # EncoderBlock: MLP hidden width over the embedding widt
 # ---------------------------------------------------------------------------
 # parameter initialization
 
-# Values per draw block: each block is drawn in float64 and written straight
-# into the output, so no full-size float64 temporary exists.  A generator
-# yields the same stream in blocks as in one call.  For a 24M-value float32
-# trunc_normal on a 2-vCPU Xeon VM (9 interleaved runs, median) 2**12 took
-# 497 ms, 2**14 481, 2**16 458, 2**18 503, 2**20 563, and one whole-size
-# draw 810.
-_INIT_BLOCK = 1 << 16
+# Values per block of the random initializers and of the conv-norm-pool
+# node's leaky ReLU.  Each draw block is drawn in float64 and written
+# straight into the output, so no full-size float64 temporary exists.  A
+# generator yields the same stream in blocks as in one call.  For a
+# 24M-value float32 trunc_normal on a 2-vCPU Xeon VM (9 interleaved runs,
+# median) 2**12 took 497 ms, 2**14 481, 2**16 458, 2**18 503, 2**20 563,
+# and one whole-size draw 810.
+_BLOCK = 1 << 16
 _draw = True
 
 
@@ -69,12 +70,12 @@ def no_init():
 
 
 def _blocks(shape, dtype):
-    """A new array of ``shape`` and its flat slices of at most ``_INIT_BLOCK``
+    """A new array of ``shape`` and its flat slices of at most ``_BLOCK``
     (none inside ``no_init``)."""
     out = np.empty(shape, dtype)
     flat = out.reshape(-1)
     stop = flat.size if _draw else 0
-    return out, (flat[s:s + _INIT_BLOCK] for s in range(0, stop, _INIT_BLOCK))
+    return out, (flat[s:s + _BLOCK] for s in range(0, stop, _BLOCK))
 
 
 def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
@@ -378,31 +379,67 @@ _BLAS_THREADS = _openblas_threads()
 _LANES = 2
 
 
+# Process-wide, as OpenBLAS's thread count is: the caller's count, recorded
+# at the entry of the running outermost ``one_blas_thread`` scope (None
+# outside one), and whether a two-lane region is running.
+_caller_threads: int | None = None
+_laning = False
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Inside the block OpenBLAS runs one thread.  The outermost entry
+    records the caller's count and sets 1, and its exit restores the count,
+    also when the block raises; a nested entry, or one where the count
+    cannot be set, does nothing.  ``_in_lanes`` runs its region in this
+    scope and ``CVVT.forward`` its whole body: after a two-thread call
+    OpenBLAS's worker spins on the second core for a while, and in a
+    4-scan CVVT-tiny eval at 169x208x179 (2-vCPU VM) it took that core from
+    the next scan's conv lanes; the ViT's 81-token GEMMs ran no faster at
+    two threads."""
+    global _caller_threads
+    if _BLAS_THREADS is None or _caller_threads is not None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    _caller_threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(_caller_threads)
+        _caller_threads = None
+
+
 def _lanes() -> int:
     """The lanes ``_in_lanes`` runs: ``_LANES``, or 1 where OpenBLAS's
-    thread count cannot be set or is already 1 (a user's
-    ``OPENBLAS_NUM_THREADS=1``, or a call made inside another lanes region),
-    or the process may run on one core only."""
-    if _BLAS_THREADS is None or _BLAS_THREADS[0]() < 2 or len(os.sched_getaffinity(0)) < 2:
+    thread count cannot be set, where the caller's count (at the entry of
+    ``one_blas_thread``, else the live one) is 1 (a user's
+    ``OPENBLAS_NUM_THREADS=1``), inside a running two-lane region, or where
+    the process may run on one core only."""
+    if (_BLAS_THREADS is None or _laning or len(os.sched_getaffinity(0)) < 2
+            or (_caller_threads or _BLAS_THREADS[0]()) < 2):
         return 1
     return _LANES
 
 
+@one_blas_thread()
 def _in_lanes(lane, spans: list) -> None:
     """Run ``spans`` in ``_lanes()`` lanes (one for a single span): conv3d's
     forward tiles, or ``data.synth_generate``'s scans, two at a time.  On
     the calling thread, ``lane()`` is called once per lane and returns that
     lane's ``work(todo)``, where ``todo`` yields the next span no lane has
-    taken, so every span runs once.  One lane runs inline.  Two run on the
-    calling thread and one thread started for this call, with OpenBLAS at
-    one thread, its count restored afterwards; the thread is joined before
-    this returns.  The first exception a lane raises is raised here again,
-    as itself, and the other lane takes no span after it.
+    taken, so every span runs once.  The call runs in ``one_blas_thread``.
+    One lane runs inline.  Two run on the calling thread and one thread
+    started for this call, which is joined before this returns.  The first
+    exception a lane raises is raised here again, as itself, and the other
+    lane takes no span after it.
 
     ``lane()`` runs on the calling thread so that the lanes' buffers come
     from its malloc arena: allocated in the started thread, they stayed
     resident in that thread's arena, and the peak RSS of a 4-scan
     CVVT-tiny eval at 169x208x179 rose from 418 to 435 MB (2-vCPU VM)."""
+    global _laning
     works = [lane() for _ in range(_lanes() if len(spans) > 1 else 1)]
     if len(works) == 1:
         works[0](iter(spans))
@@ -423,16 +460,14 @@ def _in_lanes(lane, spans: list) -> None:
         except BaseException as e:     # raised again once both lanes are done
             errors.append(e)
 
-    get, put = _BLAS_THREADS
-    before = get()
-    put(1)
+    _laning = True
     try:
         second = threading.Thread(target=run, args=(works[1],), name="lane")
         second.start()
         run(works[0])
         second.join()
     finally:
-        put(before)
+        _laning = False
     if errors:
         raise errors[0]
 
@@ -678,7 +713,11 @@ def maxpool3d(x: Tensor, kernel: int, stride: int, weight: Tensor, gamma: Tensor
     out += shift
     kk = dt.type(LEAKY_SLOPE)
     mask = out >= 0 if record else None     # the pre-activation's sign, never read back
-    np.multiply(out, kk, out=out, where=out < 0)      # the bytes of max(o, LEAKY_SLOPE*o)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(flat.size, _BLOCK), dt)
+    for b in range(0, flat.size, _BLOCK):   # max(o, LEAKY_SLOPE*o), a block at a time
+        o = flat[b:b + _BLOCK]
+        np.maximum(o, np.multiply(o, kk, out=scratch[:o.size]), out=o)
     if not record:
         return _node(out, parents, None, "maxpool3d")
     inv = 1 / sd

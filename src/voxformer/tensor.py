@@ -274,8 +274,12 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     inv_sqrt2 = x.dtype.type(1.0 / np.sqrt(2.0))
     cdf = 0.5 * (1.0 + _special.erf(x * inv_sqrt2))
-    pdf = np.exp(-0.5 * x * x) * x.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
-    return _unary(a, "gelu", x * cdf, lambda g: g * (cdf + x * pdf))
+
+    def grad(g: np.ndarray) -> np.ndarray:
+        pdf = np.exp(-0.5 * x * x) * x.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
+        return g * (cdf + x * pdf)
+
+    return _unary(a, "gelu", x * cdf, grad)
 
 
 # -- reductions ------------------------------------------------------------------

@@ -437,6 +437,23 @@ def test_load_volumes_names_a_non_finite_voxel(tmp_path, value):
                               f"expected a finite value")
 
 
+def test_load_volumes_reads_each_scan_into_its_slot(tmp_path):
+    """The scans are read straight into the array returned: no list of
+    scans beside their stack, which peaked at 2x."""
+    records = [D.VolumeRecord(f"sub-{i}", "ses-1", "AD", f"v{i}.vox") for i in range(4)]
+    for i, r in enumerate(records):
+        D.write_volume(tmp_path / r.path, np.full((40, 48, 44), float(i), np.float32))
+    tracemalloc.start()
+    try:
+        vols = D.load_volumes(tmp_path, records, "x")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vols.dtype == np.float32 and vols.shape == (4, 40, 48, 44)
+    assert (vols == np.arange(4, dtype=np.float32).reshape(4, 1, 1, 1)).all()
+    assert peak <= 1.1 * vols.nbytes, peak / vols.nbytes
+
+
 def test_load_dataset_peak_is_near_what_it_returns(tmp_path):
     """Volumes are read into one array each and normalized in place: no
     float64 or whole-set temporaries beyond the stack and one std pass."""

@@ -56,7 +56,7 @@ from voxformer import train as TR
 from voxformer.gradcheck import gradcheck
 from voxformer.optim import TrainConfig
 from voxformer.tensor import (AutodiffError, ShapeError, Tensor, _binary, _node, _unary, add,
-                              mul, no_grad, reshape)
+                              gelu, mul, no_grad, reshape)
 from voxformer.verify import delta_weight
 
 
@@ -418,6 +418,24 @@ def _reachable_arrays(fn) -> list[np.ndarray]:
     return arrays
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_computes_its_density_in_the_backward(dtype):
+    """gelu's node holds its input and the normal CDF, no third
+    input-sized array; the backward computes the density and gives the
+    bytes of the closed form g * (cdf + x * pdf)."""
+    rng = np.random.default_rng(3)
+    x = Tensor((rng.standard_normal((3, 5, 7)) * 3).astype(dtype), requires_grad=True)
+    out = gelu(x)
+    held = [a for a in _reachable_arrays(out._backward_fn) if a.size == x.size]
+    assert len(held) == 2 and any(a is x.data for a in held)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    (out * Tensor(g)).sum().backward()
+    xd = x.data
+    cdf = 0.5 * (1.0 + special.erf(xd * dtype(1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * xd * xd) * dtype(1.0 / np.sqrt(2.0 * np.pi))
+    assert x.grad.dtype == dtype and x.grad.tobytes() == (g * (cdf + xd * pdf)).tobytes()
+
+
 def test_recorded_conv3d_node_holds_no_column_sized_array(monkeypatch):
     monkeypatch.setattr(nn, "_TILE", 4096)
     rng = np.random.default_rng(4)
@@ -645,6 +663,65 @@ def test_blas_at_one_thread_runs_one_lane(tmp_path, monkeypatch):
         assert run("one") == two and len(started) == 3
 
 
+def _cvvt_logits(batch: int) -> bytes:
+    model = M.build_model(M.build_config("cvvt", extents=(24, 24, 24)), seed=0).eval()
+    x = np.random.default_rng(0).standard_normal((batch, 1, 24, 24, 24)).astype(np.float32)
+    with no_grad():
+        return model(Tensor(x)).data.tobytes()
+
+
+@two_lanes
+def test_cvvt_forward_bytes_do_not_depend_on_the_blas_count():
+    """CVVT's forward runs OpenBLAS at one thread from end to end, so its
+    logits at the process's thread count are those at one thread; outside
+    that scope, ``token_embed``'s GEMM gives other bytes at two threads."""
+    assert nn._BLAS_THREADS[0]() >= 2
+    default = _cvvt_logits(2)
+    with _blas_threads_set_to(1):
+        assert _cvvt_logits(2) == default
+
+
+@two_lanes
+def test_cvvt_forward_pins_blas_and_keeps_two_lanes(monkeypatch):
+    """Inside CVVT's forward OpenBLAS runs one thread, while each conv stage
+    still runs two lanes, decided from the caller's count; a forward
+    entered at one thread runs one lane.  Afterwards the caller's count is
+    back, also when a stage raises."""
+    monkeypatch.setattr(nn, "_TILE", 1 << 12)          # several spans per stage
+    model = M.build_model(M.build_config("cvvt", extents=(24, 24, 24)), seed=0).eval()
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 24, 24, 24)).astype(np.float32))
+    get = nn._BLAS_THREADS[0]
+    seen, started, conv3d, start = [], [], nn.conv3d, threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+
+    def spy(*args, **kwargs):
+        before = len(started)
+        out = conv3d(*args, **kwargs)
+        seen.append((nn._lanes(), get(), len(started) - before))
+        return out
+
+    monkeypatch.setattr(nn, "conv3d", spy)
+    with _blas_threads_set_to(2):
+        model(x)
+        assert seen == [(2, 1, 1)] * len(model.stages) and get() == 2
+    seen.clear()
+    with _blas_threads_set_to(1):
+        model(x)
+        assert seen == [(1, 1, 0)] * len(model.stages) and get() == 1
+    boom = RuntimeError("last stage")
+
+    def fail(h):
+        raise boom
+
+    model.stages[-1].forward = fail
+    with _blas_threads_set_to(2):
+        with pytest.raises(RuntimeError) as info:
+            model(x)
+        assert info.value is boom and get() == 2
+    with _blas_threads_set_to(1):      # no count is left recorded from the failed forward
+        assert nn._lanes() == 1
+
+
 def _conv_in_child(conn, x, w, b):
     conn.send_bytes(nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).data.tobytes())
     conn.close()
@@ -724,6 +801,63 @@ def test_threads_start_only_in_the_lanes_helper():
     found = {m.name: _thread_starts(m.read_text()) for m in sorted(src.glob("*.py"))}
     assert len(found) > 5
     assert {name: [w for _, w in f] for name, f in found.items() if f} == {"nn.py": ["_in_lanes"]}
+
+
+def _blas_setter_calls(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each call in ``source`` of OpenBLAS's
+    thread-count setter: ``_BLAS_THREADS[1]``, a name bound to it (``put =
+    _BLAS_THREADS[1]``, or the second of ``get, put = _BLAS_THREADS``), or
+    a function whose name holds ``set_num_threads``."""
+    tree = ast.parse(source)
+
+    def table(n):
+        return getattr(n, "id", getattr(n, "attr", None)) == "_BLAS_THREADS"
+
+    def setter(n):
+        return (isinstance(n, ast.Subscript) and table(n.value)
+                and isinstance(n.slice, ast.Constant) and n.slice.value == 1)
+
+    aliases = set()
+    for a in (n for n in ast.walk(tree) if isinstance(n, ast.Assign)):
+        for t in a.targets:
+            if isinstance(t, ast.Name) and setter(a.value):
+                aliases.add(t.id)
+            elif isinstance(t, ast.Tuple) and table(a.value) and isinstance(t.elts[1], ast.Name):
+                aliases.add(t.elts[1].id)
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = getattr(f, "id", getattr(f, "attr", ""))
+                if setter(f) or name in aliases or "set_num_threads" in name:
+                    found.append((child.lineno, where))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, "<lambda>" if isinstance(child, ast.Lambda) else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_blas_count_is_set_only_in_the_scope():
+    """Only ``nn.one_blas_thread`` sets OpenBLAS's thread count, so no
+    region can leave it changed or change it under a running scope."""
+    assert _blas_setter_calls(
+        "def scope():\n    get, put = _BLAS_THREADS\n    put(1)\n"
+        "def reader():\n    return _BLAS_THREADS[0]()\n"
+        "def other():\n    nn._BLAS_THREADS[1](2)\n"
+        "def alias():\n    setter = _BLAS_THREADS[1]\n    setter(4)\n"
+        "late = lambda: _BLAS_THREADS[1](1)\n"
+        "lib.scipy_openblas_set_num_threads64_(1)\n") == [
+        (3, "scope"), (7, "other"), (10, "alias"), (11, "<lambda>"), (12, "<module>")]
+    src = Path(nn.__file__).parent
+    found = {m.name: _blas_setter_calls(m.read_text()) for m in sorted(src.glob("*.py"))}
+    assert len(found) > 5
+    assert {name: {w for _, w in f} for name, f in found.items() if f} == {
+        "nn.py": {"one_blas_thread"}}
 
 
 # ---------------------------------------------------------------------------
@@ -1443,7 +1577,7 @@ def oracle_save_checkpoint(path, model, config) -> None:
     path.write_bytes(M._CKPT_MAGIC + struct.pack("<Q", len(manifest)) + manifest + payload)
 
 
-_B = nn._INIT_BLOCK
+_B = nn._BLOCK
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
